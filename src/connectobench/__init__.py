@@ -8,6 +8,7 @@ structure versus node features.
 """
 
 from .autodiff import (
+    BlockAdjacency,
     Tape,
     Tensor,
     backward,

@@ -385,48 +385,78 @@ def _scatter_add_rows(target: np.ndarray, idx: np.ndarray, rows: np.ndarray):
     return target
 
 
-def sparse_aggregate(edges, weights, h: Tensor, tape: Tape | None = None) -> Tensor:
-    """Weighted neighbor sum: out[v] = sum over edges (u -> v) of w * h[u].
+class BlockAdjacency:
+    """Block-diagonal linear operator over the rows of a stacked node matrix.
 
-    Contributions are summed in (destination, source) order regardless of the
-    edge list's ordering, so results are bit-stable. Differentiable in h only;
-    weights are plain data.
+    blocks[b] is a dense (n_b, n_b) matrix acting on rows
+    offsets[b]:offsets[b + 1]. One block is one graph's adjacency; a batch of
+    graphs is the union of their blocks, so graphs never exchange messages.
+    Blocks are plain data: sparse_aggregate differentiates only its input rows.
     """
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ShapeError(f"edges must be (m, 2), got {edges.shape}")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (edges.shape[0],):
-        raise ShapeError(
-            f"weights must match edge count {edges.shape[0]}, got {weights.shape}")
-    n = h.rows
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise IndexError(f"edge endpoint out of range for {n} nodes")
-    if edges.shape[0] == 0:
-        out = Tensor(np.zeros_like(h.data), requires_grad=h.requires_grad)
-        _record(tape, "sparse_aggregate", (h,), out,
-                lambda g: (np.zeros_like(h.data),))
+
+    __slots__ = ("blocks", "offsets")
+
+    def __init__(self, blocks):
+        self.blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        for b in self.blocks:
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise ShapeError(f"adjacency blocks must be square, got {b.shape}")
+        self.offsets = np.cumsum([0] + [b.shape[0] for b in self.blocks])
+
+    @property
+    def rows(self) -> int:
+        return int(self.offsets[-1])
+
+    @classmethod
+    def from_edges(cls, edges, weights, n: int) -> "BlockAdjacency":
+        """One n x n block with entry [v, u] = summed weight of edges (u -> v).
+
+        Repeated edges add up in a fixed order whatever the order of the edge
+        list, so the block is bit-stable.
+        """
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ShapeError(f"edges must be (m, 2), got {edges.shape}")
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (edges.shape[0],):
+            raise ShapeError(
+                f"weights must match edge count {edges.shape[0]}, got {weights.shape}")
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise IndexError(f"edge endpoint out of range for {n} nodes")
+        order = np.lexsort((weights, edges[:, 0], edges[:, 1]))
+        block = np.zeros((n, n))
+        np.add.at(block, (edges[order, 1], edges[order, 0]), weights[order])
+        return cls([block])
+
+    @classmethod
+    def union(cls, ops) -> "BlockAdjacency":
+        """Disjoint union: the blocks of every operator, in order."""
+        return cls([b for op in ops for b in op.blocks])
+
+    def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """A_b @ x_b (or A_b^T @ x_b) for every block b of the stacked rows x."""
+        out = np.empty_like(x)
+        for b, lo, hi in zip(self.blocks, self.offsets[:-1], self.offsets[1:]):
+            out[lo:hi] = (b.T if transpose else b) @ x[lo:hi]
         return out
 
-    order = np.lexsort((edges[:, 0], edges[:, 1]))
-    src = edges[order, 0]
-    dst = edges[order, 1]
-    w = weights[order]
 
-    contrib = w[:, None] * h.data[src]
-    _, s, starts = _segment_order(dst)  # dst already sorted; keeps run starts
-    sums = np.add.reduceat(contrib, starts, axis=0)
-    data = np.zeros_like(h.data)
-    data[s[starts]] = sums
-    out = Tensor(data, requires_grad=h.requires_grad)
+def sparse_aggregate(adj: BlockAdjacency, h: Tensor, tape: Tape | None = None
+                     ) -> Tensor:
+    """Weighted neighbor sum per block: out[v] = sum over edges (u -> v) of w * h[u].
 
-    def grad_fn(g):
-        return (_scatter_add_rows(np.zeros_like(h.data), src,
-                                  w[:, None] * g[dst]),)
-
-    _record(tape, "sparse_aggregate", (h,), out, grad_fn)
+    Computes A_b @ h_b for every block forward and A_b^T @ g_b backward, on
+    adjacency blocks built once, so no edge list is sorted per call.
+    Differentiable in h only.
+    """
+    if adj.rows != h.rows:
+        raise ShapeError(f"sparse_aggregate: operator covers {adj.rows} rows, "
+                         f"input has {h.rows}")
+    out = Tensor(adj.apply(h.data), requires_grad=h.requires_grad)
+    _record(tape, "sparse_aggregate", (h,), out,
+            lambda g: (adj.apply(g, transpose=True),))
     return out
 
 

@@ -26,7 +26,7 @@ from .data import (
     generate_synthetic,
     serialize_dataset,
 )
-from .errors import ConfigError, DatasetParseError, DivergenceError
+from .errors import ConfigError, ContractError, DatasetParseError, DivergenceError
 from .rng import seeded_rng
 from .training import TrainConfig, run_experiment
 
@@ -108,7 +108,11 @@ def _train_config(args, config, model_kind: str) -> TrainConfig:
     if getattr(args, "epochs", None) is not None:
         cfg.total_epochs = args.epochs
     if getattr(args, "seeds", None) is not None:
-        cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
+        try:
+            cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            raise ConfigError(f"--seeds must be comma-separated integers, "
+                              f"got {args.seeds!r}") from None
     cfg.validate()
     return cfg
 
@@ -213,10 +217,10 @@ def cmd_sweep_dropedge(args) -> None:
     for p in sweep.drop_probabilities:
         if p == 1.0:
             seed = _train_config(args, config, sweep.models[0]).seeds[0]
-            empty = all(
-                drop_edges(g, 1.0, seeded_rng(seed, "edge-drop", i)).num_edges == 0
-                for i, g in enumerate(dataset.graphs))
-            assert empty
+            kept = [i for i, g in enumerate(dataset.graphs)
+                    if drop_edges(g, 1.0, seeded_rng(seed, "edge-drop", i)).num_edges]
+            if kept:
+                raise ContractError(f"p=1.00 left edges in corrupted graph {kept[0]}")
             print(f"p=1.00: all {len(dataset)} corrupted graphs have empty "
                   f"edge sets")
         for kind in sweep.models:

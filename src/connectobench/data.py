@@ -359,9 +359,14 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
 
 
 def deserialize_dataset(path) -> Dataset:
-    """Load a JSON-Lines dataset; parse failures name the offending line."""
+    """Load a JSON-Lines dataset; parse failures name the offending line.
+
+    Beyond per-record checks, every label must lie in [0, num_classes), every
+    graph must share the first graph's feature dim, and the file must hold at
+    least one graph.
+    """
     graphs = []
-    header = None
+    header = header_line = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -371,12 +376,26 @@ def deserialize_dataset(path) -> Dataset:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise DatasetParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if lineno == 1:
-                if not isinstance(obj, dict) or "num_classes" not in obj:
-                    raise DatasetParseError("missing dataset header", lineno)
-                header = obj
-            else:
-                graphs.append(_parse_graph_line(obj, lineno))
+            if header is None:
+                if not isinstance(obj, dict) or not isinstance(
+                        obj.get("num_classes"), int):
+                    raise DatasetParseError(
+                        "missing dataset header with an integer num_classes", lineno)
+                header, header_line = obj, lineno
+                continue
+            g = _parse_graph_line(obj, lineno)
+            num_classes = header["num_classes"]
+            if not 0 <= g.label < num_classes:
+                raise DatasetParseError(
+                    f"label {g.label} outside [0, {num_classes})", lineno)
+            if graphs and g.x.shape[1] != graphs[0].x.shape[1]:
+                raise DatasetParseError(
+                    f"feature dim {g.x.shape[1]} differs from the first graph's "
+                    f"{graphs[0].x.shape[1]}", lineno)
+            graphs.append(g)
     if header is None:
         raise DatasetParseError("empty dataset file", 1)
+    if not graphs:
+        raise DatasetParseError("dataset header has no graphs after it",
+                                header_line)
     return Dataset(graphs, header["num_classes"], header.get("spec"))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    BlockAdjacency,
     Tape,
     Tensor,
     add,
@@ -177,13 +178,12 @@ def normalized_adjacency(g: ConnectomeGraph, use_edge_weights: bool = True):
     return np.stack([src, dst], axis=1), wts
 
 
-def gcn_layer(adj_edges: np.ndarray, adj_weights: np.ndarray, h: Tensor,
-              weight: Tensor, tape: Tape | None = None) -> Tensor:
+def gcn_layer(adj: BlockAdjacency, h: Tensor, weight: Tensor,
+              tape: Tape | None = None) -> Tensor:
     """One graph convolution: ReLU of the normalized-adjacency propagation."""
     if h.cols != weight.rows:
         raise ShapeError(f"gcn_layer: feature dim {h.cols} vs weight {weight.shape}")
-    return relu(sparse_aggregate(adj_edges, adj_weights, matmul(h, weight, tape),
-                                 tape), tape)
+    return relu(sparse_aggregate(adj, matmul(h, weight, tape), tape), tape)
 
 
 def build_expander(n: int, degree: int, seed=0) -> np.ndarray:
@@ -359,11 +359,20 @@ def _block_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
 @dataclass(eq=False)
 class PreparedGCN:
     x: Tensor
-    adj_edges: np.ndarray
-    adj_weights: np.ndarray
+    adj: BlockAdjacency    # the normalized adjacency as one dense n x n block
+    adj_edges: np.ndarray  # (m, 2) directed (src, dst) pairs the block holds
     label: int
     n: int
     local_ig: InteractionGraph | None = None
+
+
+@dataclass(eq=False)
+class GCNBatch:
+    """Disjoint union of prepared graphs, run as one forward."""
+
+    x: Tensor            # (N, d): every graph's node rows, stacked
+    adj: BlockAdjacency  # one adjacency block per graph, at its row offset
+    pool: Tensor         # (B, N): row b averages graph b's node rows
 
 
 @dataclass(eq=False)
@@ -375,9 +384,15 @@ class PreparedExphormer:
 
 
 class ResidualGCN:
-    """GCN stack with concatenated layer outputs and an MLP head."""
+    """GCN stack with concatenated layer outputs and an MLP head.
+
+    A mini-batch runs as one forward over the disjoint union of its graphs
+    (see collate); per-graph mean pooling is a matmul with the batch's
+    averaging matrix.
+    """
 
     kind = "residual_gcn"
+    batches_graphs = True  # train_epoch and evaluate pass a GCNBatch per forward
 
     def __init__(self, cfg: ResidualGCNConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
@@ -405,18 +420,33 @@ class ResidualGCN:
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         edges, weights = normalized_adjacency(graph, self.cfg.use_edge_weights)
-        return PreparedGCN(x=Tensor(graph.x), adj_edges=edges,
-                           adj_weights=weights, label=graph.label, n=graph.n)
+        return PreparedGCN(x=Tensor(graph.x),
+                           adj=BlockAdjacency.from_edges(edges, weights, graph.n),
+                           adj_edges=edges, label=graph.label, n=graph.n)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedGCN]:
         return [self.prepare(g) for g in graphs]
 
-    def _gcn_stack(self, prep: PreparedGCN, tape) -> list[Tensor]:
-        h = prep.x
+    @staticmethod
+    def collate(preps: list[PreparedGCN]) -> GCNBatch:
+        """Stack prepared graphs into one block-diagonal input with a pooling matrix."""
+        if not preps:
+            raise ShapeError("collate of an empty graph list")
+        sizes = np.array([p.n for p in preps])
+        if sizes.min() == 0:
+            raise ShapeError("cannot pool a graph with no nodes")
+        pool = np.zeros((sizes.size, int(sizes.sum())))
+        pool[np.repeat(np.arange(sizes.size), sizes), np.arange(pool.shape[1])] = \
+            np.repeat(1.0 / sizes, sizes)
+        return GCNBatch(x=Tensor(np.concatenate([p.x.data for p in preps])),
+                        adj=BlockAdjacency.union(p.adj for p in preps),
+                        pool=Tensor(pool))
+
+    def _gcn_stack(self, batch: GCNBatch, tape) -> list[Tensor]:
+        h = batch.x
         outs = []
         for i in range(self.cfg.num_gcn_layers):
-            h = gcn_layer(prep.adj_edges, prep.adj_weights, h,
-                          self.params[f"gcn{i}.weight"], tape)
+            h = gcn_layer(batch.adj, h, self.params[f"gcn{i}.weight"], tape)
             outs.append(h)
         return outs
 
@@ -428,18 +458,23 @@ class ResidualGCN:
         return add(matmul(z, self.params["mlp.w2"], tape),
                    self.params["mlp.b2"], tape)
 
-    def forward(self, prep: PreparedGCN, mode: str = "eval",
+    def forward(self, prep: PreparedGCN | GCNBatch, mode: str = "eval",
                 tape: Tape | None = None, rng=None) -> Tensor:
+        """Logits with one row per graph of a GCNBatch, or one row for a graph."""
         if mode == "train" and rng is None:
             rng = seeded_rng(self.seed, "forward")
-        hcat = concat_cols(self._gcn_stack(prep, tape), tape)
-        return self._head(mean_pool_rows(hcat, tape), mode, tape, rng)
+        batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
+        hcat = concat_cols(self._gcn_stack(batch, tape), tape)
+        return self._head(matmul(batch.pool, hcat, tape), mode, tape, rng)
 
 
 class Exphormer:
     """Sparse graph transformer over a local + expander + global edge set."""
 
     kind = "exphormer"
+    # One graph per forward: batching the per-edge attention pipeline measured
+    # slower and several times larger in memory than running graphs one by one.
+    batches_graphs = False
 
     def __init__(self, cfg: ExphormerConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
@@ -534,6 +569,12 @@ class AttnResidualGCN(ResidualGCN):
         else:
             b.attention_block("attn_cat", width)
 
+    @property
+    def batches_graphs(self) -> bool:
+        """Attention runs on one graph's local_ig per forward. With probability
+        0 it never runs, so the model is a plain ResidualGCN and batches like one."""
+        return self.variant.apply_probability <= 0.0
+
     def config_dict(self) -> dict:
         d = super().config_dict()
         d["variant"] = dataclasses.asdict(self.variant)
@@ -552,17 +593,17 @@ class AttnResidualGCN(ResidualGCN):
             return True
         return bool(rng.random() < p)
 
-    def forward(self, prep: PreparedGCN, mode: str = "eval",
+    def forward(self, prep: PreparedGCN | GCNBatch, mode: str = "eval",
                 tape: Tape | None = None, rng=None) -> Tensor:
         if mode == "train" and rng is None:
             rng = seeded_rng(self.seed, "forward")
         apply_attn = self._apply_attention(mode, rng)
         use_per_layer = self.variant.placement == "after_each_gcn"
-        h = prep.x
+        batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
+        h = batch.x
         outs = []
         for i in range(self.cfg.num_gcn_layers):
-            h = gcn_layer(prep.adj_edges, prep.adj_weights, h,
-                          self.params[f"gcn{i}.weight"], tape)
+            h = gcn_layer(batch.adj, h, self.params[f"gcn{i}.weight"], tape)
             if apply_attn and use_per_layer:
                 h = sparse_attention(prep.local_ig, h,
                                      _block_params(self.params, f"attn{i}"),
@@ -579,7 +620,7 @@ class AttnResidualGCN(ResidualGCN):
                                     self.variant.attention_dropout,
                                     self.cfg.dropout, mode, rng, tape)
             self.attn_calls += 1
-        return self._head(mean_pool_rows(hcat, tape), mode, tape, rng)
+        return self._head(matmul(batch.pool, hcat, tape), mode, tape, rng)
 
 
 def build_model(kind: str, in_dim: int, num_classes: int, seed: int = 0,

@@ -30,6 +30,10 @@ from .rng import seeded_rng
 
 MODEL_KINDS = ("residual_gcn", "exphormer", "attn_residual_gcn")
 LR_FLOOR = 1e-6
+# Graphs per evaluation forward for models that batch. Chunks of 64 measured
+# slower at both GCN benchmark shapes, and a whole split in one forward would
+# hold tens of MB of activations.
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -67,16 +71,24 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "gcn" in d:
-            d["gcn"] = ResidualGCNConfig(**d["gcn"])
-        if "exphormer" in d:
-            d["exphormer"] = ExphormerConfig(**d["exphormer"])
-        if "variant" in d:
-            d["variant"] = AttnVariantConfig(**d["variant"])
+        d = dict(_known_keys(cls, d, "train"))
+        for key, sub in (("gcn", ResidualGCNConfig), ("exphormer", ExphormerConfig),
+                         ("variant", AttnVariantConfig)):
+            if key in d:
+                d[key] = sub(**_known_keys(sub, d[key], f"train.{key}"))
         if "seeds" in d:
             d["seeds"] = tuple(d["seeds"])
         return cls(**d)
+
+
+def _known_keys(cls, d, where: str) -> dict:
+    """d itself, after checking it is a dict whose keys are all fields of cls."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return d
 
 
 @dataclass
@@ -154,6 +166,21 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return max(lr, min(LR_FLOOR, cfg.base_lr))
 
 
+def _forward_inputs(model, prepared, indices: list[int], size: int):
+    """Yield (graph indices, forward input) for each forward over indices.
+
+    A model that batches graphs gets `size` graphs collated into one input;
+    any other model gets one prepared graph per forward.
+    """
+    if not model.batches_graphs:
+        for i in indices:
+            yield [i], prepared[i]
+        return
+    for start in range(0, len(indices), size):
+        chunk = indices[start:start + size]
+        yield chunk, model.collate([prepared[i] for i in chunk])
+
+
 def evaluate(model, prepared, indices) -> float:
     """Accuracy percent over the indexed graphs, eval mode.
 
@@ -163,11 +190,10 @@ def evaluate(model, prepared, indices) -> float:
     if not indices:
         raise ContractError("evaluate called with an empty index list")
     correct = 0
-    for i in indices:
-        prep = prepared[i]
-        logits = model.forward(prep, mode="eval")
-        if int(np.argmax(logits.data[0])) == prep.label:
-            correct += 1
+    for chunk, inputs in _forward_inputs(model, prepared, indices, EVAL_CHUNK):
+        logits = model.forward(inputs, mode="eval")
+        labels = [prepared[i].label for i in chunk]
+        correct += int(np.count_nonzero(np.argmax(logits.data, axis=1) == labels))
     return 100.0 * correct / len(indices)
 
 
@@ -176,7 +202,9 @@ def train_epoch(model, prepared, splits: DatasetSplits, cfg: TrainConfig,
                 ) -> EpochMetrics:
     """One pass over shuffled train graphs with mini-batch Adam updates.
 
-    Gradients accumulate over each mini-batch and are averaged before the
+    A model that batches graphs runs each mini-batch as one forward and one
+    backward of the batch-mean loss. Other models run one forward and
+    backward per graph, and their summed gradients are averaged before the
     step. Raises DivergenceError on the first non-finite loss. Deterministic
     given (model state, rng).
     """
@@ -186,17 +214,22 @@ def train_epoch(model, prepared, splits: DatasetSplits, cfg: TrainConfig,
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         zero_grads(model.params)
-        for gi in batch:
-            prep = prepared[gi]
+        forwards = 0
+        for chunk, inputs in _forward_inputs(model, prepared, batch, cfg.batch_size):
             tape = Tape()
-            logits = model.forward(prep, mode="train", tape=tape, rng=rng)
-            loss = cross_entropy(logits, [prep.label], tape=tape)
+            logits = model.forward(inputs, mode="train", tape=tape, rng=rng)
+            loss = cross_entropy(logits, [prepared[i].label for i in chunk],
+                                 tape=tape)
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(epoch, start // cfg.batch_size, value)
-            total_loss += value
+            total_loss += value * len(chunk)
             backward(tape, loss)
-        inv = 1.0 / len(batch)
+            forwards += 1
+        # each forward's loss is a mean over its graphs, and a batch is either
+        # one forward or one forward per graph: this makes the gradient the
+        # batch mean
+        inv = 1.0 / forwards
         for p in model.params.values():
             if p.grad is not None:
                 p.grad *= inv

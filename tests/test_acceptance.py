@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from connectobench import (
+    BlockAdjacency,
     ExphormerConfig,
     ResidualGCNConfig,
     SyntheticSpec,
@@ -132,7 +133,8 @@ def test_criterion_1_gradient_suite():
             "dropout": (lambda t=None: dropout(a, 0.35, "train", drop_seed, t),
                         [a]),
             "sparse_aggregate": (
-                lambda t=None: sparse_aggregate(edges, ew, a, t), [a]),
+                lambda t=None: sparse_aggregate(
+                    BlockAdjacency.from_edges(edges, ew, rows), a, t), [a]),
             "segment_sum_rows": (
                 lambda t=None: segment_sum_rows(a, seg, 3, t), [a]),
             "softmax_segments": (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from connectobench import (
+    BlockAdjacency,
     ConfigError,
     ContractError,
     ShapeError,
@@ -80,31 +81,34 @@ class TestMatmul:
 class TestSparseAggregate:
     def test_empty_edges_is_zero(self):
         h = Tensor(np.ones((3, 2)))
-        out = sparse_aggregate(np.zeros((0, 2), dtype=int), [], h)
+        out = sparse_aggregate(
+            BlockAdjacency.from_edges(np.zeros((0, 2), dtype=int), [], 3), h)
         assert np.array_equal(out.data, np.zeros((3, 2)))
 
     def test_single_edge(self):
         h = Tensor([[5.0], [7.0]])
-        out = sparse_aggregate([[0, 1]], [1.0], h)
+        out = sparse_aggregate(BlockAdjacency.from_edges([[0, 1]], [1.0], 2), h)
         assert np.array_equal(out.data, [[0.0], [5.0]])
 
     def test_endpoint_out_of_range(self):
         with pytest.raises(IndexError):
-            sparse_aggregate([[0, 3]], [1.0], Tensor(np.ones((2, 1))))
+            sparse_aggregate(BlockAdjacency.from_edges([[0, 3]], [1.0], 2),
+                             Tensor(np.ones((2, 1))))
 
     def test_gradient_on_cycle(self):
         edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
         rng = np.random.default_rng(7)
         h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        check_op_gradient(
-            lambda tape=None: sparse_aggregate(edges, np.ones(4), h, tape), [h])
+        adj = BlockAdjacency.from_edges(edges, np.ones(4), 4)
+        check_op_gradient(lambda tape=None: sparse_aggregate(adj, h, tape), [h])
 
     def test_full_dense_ones_matches_matmul(self):
         rng = np.random.default_rng(3)
         n, d = 6, 4
         h = Tensor(rng.standard_normal((n, d)))
         edges = np.array([(u, v) for u in range(n) for v in range(n)])
-        out = sparse_aggregate(edges, np.ones(len(edges)), h)
+        out = sparse_aggregate(
+            BlockAdjacency.from_edges(edges, np.ones(len(edges)), n), h)
         expected = np.ones((n, n)) @ h.data
         assert np.max(np.abs(out.data - expected)) < 1e-10
 
@@ -114,8 +118,9 @@ class TestSparseAggregate:
         w = rng.standard_normal(4)
         h = Tensor(rng.standard_normal((4, 2)))
         shuffled = np.array([3, 0, 2, 1])
-        a = sparse_aggregate(edges, w, h).data
-        b = sparse_aggregate(edges[shuffled], w[shuffled], h).data
+        a = sparse_aggregate(BlockAdjacency.from_edges(edges, w, 4), h).data
+        b = sparse_aggregate(
+            BlockAdjacency.from_edges(edges[shuffled], w[shuffled], 4), h).data
         assert np.array_equal(a, b)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from connectobench import (
+    ContractError,
     ResidualGCNConfig,
     SyntheticSpec,
     TrainConfig,
@@ -13,6 +14,7 @@ from connectobench import (
     run_experiment,
     serialize_dataset,
 )
+from connectobench import cli
 from connectobench.cli import git_blob_sha1, main
 
 
@@ -125,6 +127,28 @@ class TestSweepDropedge:
         assert payload["empty_edge_check"] is True
 
 
+    def test_surviving_edge_at_p_one_is_an_error(self, tiny_dataset,
+                                                 sweep_config, tmp_path,
+                                                 monkeypatch):
+        real = cli.drop_edges
+
+        def keep_one_edge(g, p, seed=0):
+            out = real(g, p, seed)
+            if p == 1.0 and g.num_edges:
+                out.edges, out.weights = g.edges[:1].copy(), g.weights[:1].copy()
+            return out
+
+        cfg = json.loads(sweep_config.read_text())
+        cfg["drop_probabilities"] = [1.0]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "drop_edges", keep_one_edge)
+        with pytest.raises(ContractError, match="p=1.00 left edges"):
+            main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                  str(tmp_path / "sweep"), "--config", str(cfg_path),
+                  "--model", "residual-gcn"])
+
+
 class TestSweepDropout:
     def test_grid_matrices(self, tiny_dataset, sweep_config, tmp_path):
         out = tmp_path / "dropout"
@@ -227,6 +251,35 @@ class TestExitCodes:
         rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
                    str(tmp_path / "o"), "--epochs", "2"])
         assert rc == 2
+
+    def test_non_integer_seeds_is_config_error(self, tiny_dataset, tmp_path,
+                                               capsys):
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "o"), "--seeds", "a,b"])
+        assert rc == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_unknown_train_key_is_config_error(self, tiny_dataset, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"bogus": 1}}))
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_out_of_range_label_is_dataset_error(self, tiny_dataset, tmp_path,
+                                                 capsys):
+        lines = tiny_dataset.read_text().splitlines()
+        record = json.loads(lines[5])
+        record["y"] = 7
+        lines[5] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["sweep-dropedge", "--dataset", str(bad), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 4
+        assert "line 6" in capsys.readouterr().err
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         rc = main(["sweep-dropedge", "--dataset", str(tmp_path / "no.jsonl"),

@@ -290,3 +290,40 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetParseError, match="line 2"):
             deserialize_dataset(path)
+
+    def _rewrite(self, tmp_path, edit):
+        """Serialize a small dataset, let edit() change its lines, return the path."""
+        ds = generate_synthetic(SyntheticSpec(num_graphs=3, n=6, num_classes=2,
+                                              seed=0))
+        path = tmp_path / "ds.jsonl"
+        serialize_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_label_out_of_range_reports_line(self, tmp_path):
+        def edit(lines):
+            record = json.loads(lines[2])
+            record["y"] = 2  # the header says num_classes 2
+            lines[2] = json.dumps(record)
+
+        with pytest.raises(DatasetParseError, match=r"line 3: label 2 outside"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
+    def test_feature_dim_mismatch_reports_line(self, tmp_path):
+        def edit(lines):
+            record = json.loads(lines[3])
+            record["d"] = 3
+            record["x"] = record["x"][:6 * 3]
+            lines[3] = json.dumps(record)
+
+        with pytest.raises(DatasetParseError, match=r"line 4: feature dim 3"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
+    def test_header_without_graphs_reports_line(self, tmp_path):
+        def edit(lines):
+            del lines[1:]
+
+        with pytest.raises(DatasetParseError, match=r"line 1: .*no graphs"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))

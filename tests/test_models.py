@@ -6,6 +6,7 @@ import pytest
 from connectobench import (
     AttnResidualGCN,
     AttnVariantConfig,
+    BlockAdjacency,
     ConfigError,
     ConnectomeGraph,
     Exphormer,
@@ -67,14 +68,15 @@ def random_graph(rng, n, density=0.3):
 class TestGCNLayer:
     def test_empty_edges_reduces_to_relu_hw(self):
         g = graph_from_edges(1, np.zeros((0, 2)), x=[[1.0, -1.0]])
-        edges, weights = normalized_adjacency(g)
-        out = gcn_layer(edges, weights, Tensor(g.x), Tensor(np.eye(2)))
+        adj = BlockAdjacency.from_edges(*normalized_adjacency(g), g.n)
+        out = gcn_layer(adj, Tensor(g.x), Tensor(np.eye(2)))
         assert np.array_equal(out.data, [[1.0, 0.0]])
 
     def test_two_node_hand_case(self):
         g = graph_from_edges(2, [[0, 1]], weights=[1.0], x=np.eye(2))
-        edges, weights = normalized_adjacency(g, use_edge_weights=True)
-        out = gcn_layer(edges, weights, Tensor(np.eye(2)), Tensor(np.eye(2)))
+        adj = BlockAdjacency.from_edges(
+            *normalized_adjacency(g, use_edge_weights=True), g.n)
+        out = gcn_layer(adj, Tensor(np.eye(2)), Tensor(np.eye(2)))
         assert np.allclose(out.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -83,10 +85,10 @@ class TestGCNLayer:
         perm = rng.permutation(9)
         gp = permute_graph(g, perm)
         w = rng.standard_normal((9, 5))
-        e1, w1 = normalized_adjacency(g)
-        e2, w2 = normalized_adjacency(gp)
-        out = gcn_layer(e1, w1, Tensor(g.x), Tensor(w)).data
-        outp = gcn_layer(e2, w2, Tensor(gp.x), Tensor(w)).data
+        a1 = BlockAdjacency.from_edges(*normalized_adjacency(g), g.n)
+        a2 = BlockAdjacency.from_edges(*normalized_adjacency(gp), gp.n)
+        out = gcn_layer(a1, Tensor(g.x), Tensor(w)).data
+        outp = gcn_layer(a2, Tensor(gp.x), Tensor(w)).data
         assert np.max(np.abs(outp[perm] - out)) < 1e-10
 
 
@@ -133,6 +135,50 @@ class TestResidualGCN:
         g = random_graph(rng, 10)  # x is 10-dim, model expects 4
         with pytest.raises(ShapeError):
             m.forward(m.prepare(g), mode="eval")
+
+    def mixed_batch(self, rng, d=10):
+        """Graphs of different sizes sharing feature dim d; the last has no edges."""
+        graphs = []
+        for n in (5, 12, 8):
+            g = random_graph(rng, n, density=0.4)
+            g.x = rng.standard_normal((n, d))
+            graphs.append(g)
+        graphs.append(graph_from_edges(4, np.zeros((0, 2)),
+                                       x=rng.standard_normal((4, d))))
+        for i, g in enumerate(graphs):
+            g.label = i % 3
+        return graphs
+
+    def test_batched_logits_match_per_graph(self):
+        rng = np.random.default_rng(9)
+        m = self.make()
+        preps = [m.prepare(g) for g in self.mixed_batch(rng)]
+        batched = m.forward(m.collate(preps), mode="eval").data
+        assert batched.shape == (len(preps), 3)
+        for row, prep in zip(batched, preps):
+            single = m.forward(prep, mode="eval").data[0]
+            assert np.max(np.abs(row - single)) < 1e-12
+        edgeless = edge_free_reference_logits(m, preps[-1].x.data)[0]
+        assert np.max(np.abs(batched[-1] - edgeless)) < 1e-10
+
+    def test_batch_mean_gradient_matches_per_graph_mean(self):
+        rng = np.random.default_rng(10)
+        m = self.make()
+        preps = [m.prepare(g) for g in self.mixed_batch(rng)]
+
+        def grads(inputs, labels):
+            for p in m.params.values():
+                p.grad = None
+            tape = Tape()
+            backward(tape, cross_entropy(m.forward(inputs, mode="eval", tape=tape),
+                                         labels, tape=tape))
+            return {k: p.grad.copy() for k, p in m.params.items()}
+
+        batched = grads(m.collate(preps), [p.label for p in preps])
+        singles = [grads(p, [p.label]) for p in preps]
+        for name, g in batched.items():
+            mean = sum(s[name] for s in singles) / len(singles)
+            assert np.max(np.abs(g - mean)) < 1e-12, name
 
 
 class TestBuildExpander:

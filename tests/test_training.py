@@ -9,10 +9,14 @@ from connectobench import (
     ConfigError,
     ContractError,
     DivergenceError,
+    ExphormerConfig,
     ResidualGCNConfig,
     SyntheticSpec,
+    Tape,
     TrainConfig,
     aggregate_accuracy,
+    backward,
+    cross_entropy,
     evaluate,
     generate_synthetic,
     lr_at,
@@ -22,7 +26,7 @@ from connectobench import (
 )
 from connectobench.data import dataset_to_lines
 from connectobench.models import build_model
-from connectobench.optim import AdamState
+from connectobench.optim import AdamState, adam_step, zero_grads
 from connectobench.rng import seeded_rng
 from connectobench.training import run_single_seed, write_curves_csv
 
@@ -150,8 +154,57 @@ class TestTrainEpoch:
                             seeded_rng(0, "epoch", epoch), lr=1e120)
 
 
+def _per_graph_epoch(model, prepared, splits, cfg, opt, rng, lr):
+    """Reference training pass: one forward and backward per graph, summed
+    gradients averaged over the mini-batch. Returns the mean training loss."""
+    order = [splits.train[i] for i in rng.permutation(len(splits.train))]
+    total = 0.0
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start:start + cfg.batch_size]
+        zero_grads(model.params)
+        for gi in batch:
+            tape = Tape()
+            logits = model.forward(prepared[gi], mode="train", tape=tape, rng=rng)
+            loss = cross_entropy(logits, [prepared[gi].label], tape=tape)
+            total += loss.item()
+            backward(tape, loss)
+        inv = 1.0 / len(batch)
+        for p in model.params.values():
+            if p.grad is not None:
+                p.grad *= inv
+        adam_step(model.params, lr, opt)
+    return total / len(order)
+
+
+class TestExphormerEpoch:
+    def test_matches_per_graph_reference_bit_exact(self):
+        ds = small_dataset(num_graphs=30, n=8)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind="exphormer", batch_size=8,
+                           exphormer=ExphormerConfig(num_layers=1, num_heads=2,
+                                                     hidden_dim=8,
+                                                     expander_degree=2))
+
+        def fresh():
+            model = build_model("exphormer", ds.feature_dim, ds.num_classes,
+                                seed=4, exphormer_cfg=cfg.exphormer)
+            return model, model.prepare_dataset(ds.graphs, run_seed=4)
+
+        model, prepared = fresh()
+        metrics = train_epoch(model, prepared, splits, cfg, 2, AdamState(),
+                              seeded_rng(4, "epoch", 2))
+        ref, ref_prepared = fresh()
+        ref_loss = _per_graph_epoch(ref, ref_prepared, splits, cfg, AdamState(),
+                                    seeded_rng(4, "epoch", 2), lr_at(2, cfg))
+        assert metrics.loss == ref_loss
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, ref.params[name].data), name
+
+
 class _FixedLogitModel:
     """Stub emitting pre-chosen logits per graph index (via prep = index)."""
+
+    batches_graphs = False
 
     def __init__(self, logits):
         self.logits = logits
