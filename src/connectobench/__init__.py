@@ -9,6 +9,7 @@ structure versus node features.
 
 from .autodiff import (
     BlockAdjacency,
+    IndexPlan,
     Tape,
     Tensor,
     backward,
@@ -40,9 +41,11 @@ from .data import (
 from .errors import (
     ConfigError,
     ContractError,
+    DatasetError,
     DatasetParseError,
     DegenerateSeriesError,
     DivergenceError,
+    EmptySplitError,
     ShapeError,
 )
 from .models import (

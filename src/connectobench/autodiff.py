@@ -123,10 +123,13 @@ def _int_vector(values, name: str) -> np.ndarray:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss.
+    """Populate .grad on every leaf reachable from loss.
 
-    Walks the tape in reverse, touching each recorded node at most once.
-    Repeated calls accumulate, so two backward passes double the gradients.
+    A leaf is a requires_grad tensor that no node of this tape produced,
+    such as a model parameter. Walks the tape in reverse, touching each
+    recorded node at most once; gradients of intermediate tensors only flow
+    through the walk, and their .grad is left as it was. Repeated calls
+    accumulate, so two backward passes double the leaf gradients.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -137,8 +140,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if gout is None:
             continue
         owners.pop(id(node.out), None)
-        out = node.out
-        out.grad = gout.copy() if out.grad is None else out.grad + gout
         for t, g in zip(node.inputs, node.grad_fn(gout)):
             if g is None or not t.requires_grad:
                 continue
@@ -279,14 +280,17 @@ def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
-    """Select rows of a by index, with repetition allowed."""
-    idx = _int_vector(idx, "idx")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
+    """Select rows of a by index, with repetition allowed.
+
+    idx is an index vector or an IndexPlan of one.
+    """
+    plan = _as_plan(idx, "idx")
+    if plan.lo < 0 or plan.hi >= a.rows:
         raise IndexError(f"gather_rows: index out of range for {a.rows} rows")
-    out = Tensor(a.data[idx], requires_grad=a.requires_grad)
+    out = Tensor(np.take(a.data, plan.ids, axis=0), requires_grad=a.requires_grad)
 
     def grad_fn(g):
-        return (_scatter_add_rows(np.zeros_like(a.data), idx, g),)
+        return (_scatter_add_rows(np.zeros_like(a.data), plan, g),)
 
     _record(tape, "gather_rows", (a,), out, grad_fn)
     return out
@@ -367,21 +371,63 @@ def cross_entropy(logits: Tensor, labels, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def _segment_order(segments: np.ndarray):
-    """Stable sort by segment id; returns (order, sorted ids, run starts)."""
-    order = np.argsort(segments, kind="stable")
-    s = segments[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    return order, s, starts
+class IndexPlan:
+    """A flat index vector with its stable sort, worked out once.
+
+    ids is the int64 vector. order is the stable permutation that sorts ids,
+    or None when ids are already sorted. In sorted order the ids form runs of
+    equal values: run r starts at starts[r], holds counts[r] entries and has
+    the id keys[r]. lo and hi are the smallest and largest id (0 and -1 when
+    there are none). gather_rows, segment_sum_rows and softmax_segments take
+    a plan wherever they take an index vector, so a caller that reuses the
+    same ids (an interaction graph's src and dst) sorts them once instead of
+    on every call. Plans are plain data: no op differentiates them.
+    """
+
+    __slots__ = ("ids", "order", "starts", "counts", "keys", "lo", "hi")
+
+    def __init__(self, ids, name: str = "idx"):
+        ids = _int_vector(ids, name)
+        self.ids = ids
+        self.order = None
+        if ids.size > 1 and not (ids[1:] >= ids[:-1]).all():
+            self.order = np.argsort(ids, kind="stable")
+            ids = ids[self.order]
+        if ids.size == 0:
+            self.starts = self.counts = self.keys = ids
+            self.lo, self.hi = 0, -1
+            return
+        # run boundaries: 0, every index where the id changes, and the end
+        cut = np.ones(ids.size + 1, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=cut[1:-1])
+        bounds = np.flatnonzero(cut)
+        self.starts = bounds[:-1]
+        self.counts = bounds[1:] - bounds[:-1]
+        self.keys = ids[self.starts]
+        self.lo, self.hi = int(ids[0]), int(ids[-1])
+
+    def sort_rows(self, x: np.ndarray) -> np.ndarray:
+        """The rows of x in the sorted order of the ids."""
+        return x if self.order is None else np.take(x, self.order, axis=0)
+
+    def unsort_rows(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of sort_rows: rows in sorted order back to the ids' order."""
+        if self.order is None:
+            return x
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
 
-def _scatter_add_rows(target: np.ndarray, idx: np.ndarray, rows: np.ndarray):
-    """target[idx[i]] += rows[i], accumulating repeated indices in sorted order."""
-    if idx.size == 0:
-        return target
-    order, s, starts = _segment_order(idx)
-    sums = np.add.reduceat(rows[order], starts, axis=0)
-    target[s[starts]] += sums
+def _as_plan(idx, name: str) -> IndexPlan:
+    return idx if isinstance(idx, IndexPlan) else IndexPlan(idx, name)
+
+
+def _scatter_add_rows(target: np.ndarray, plan: IndexPlan, rows: np.ndarray):
+    """target[ids[i]] += rows[i], accumulating repeated ids in sorted order."""
+    if plan.ids.size:
+        target[plan.keys] += np.add.reduceat(plan.sort_rows(rows), plan.starts,
+                                             axis=0)
     return target
 
 
@@ -462,21 +508,23 @@ def sparse_aggregate(adj: BlockAdjacency, h: Tensor, tape: Tape | None = None
 
 def segment_sum_rows(a: Tensor, segments, num_segments: int,
                      tape: Tape | None = None) -> Tensor:
-    """Sum rows of a into num_segments buckets given per-row segment ids."""
-    segments = _int_vector(segments, "segments")
-    if segments.size != a.rows:
-        raise ShapeError(f"segments length {segments.size} != rows {a.rows}")
-    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
+    """Sum rows of a into num_segments buckets given per-row segment ids.
+
+    segments is an id vector or an IndexPlan of one.
+    """
+    plan = _as_plan(segments, "segments")
+    if plan.ids.size != a.rows:
+        raise ShapeError(f"segments length {plan.ids.size} != rows {a.rows}")
+    if plan.lo < 0 or plan.hi >= num_segments:
         raise IndexError(f"segment id out of range for {num_segments} segments")
     data = np.zeros((num_segments, a.cols))
-    if segments.size:
-        order, s, starts = _segment_order(segments)
-        sums = np.add.reduceat(a.data[order], starts, axis=0)
-        data[s[starts]] = sums
+    if plan.ids.size:
+        data[plan.keys] = np.add.reduceat(plan.sort_rows(a.data), plan.starts,
+                                          axis=0)
     out = Tensor(data, requires_grad=a.requires_grad)
 
     def grad_fn(g):
-        return (g[segments],)
+        return (np.take(g, plan.ids, axis=0),)
 
     _record(tape, "segment_sum_rows", (a,), out, grad_fn)
     return out
@@ -487,35 +535,30 @@ def softmax_segments(scores: Tensor, segments, tape: Tape | None = None) -> Tens
 
     Rows are items (edges), columns are independent score sets (attention
     heads). Each segment's outputs sum to 1 per column; shifting all scores
-    in a segment by a constant leaves the result unchanged.
+    in a segment by a constant leaves the result unchanged. segments is an
+    id vector or an IndexPlan of one.
     """
-    segments = _int_vector(segments, "segments")
-    if segments.size != scores.rows:
-        raise ShapeError(f"segments length {segments.size} != rows {scores.rows}")
+    plan = _as_plan(segments, "segments")
+    if plan.ids.size != scores.rows:
+        raise ShapeError(f"segments length {plan.ids.size} != rows {scores.rows}")
     if scores.rows == 0:
         out = Tensor(np.zeros_like(scores.data), requires_grad=scores.requires_grad)
         _record(tape, "softmax_segments", (scores,), out,
                 lambda g: (np.zeros_like(scores.data),))
         return out
 
-    order, s, starts = _segment_order(segments)
-    counts = np.diff(np.r_[starts, s.size])
-    v = scores.data[order]
+    starts, counts = plan.starts, plan.counts
+    v = plan.sort_rows(scores.data)
     seg_max = np.maximum.reduceat(v, starts, axis=0)
     e = np.exp(v - np.repeat(seg_max, counts, axis=0))
     denom = np.add.reduceat(e, starts, axis=0)
     y_sorted = e / np.repeat(denom, counts, axis=0)
-    y = np.empty_like(y_sorted)
-    y[order] = y_sorted
-    out = Tensor(y, requires_grad=scores.requires_grad)
+    out = Tensor(plan.unsort_rows(y_sorted), requires_grad=scores.requires_grad)
 
     def grad_fn(g):
-        gs = g[order]
+        gs = plan.sort_rows(g)
         dot = np.add.reduceat(y_sorted * gs, starts, axis=0)
-        ds_sorted = y_sorted * (gs - np.repeat(dot, counts, axis=0))
-        ds = np.empty_like(ds_sorted)
-        ds[order] = ds_sorted
-        return (ds,)
+        return (plan.unsort_rows(y_sorted * (gs - np.repeat(dot, counts, axis=0))),)
 
     _record(tape, "softmax_segments", (scores,), out, grad_fn)
     return out
@@ -556,10 +599,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
         raise ShapeError(
             f"layer_norm gain/bias must be (1, {a.cols}), got {gain.shape} / {bias.shape}")
-    mean = a.data.mean(axis=1, keepdims=True)
-    var = a.data.var(axis=1, keepdims=True)
+    centred = a.data - a.data.mean(axis=1, keepdims=True)
+    # np.var's own arithmetic, on the centred rows already at hand
+    var = np.square(centred).sum(axis=1, keepdims=True) / a.cols
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mean) * inv
+    xhat = centred * inv
     out = Tensor(xhat * gain.data + bias.data, requires_grad=_needs(a, gain, bias))
 
     def grad_fn(g):

@@ -3,7 +3,7 @@
 Subcommands: gen-data, sweep-dropedge, sweep-dropout, sweep-layers,
 sweep-variants, curves. Flag values override config-file entries, which
 override built-in defaults. Exit codes: 0 success, 2 config error, 3 run
-divergence, 4 I/O error.
+divergence, 4 I/O or dataset error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .data import (
     generate_synthetic,
     serialize_dataset,
 )
-from .errors import ConfigError, ContractError, DatasetParseError, DivergenceError
+from .errors import ConfigError, ContractError, DatasetError, DivergenceError
 from .rng import seeded_rng
 from .training import TrainConfig, run_experiment
 
@@ -91,9 +91,9 @@ def _resolve_dataset(args, config) -> tuple[Dataset, str, str, str | dict]:
     """Return (dataset, git-style content hash, display name, source)."""
     path = args.dataset or config.get("dataset")
     if path:
-        ds = deserialize_dataset(path)
-        digest = git_blob_sha1(Path(path).read_bytes())
-        return ds, digest, Path(path).stem, str(path)
+        raw = Path(path).read_bytes()
+        return (deserialize_dataset(path, raw), git_blob_sha1(raw), Path(path).stem,
+                str(path))
     spec_dict = config.get("dataset_spec")
     if spec_dict:
         ds = generate_synthetic(SyntheticSpec.from_dict(spec_dict))
@@ -128,7 +128,11 @@ def _models_for_sweep(args, config) -> list[str]:
 
 def _execute_cell(dataset: Dataset, payload: dict) -> dict:
     cfg = TrainConfig.from_dict(payload["train_config"])
-    result = run_experiment(cfg, dataset, payload["drop_p"])
+    try:
+        result = run_experiment(cfg, dataset, payload["drop_p"])
+    except DivergenceError as exc:
+        exc.cell = payload["key"]
+        raise
     out = result.to_dict()
     out["key"] = payload["key"]
     return out
@@ -460,7 +464,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
-    except DatasetParseError as exc:
+    except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -10,6 +10,7 @@ and serializes datasets as JSON Lines.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -358,16 +359,18 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
     return g
 
 
-def deserialize_dataset(path) -> Dataset:
+def deserialize_dataset(path, content: bytes | None = None) -> Dataset:
     """Load a JSON-Lines dataset; parse failures name the offending line.
 
     Beyond per-record checks, every label must lie in [0, num_classes), every
     graph must share the first graph's feature dim, and the file must hold at
-    least one graph.
+    least one graph. content, when given, is the file's bytes already read,
+    and path is not opened.
     """
     graphs = []
     header = header_line = None
-    with open(path, "r", encoding="utf-8") as fh:
+    source = open(path, "rb") if content is None else io.BytesIO(content)
+    with io.TextIOWrapper(source, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:

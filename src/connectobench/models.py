@@ -17,12 +17,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import (
     BlockAdjacency,
+    IndexPlan,
     Tape,
     Tensor,
     add,
@@ -121,7 +122,9 @@ class InteractionGraph:
 
     Edges are sorted by (dst, src) and deduplicated; when the same directed
     pair arises from several components, the tag priority is
-    local > expander > global (self-loops never collide).
+    local > expander > global (self-loops never collide). src_plan and
+    dst_plan hold the sort of src and dst, built once here so the attention
+    ops never sort them per call.
     """
 
     num_real: int
@@ -129,6 +132,12 @@ class InteractionGraph:
     src: np.ndarray   # (E,) int64
     dst: np.ndarray   # (E,) int64
     tags: np.ndarray  # (E,) int64
+    src_plan: IndexPlan = field(init=False, repr=False)
+    dst_plan: IndexPlan = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.src_plan = IndexPlan(self.src, "src")
+        self.dst_plan = IndexPlan(self.dst, "dst")
 
     @property
     def num_nodes(self) -> int:
@@ -197,12 +206,14 @@ def build_expander(n: int, degree: int, seed=0) -> np.ndarray:
     if n < 3:
         raise ConfigError(f"expander needs n >= 3 nodes, got {n}")
     rng = as_generator(seed)
-    rows = []
+    keys = []
     for _ in range(degree // 2):
         perm = rng.permutation(n)
-        nxt = np.roll(perm, -1)
-        rows.append(np.stack([np.minimum(perm, nxt), np.maximum(perm, nxt)], axis=1))
-    return np.unique(np.concatenate(rows, axis=0), axis=0).astype(np.int64)
+        nxt = np.concatenate((perm[1:], perm[:1]))
+        keys.append(np.minimum(perm, nxt) * n + np.maximum(perm, nxt))
+    # one int key per (u, v) pair sorts and deduplicates like the rows would
+    keys = np.unique(np.concatenate(keys)).astype(np.int64)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def _assemble_interaction(num_real: int, num_global: int, src, dst, tags
@@ -214,7 +225,8 @@ def _assemble_interaction(num_real: int, num_global: int, src, dst, tags
     key = src * total + dst
     order = np.lexsort((tags, key))
     key, src, dst, tags = key[order], src[order], dst[order], tags[order]
-    first = np.r_[True, key[1:] != key[:-1]]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
     src, dst, tags = src[first], dst[first], tags[first]
     order = np.lexsort((src, dst))
     return InteractionGraph(num_real=num_real, num_global=num_global,
@@ -294,17 +306,17 @@ def sparse_attention(ig: InteractionGraph, h: Tensor, p: dict[str, Tensor],
     q = matmul(h, p["q"], tape)
     k = matmul(h, p["k"], tape)
     v = matmul(h, p["v"], tape)
-    qe = gather_rows(q, ig.dst, tape)
-    ke = gather_rows(k, ig.src, tape)
+    qe = gather_rows(q, ig.dst_plan, tape)
+    ke = gather_rows(k, ig.src_plan, tape)
     scores = scale(sum_col_blocks(mul(qe, ke, tape), num_heads, tape),
                    1.0 / math.sqrt(head_dim), tape)
-    weights = softmax_segments(scores, ig.dst, tape)
+    weights = softmax_segments(scores, ig.dst_plan, tape)
     if capture is not None:
         capture.append(weights.data.copy())
     weights = dropout(weights, attention_dropout, mode, rng, tape)
-    ve = gather_rows(v, ig.src, tape)
+    ve = gather_rows(v, ig.src_plan, tape)
     mixed = mul(ve, expand_col_blocks(weights, head_dim, tape), tape)
-    ctx = segment_sum_rows(mixed, ig.dst, h.rows, tape)
+    ctx = segment_sum_rows(mixed, ig.dst_plan, h.rows, tape)
     attn = add(matmul(ctx, p["out"], tape), p["out_bias"], tape)
     attn = dropout(attn, dropout_rate, mode, rng, tape)
     h1 = layer_norm(add(h, attn, tape), p["ln1_gain"], p["ln1_bias"], tape)
@@ -381,6 +393,7 @@ class PreparedExphormer:
     ig: InteractionGraph
     label: int
     n: int
+    real_rows: IndexPlan  # rows 0..n-1: the real nodes, ahead of the global ones
 
 
 class ResidualGCN:
@@ -496,6 +509,10 @@ class Exphormer:
         b.weight("head.w2", cfg.hidden_dim, num_classes)
         b.zeros("head.b2", num_classes)
         self.params = b.params
+        # load_params replaces each tensor's .data in place, so these views
+        # of self.params stay current
+        self._layers = [_block_params(self.params, f"layer{l}")
+                        for l in range(cfg.num_layers)]
 
     def config_dict(self) -> dict:
         return {"kind": self.kind, "in_dim": self.in_dim,
@@ -508,7 +525,8 @@ class Exphormer:
         if self.cfg.structural_encoding == "degree":
             enc = np.log1p(node_degrees(graph)).reshape(-1, 1)
             x = np.concatenate([x, enc], axis=1)
-        return PreparedExphormer(x=Tensor(x), ig=ig, label=graph.label, n=graph.n)
+        return PreparedExphormer(x=Tensor(x), ig=ig, label=graph.label, n=graph.n,
+                                 real_rows=IndexPlan(np.arange(graph.n)))
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedExphormer]:
         # Expander/global edges are fixed per (run seed, graph index), not
@@ -526,11 +544,11 @@ class Exphormer:
                 self.params["input.b"], tape)
         if cfg.num_global_nodes:
             h = concat_rows([h, self.params["global.emb"]], tape)
-        for l in range(cfg.num_layers):
-            h = sparse_attention(prep.ig, h, _block_params(self.params, f"layer{l}"),
-                                 cfg.num_heads, cfg.attention_dropout, cfg.dropout,
-                                 mode, rng, tape, capture=attn_capture)
-        real = gather_rows(h, np.arange(prep.n), tape)
+        for block in self._layers:
+            h = sparse_attention(prep.ig, h, block, cfg.num_heads,
+                                 cfg.attention_dropout, cfg.dropout, mode, rng,
+                                 tape, capture=attn_capture)
+        real = gather_rows(h, prep.real_rows, tape)
         z = dropout(mean_pool_rows(real, tape), cfg.dropout, mode, rng, tape)
         z = relu(add(matmul(z, self.params["head.w1"], tape),
                      self.params["head.b1"], tape), tape)
@@ -564,10 +582,14 @@ class AttnResidualGCN(ResidualGCN):
         b = _ParamBuilder(seed)
         b.params = self.params
         if variant.placement == "after_each_gcn":
-            for i in range(cfg.num_gcn_layers):
-                b.attention_block(f"attn{i}", width)
+            names = [f"attn{i}" for i in range(cfg.num_gcn_layers)]
         else:
-            b.attention_block("attn_cat", width)
+            names = ["attn_cat"]
+        for name in names:
+            b.attention_block(name, width)
+        # load_params replaces each tensor's .data in place, so these views
+        # of self.params stay current
+        self._attn = {name: _block_params(self.params, name) for name in names}
 
     @property
     def batches_graphs(self) -> bool:
@@ -605,8 +627,7 @@ class AttnResidualGCN(ResidualGCN):
         for i in range(self.cfg.num_gcn_layers):
             h = gcn_layer(batch.adj, h, self.params[f"gcn{i}.weight"], tape)
             if apply_attn and use_per_layer:
-                h = sparse_attention(prep.local_ig, h,
-                                     _block_params(self.params, f"attn{i}"),
+                h = sparse_attention(prep.local_ig, h, self._attn[f"attn{i}"],
                                      self.variant.num_heads,
                                      self.variant.attention_dropout,
                                      self.cfg.dropout, mode, rng, tape)
@@ -614,8 +635,7 @@ class AttnResidualGCN(ResidualGCN):
             outs.append(h)
         hcat = concat_cols(outs, tape)
         if apply_attn and not use_per_layer:
-            hcat = sparse_attention(prep.local_ig, hcat,
-                                    _block_params(self.params, "attn_cat"),
+            hcat = sparse_attention(prep.local_ig, hcat, self._attn["attn_cat"],
                                     self.variant.num_heads,
                                     self.variant.attention_dropout,
                                     self.cfg.dropout, mode, rng, tape)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tape, backward, cross_entropy
 from .data import Dataset, DatasetSplits, drop_edges, split_dataset
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, EmptySplitError
 from .models import (
     AttnVariantConfig,
     ExphormerConfig,
@@ -82,13 +82,38 @@ class TrainConfig:
 
 
 def _known_keys(cls, d, where: str) -> dict:
-    """d itself, after checking it is a dict whose keys are all fields of cls."""
+    """d itself, after checking it is a dict whose keys are all fields of cls
+    and whose values have the JSON type of the field's default."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    defaults = cls()
+    for key, value in d.items():
+        default = getattr(defaults, key)
+        if dataclasses.is_dataclass(default):
+            continue  # a nested config, checked on its own
+        if not _same_json_type(value, default):
+            raise ConfigError(f"{where}.{key} must be of the type of its default "
+                              f"{default!r}, got {value!r}")
     return d
+
+
+def _same_json_type(value, default) -> bool:
+    """Whether a JSON value fits a field whose default is `default`.
+
+    A float field takes an int too; bools are never numbers; a tuple field
+    (seeds) takes a list of ints.
+    """
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _same_json_type(v, 0) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 @dataclass
@@ -259,9 +284,13 @@ def run_single_seed(cfg: TrainConfig, dataset: Dataset, drop_p: float,
     prepared = model.prepare_dataset(corrupted, run_seed=seed)
     opt = AdamState()
     metrics = []
-    for epoch in range(cfg.total_epochs):
-        rng = seeded_rng(seed, "epoch", epoch)
-        metrics.append(train_epoch(model, prepared, splits, cfg, epoch, opt, rng))
+    try:
+        for epoch in range(cfg.total_epochs):
+            rng = seeded_rng(seed, "epoch", epoch)
+            metrics.append(train_epoch(model, prepared, splits, cfg, epoch, opt, rng))
+    except DivergenceError as exc:
+        exc.seed = seed
+        raise
     vals = [m.val_acc for m in metrics]
     best = int(np.argmax(vals))  # earliest epoch wins ties
     return RunResult(seed=seed, metrics=metrics, best_val_epoch=best,
@@ -285,6 +314,9 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset, drop_p: float,
         raise ConfigError(f"drop_p must be in [0, 1], got {drop_p}")
     if splits is None:
         splits = split_dataset(dataset.graphs, seed=0)
+    for name in ("train", "val", "test"):
+        if not getattr(splits, name):
+            raise EmptySplitError(name, len(dataset))
     runs = [run_single_seed(cfg, dataset, drop_p, splits, seed)
             for seed in cfg.seeds]
     mean_test, std_test = aggregate_accuracy(r.test_at_best_val for r in runs)

@@ -7,6 +7,9 @@ connectivity from BFS, and probes from closed-form least squares.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 
 from connectobench import ConnectomeGraph
@@ -140,3 +143,14 @@ def edge_free_reference_logits(model, x: np.ndarray) -> np.ndarray:
     z = np.maximum(z @ model.params["mlp.w1"].data + model.params["mlp.b1"].data,
                    0.0)
     return z @ model.params["mlp.w2"].data + model.params["mlp.b2"].data
+
+
+def raw_index_prep(prep):
+    """A copy of a PreparedExphormer whose index plans are the raw id vectors.
+
+    Every attention op then builds its plan from the raw ids on each call,
+    the way a caller without prebuilt plans would.
+    """
+    ig = copy.copy(prep.ig)
+    ig.src_plan, ig.dst_plan = ig.src, ig.dst
+    return dataclasses.replace(prep, ig=ig, real_rows=np.arange(prep.n))

@@ -13,6 +13,7 @@ import pytest
 from connectobench import (
     BlockAdjacency,
     ExphormerConfig,
+    IndexPlan,
     ResidualGCNConfig,
     SyntheticSpec,
     Tape,
@@ -144,6 +145,15 @@ def test_criterion_1_gradient_suite():
                                   [a]),
             "layer_norm": (lambda t=None: layer_norm(a, gain, bias, t),
                            [a, gain, bias]),
+            # the same ops given an IndexPlan; the reversed segments are
+            # unsorted, so the plans carry a sort order
+            "gather_rows_plan": (
+                lambda t=None: gather_rows(a, IndexPlan(idx), t), [a]),
+            "segment_sum_rows_plan": (
+                lambda t=None: segment_sum_rows(a, IndexPlan(seg[::-1]), 3, t),
+                [a]),
+            "softmax_segments_plan": (
+                lambda t=None: softmax_segments(a, IndexPlan(seg[::-1]), t), [a]),
         }
         for name, (build, tensors) in checks.items():
             worst_overall = max(worst_overall,

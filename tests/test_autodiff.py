@@ -9,6 +9,7 @@ from connectobench import (
     BlockAdjacency,
     ConfigError,
     ContractError,
+    IndexPlan,
     ShapeError,
     Tape,
     Tensor,
@@ -164,6 +165,83 @@ class TestSoftmaxSegments:
         scores = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
         check_op_gradient(lambda tape=None: softmax_segments(scores, seg, tape),
                           [scores])
+
+
+# ids cases for the plan tests: sorted, unsorted, repeated runs, one id, none
+PLAN_IDS = {
+    "sorted": [0, 1, 1, 2, 4],
+    "unsorted": [3, 0, 4, 1, 2],
+    "repeated": [2, 0, 2, 2, 4, 0, 1, 4],
+    "single": [3],
+    "empty": [],
+}
+
+
+def _op_with_ids(name, a, ids, tape=None):
+    if name == "gather_rows":
+        return gather_rows(a, ids, tape)
+    if name == "segment_sum_rows":
+        return segment_sum_rows(a, ids, 5, tape)
+    return softmax_segments(a, ids, tape)
+
+
+class TestIndexPlan:
+    def test_fields(self):
+        plan = IndexPlan([2, 0, 2, 5, 0])
+        assert plan.order.tolist() == [1, 4, 0, 2, 3]
+        assert plan.starts.tolist() == [0, 2, 4]
+        assert plan.counts.tolist() == [2, 2, 1]
+        assert plan.keys.tolist() == [0, 2, 5]
+        assert (plan.lo, plan.hi) == (0, 5)
+
+    def test_sorted_ids_skip_the_sort(self):
+        plan = IndexPlan([0, 0, 3, 7])
+        assert plan.order is None
+        assert plan.keys.tolist() == [0, 3, 7]
+        assert plan.counts.tolist() == [2, 1, 1]
+
+    def test_empty(self):
+        plan = IndexPlan([])
+        assert plan.ids.size == plan.starts.size == plan.keys.size == 0
+        assert plan.hi < plan.lo
+
+    def test_rejects_non_flat_ids(self):
+        with pytest.raises(ShapeError):
+            IndexPlan(np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("case", list(PLAN_IDS))
+    @pytest.mark.parametrize("name", ["gather_rows", "segment_sum_rows",
+                                      "softmax_segments"])
+    def test_plan_and_raw_ids_agree_bit_for_bit(self, name, case):
+        ids = np.array(PLAN_IDS[case], dtype=np.int64)
+        rng = np.random.default_rng(41)
+        rows = 5 if name == "gather_rows" else ids.size
+        data = rng.standard_normal((rows, 3))
+        proj = rng.standard_normal(_op_with_ids(name, Tensor(data), ids).shape)
+        results = []
+        for form in (ids, IndexPlan(ids)):
+            a = Tensor(data.copy(), requires_grad=True)
+            tape = Tape()
+            out = _op_with_ids(name, a, form, tape)
+            backward(tape, sum_all(mul(out, Tensor(proj), tape), tape))
+            results.append((out.data, a.grad))
+        (out_raw, grad_raw), (out_plan, grad_plan) = results
+        assert out_raw.tobytes() == out_plan.tobytes()
+        assert grad_raw.tobytes() == grad_plan.tobytes()
+
+    @pytest.mark.parametrize("bad", [[0, 5], [-1, 2]])
+    def test_out_of_range_plan_raises(self, bad):
+        a = Tensor(np.ones((5, 2)))
+        with pytest.raises(IndexError):
+            gather_rows(a, IndexPlan(bad))
+        with pytest.raises(IndexError):
+            segment_sum_rows(Tensor(np.ones((2, 2))), IndexPlan(bad), 5)
+
+    def test_plan_length_must_match_rows(self):
+        with pytest.raises(ShapeError):
+            segment_sum_rows(Tensor(np.ones((3, 2))), IndexPlan([0, 1]), 2)
+        with pytest.raises(ShapeError):
+            softmax_segments(Tensor(np.ones((3, 2))), IndexPlan([0, 1]))
 
 
 class TestElementwiseAndShape:
@@ -324,6 +402,20 @@ class TestBackward:
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ContractError):
             backward(Tape(), t)
+
+    def test_grad_lands_on_leaves_only(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        tape = Tape()
+        hidden = matmul(a, w, tape)
+        act = relu(hidden, tape)
+        loss = sum_all(act, tape)
+        backward(tape, loss)
+        assert hidden.grad is None and act.grad is None and loss.grad is None
+        mask = (hidden.data > 0).astype(float)
+        assert np.array_equal(a.grad, mask @ w.data.T)
+        assert np.array_equal(w.grad, a.data.T @ mask)
 
     def test_reused_tensor_accumulates_both_paths(self):
         a = Tensor([[2.0]], requires_grad=True)

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, exit codes, report shapes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ class TestSweepDropedge:
             if path.is_file():
                 twin = pooled / path.relative_to(serial)
                 assert twin.read_bytes() == path.read_bytes()
+
+    def test_dataset_hash_is_the_files_blob_sha1(self, tiny_dataset,
+                                                 sweep_config, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                     str(out), "--config", str(sweep_config), "--model",
+                     "exphormer"]) == 0
+        expected = git_blob_sha1(tiny_dataset.read_bytes())
+        runs = sorted((out / "runs").glob("*.json"))
+        assert len(runs) == 3
+        for run in runs:
+            assert json.loads(run.read_text())["dataset_hash"] == expected
 
     def test_p_one_runs_marked(self, tiny_dataset, sweep_config, tmp_path):
         out = tmp_path / "sweep"
@@ -298,3 +311,41 @@ class TestExitCodes:
                        "--model", "residual-gcn", "--out", str(tmp_path / "o"),
                        "--config", str(cfg)])
         assert rc == 3
+
+    def test_divergence_names_seed_and_cell(self, tiny_dataset, tmp_path, capsys):
+        cfg = tmp_path / "lr.json"
+        cfg.write_text(json.dumps({
+            "train": {"base_lr": 1e120, "total_epochs": 3, "warmup_epochs": 0,
+                      "seeds": [2],
+                      "gcn": {"num_gcn_layers": 2, "hidden_dim": 6,
+                              "mlp_hidden": 6}}}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset),
+                       "--model", "residual-gcn", "--out", str(tmp_path / "o"),
+                       "--config", str(cfg)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "cell dropedge_residual_gcn_p0.00, seed 2: non-finite" in err
+
+    @pytest.mark.parametrize("train", [{"total_epochs": "5"},
+                                       {"gcn": {"hidden_dim": "x"}},
+                                       {"seeds": [0, 1.5]},
+                                       {"gcn": {"use_edge_weights": 1}}])
+    def test_wrongly_typed_value_is_config_error(self, tiny_dataset, tmp_path,
+                                                 capsys, train):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": train}))
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        assert "must be of the type of its default" in capsys.readouterr().err
+
+    def test_too_few_graphs_is_dataset_error(self, tmp_path, capsys):
+        data = tmp_path / "three.jsonl"
+        assert main(["gen-data", "--graphs", "3", "--nodes", "8", "--seed", "1",
+                     "--out", str(data)]) == 0
+        rc = main(["sweep-dropedge", "--dataset", str(data), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 4
+        assert re.search(r"dataset error: the (val|test) split is empty: 3 graphs",
+                         capsys.readouterr().err)

@@ -321,6 +321,20 @@ class TestSerialization:
         with pytest.raises(DatasetParseError, match=r"line 4: feature dim 3"):
             deserialize_dataset(self._rewrite(tmp_path, edit))
 
+    def test_bytes_already_read_parse_like_the_file(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(num_graphs=5, n=6, num_classes=2,
+                                              seed=2))
+        path = tmp_path / "ds.jsonl"
+        serialize_dataset(ds, path)
+        raw = path.read_bytes().replace(b"\n", b"\r\n")  # newlines as on Windows
+        back = deserialize_dataset(tmp_path / "never-opened.jsonl", raw)
+        assert back.spec == ds.spec
+        assert all(graphs_equal(a, b) for a, b in zip(ds, back))
+        lines = raw.split(b"\r\n")
+        lines[2] = b"{not json"
+        with pytest.raises(DatasetParseError, match="line 3"):
+            deserialize_dataset(path, b"\r\n".join(lines))
+
     def test_header_without_graphs_reports_line(self, tmp_path):
         def edit(lines):
             del lines[1:]

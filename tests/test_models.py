@@ -42,6 +42,7 @@ from helpers import (
     max_rel_err,
     numerical_grad,
     permute_graph,
+    raw_index_prep,
     second_eigenvalue_power_iteration,
 )
 
@@ -399,6 +400,30 @@ class TestExphormer:
                                  [m.params[k] for k in names])
         for name, num in zip(names, numeric):
             assert max_rel_err(m.params[name].grad, num) < 1e-4, name
+
+    def test_prebuilt_plans_match_raw_ids_bit_exact(self):
+        rng = np.random.default_rng(35)
+        m = self.make()
+        for g in (random_graph(rng, 8), drop_edges(random_graph(rng, 8), 1.0)):
+            prep = m.prepare(g, ig_seed=3)
+            raw = raw_index_prep(prep)
+            assert prep.ig.src_plan.order is not None
+            assert prep.ig.dst_plan.order is None  # dst is sorted by construction
+            assert m.forward(prep).data.tobytes() == m.forward(raw).data.tobytes()
+            train = [m.forward(p, mode="train", rng=seeded_rng(1, "t")).data
+                     for p in (prep, raw)]
+            assert train[0].tobytes() == train[1].tobytes()
+
+    def test_cached_blocks_follow_load_params(self, tmp_path):
+        saved = self.make()
+        loaded = Exphormer(saved.cfg, in_dim=8, num_classes=3, seed=9)
+        prep = loaded.prepare(random_graph(np.random.default_rng(36), 8), 1)
+        before = loaded.forward(prep).data
+        save_checkpoint(tmp_path / "m.ckpt", saved.params, saved.config_dict())
+        load_params(loaded, load_checkpoint(tmp_path / "m.ckpt")[0])
+        after = loaded.forward(prep).data
+        assert not np.array_equal(before, after)
+        assert after.tobytes() == saved.forward(prep).data.tobytes()
 
 
 class TestAttnVariant:

@@ -1,6 +1,7 @@
 """Schedule, epoch training, evaluation, and multi-seed experiments."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from connectobench import (
     ConfigError,
     ContractError,
     DivergenceError,
+    EmptySplitError,
     ExphormerConfig,
     ResidualGCNConfig,
     SyntheticSpec,
@@ -29,6 +31,8 @@ from connectobench.models import build_model
 from connectobench.optim import AdamState, adam_step, zero_grads
 from connectobench.rng import seeded_rng
 from connectobench.training import run_single_seed, write_curves_csv
+
+from helpers import raw_index_prep
 
 
 def small_dataset(num_graphs=40, n=10, seed=5, mode="feature_only"):
@@ -200,6 +204,28 @@ class TestExphormerEpoch:
         for name, p in model.params.items():
             assert np.array_equal(p.data, ref.params[name].data), name
 
+    def test_prebuilt_plans_match_raw_ids_bit_exact(self):
+        ds = small_dataset(num_graphs=30, n=8)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind="exphormer", batch_size=8,
+                           exphormer=ExphormerConfig(num_layers=2, num_heads=2,
+                                                     hidden_dim=8,
+                                                     expander_degree=2))
+        runs = []
+        for rebuild in (False, True):
+            model = build_model("exphormer", ds.feature_dim, ds.num_classes,
+                                seed=4, exphormer_cfg=cfg.exphormer)
+            prepared = model.prepare_dataset(ds.graphs, run_seed=4)
+            if rebuild:
+                prepared = [raw_index_prep(p) for p in prepared]
+            metrics = train_epoch(model, prepared, splits, cfg, 2, AdamState(),
+                                  seeded_rng(4, "epoch", 2))
+            runs.append((metrics, model.params))
+        (m0, p0), (m1, p1) = runs
+        assert m0 == m1
+        for name in p0:
+            assert p0[name].data.tobytes() == p1[name].data.tobytes(), name
+
 
 class _FixedLogitModel:
     """Stub emitting pre-chosen logits per graph index (via prep = index)."""
@@ -255,6 +281,17 @@ class TestRunExperiment:
     def test_single_value_std_zero(self):
         mean, std = aggregate_accuracy([52.11])
         assert (mean, std) == (pytest.approx(52.11), 0.0)
+
+    def test_empty_split_is_named(self):
+        with pytest.raises(EmptySplitError, match="split is empty: 3 graphs"):
+            run_experiment(small_config(), small_dataset(num_graphs=3), 0.0)
+
+    def test_errors_pickle_whole_for_pool_workers(self):
+        diverged = DivergenceError(1, 0, float("nan"), seed=2)
+        diverged.cell = "dropedge_exphormer_p0.50"
+        for exc in (diverged, EmptySplitError("val", 3)):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc) and str(back) == str(exc)
 
     def test_deterministic_repeat(self):
         ds = small_dataset()
