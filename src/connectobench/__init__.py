@@ -75,8 +75,6 @@ from .training import (
     lr_at,
     run_experiment,
     train_epoch,
-    write_curves_csv,
-    write_run_json,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import (
@@ -38,31 +37,6 @@ _DEFAULT_VARIANTS = [("after_each_gcn", 1.0), ("after_each_gcn", 0.8),
                      ("after_concat", 0.6)]
 
 
-@dataclass
-class SweepSpec:
-    """Resolved grid parameters for one sweep invocation."""
-
-    dataset: str | dict
-    out_dir: str
-    models: list[str] = field(default_factory=lambda: ["residual_gcn", "exphormer"])
-    drop_probabilities: list[float] = field(default_factory=lambda: [0.0, 0.5, 1.0])
-    dropout_grid: list[float] = field(default_factory=lambda: [0.1, 0.3])
-    attention_dropout_grid: list[float] = field(
-        default_factory=lambda: [0.1, 0.3, 0.5])
-    layer_counts: list[int] = field(default_factory=lambda: [2, 3])
-    variants: list[tuple[str, float]] = field(
-        default_factory=lambda: list(_DEFAULT_VARIANTS))
-
-    def validate(self) -> None:
-        if any(not 0.0 <= p <= 1.0 for p in self.drop_probabilities):
-            raise ConfigError("drop probabilities must lie in [0, 1]")
-        for grid in (self.drop_probabilities, self.dropout_grid,
-                     self.attention_dropout_grid, self.layer_counts,
-                     self.variants, self.models):
-            if not grid:
-                raise ConfigError("sweep grids must be non-empty")
-
-
 def git_blob_sha1(data: bytes) -> str:
     h = hashlib.sha1()
     h.update(b"blob %d\x00" % len(data))
@@ -75,30 +49,28 @@ def config_hash(cfg: TrainConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+def _file_config(args) -> dict:
+    if not args.config:
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON in {path}: {exc.msg}") from exc
+            raise ConfigError(f"invalid config JSON in {args.config}: "
+                              f"{exc.msg}") from exc
 
 
-def _file_config(args) -> dict:
-    return _load_json(args.config) if getattr(args, "config", None) else {}
-
-
-def _resolve_dataset(args, config) -> tuple[Dataset, str, str, str | dict]:
-    """Return (dataset, git-style content hash, display name, source)."""
+def _resolve_dataset(args, config) -> tuple[Dataset, str, str]:
+    """Return (dataset, git-style content hash, display name)."""
     path = args.dataset or config.get("dataset")
     if path:
         raw = Path(path).read_bytes()
-        return (deserialize_dataset(path, raw), git_blob_sha1(raw), Path(path).stem,
-                str(path))
+        return deserialize_dataset(path, raw), git_blob_sha1(raw), Path(path).stem
     spec_dict = config.get("dataset_spec")
     if spec_dict:
         ds = generate_synthetic(SyntheticSpec.from_dict(spec_dict))
         blob = ("\n".join(dataset_to_lines(ds)) + "\n").encode("utf-8")
-        return ds, git_blob_sha1(blob), "synthetic", spec_dict
+        return ds, git_blob_sha1(blob), "synthetic"
     raise ConfigError("no dataset: pass --dataset or a config dataset_spec")
 
 
@@ -117,13 +89,114 @@ def _train_config(args, config, model_kind: str) -> TrainConfig:
     return cfg
 
 
-def _models_for_sweep(args, config) -> list[str]:
-    if getattr(args, "model", None):
-        return [_MODEL_FLAGS[args.model]]
-    names = config.get("models")
-    if names:
-        return [_MODEL_FLAGS.get(m, m) for m in names]
-    return ["residual_gcn", "exphormer"]
+def _grid(config, key: str, convert, default) -> list:
+    """The config's `key` grid, or `default`, with each value passed through
+    convert. A value convert rejects, or an empty grid, is a ConfigError."""
+    values = config.get(key)
+    values = default if values is None else values
+    try:
+        values = [convert(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} grid {values!r}: {exc}") from None
+    if not values:
+        raise ConfigError(f"the {key} grid must be non-empty")
+    return values
+
+
+def _stats(res: dict, *names: str) -> str:
+    return ",".join(f"{res[name]:.2f}" for name in names)
+
+
+def _with(base: TrainConfig, part: str, **changes) -> TrainConfig:
+    """base with fields of its nested config `part` replaced."""
+    return dataclasses.replace(
+        base, **{part: dataclasses.replace(getattr(base, part), **changes)})
+
+
+def _variant(value) -> tuple[str, float]:
+    placement, probability = value
+    return str(placement), float(probability)
+
+
+def _dropedge_grid(args, config):
+    models = [_MODEL_FLAGS[args.model]] if args.model else _grid(
+        config, "models", lambda m: _MODEL_FLAGS.get(m, m),
+        ["residual_gcn", "exphormer"])
+    probs = _grid(config, "drop_probabilities", float, [0.0, 0.5, 1.0])
+    if any(not 0.0 <= p <= 1.0 for p in probs):
+        raise ConfigError("drop probabilities must lie in [0, 1]")
+    key = "dropedge_{}_p{:.2f}".format
+    cells = []
+    for kind in models:
+        cfg = _train_config(args, config, kind)
+        cells += [(key(kind, p), cfg, p) for p in probs]
+
+    def report(results, ds_name):
+        rows = [f"{ds_name},{p:.2f},{kind},"
+                + _stats(results[key(kind, p)], "mean_test", "std_test")
+                for p in probs for kind in models]
+        return ({"dropedge.csv": ["dataset,p,model,mean,std"] + rows},
+                f"({len(rows)} result rows)")
+    return cells, report
+
+
+def _dropout_grid(args, config):
+    base = _train_config(args, config, "exphormer")
+    drops = _grid(config, "dropout_grid", float, [0.1, 0.3])
+    attns = _grid(config, "attention_dropout_grid", float, [0.1, 0.3, 0.5])
+    key = "dropout_d{:.2f}_a{:.2f}".format
+    cells = [(key(d, a), _with(base, "exphormer", dropout=d, attention_dropout=a),
+              0.0) for d in drops for a in attns]
+
+    def report(results, ds_name):
+        header = "dropout," + ",".join(f"{a:.2f}" for a in attns)
+        tables = {}
+        for name, stat in (("dropout_val.csv", "mean_val"),
+                           ("dropout_test.csv", "mean_test")):
+            tables[name] = [header] + [
+                ",".join([f"{d:.2f}"] + [_stats(results[key(d, a)], stat)
+                                         for a in attns])
+                for d in drops]
+        return tables, f"and dropout_test.csv ({len(cells)} cells)"
+    return cells, report
+
+
+def _layers_grid(args, config):
+    base = _train_config(args, config, "exphormer")
+    counts = _grid(config, "layer_counts", int, [2, 3])
+    cells = [(f"layers_{n}", _with(base, "exphormer", num_layers=n), 0.0)
+             for n in counts]
+
+    def report(results, ds_name):
+        rows = [f"{n}," + _stats(results[f"layers_{n}"], "mean_val", "mean_test",
+                                 "std_val", "std_test") for n in counts]
+        return ({"layers.csv": ["layers,val,test,val_std,test_std"] + rows},
+                f"({len(rows)} rows)")
+    return cells, report
+
+
+def _variants_grid(args, config):
+    base = _train_config(args, config, "attn_residual_gcn")
+    variants = _grid(config, "variants", _variant, _DEFAULT_VARIANTS)
+    key = "variant_{}_p{:.2f}".format
+    cells = [(key(place, prob), _with(base, "variant", placement=place,
+                                      apply_probability=prob), 0.0)
+             for place, prob in variants]
+
+    def report(results, ds_name):
+        rows = [f"{place},{prob:.2f},"
+                + _stats(results[key(place, prob)], "mean_val", "mean_test")
+                for place, prob in variants]
+        return ({"variants.csv": ["placement,probability,val,test"] + rows},
+                f"({len(rows)} rows)")
+    return cells, report
+
+
+# Sweep name -> grid builder. A builder returns the grid's cells, as
+# (key, TrainConfig, drop_p), and a report that turns {key: result} and the
+# dataset name into ({CSV file name: lines}, the tail of the summary line).
+_SWEEPS = {"dropedge": _dropedge_grid, "dropout": _dropout_grid,
+           "layers": _layers_grid, "variants": _variants_grid}
 
 
 def _execute_cell(dataset: Dataset, payload: dict) -> dict:
@@ -133,31 +206,32 @@ def _execute_cell(dataset: Dataset, payload: dict) -> dict:
     except DivergenceError as exc:
         exc.cell = payload["key"]
         raise
-    out = result.to_dict()
-    out["key"] = payload["key"]
-    return out
+    return result.to_dict()
+
+
+_worker_dataset: Dataset | None = None  # set in each pool worker by _init_worker
+
+
+def _init_worker(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
 
 
 def _pool_worker(payload: dict) -> dict:
-    source = payload["dataset_source"]
-    if isinstance(source, dict):
-        dataset = generate_synthetic(SyntheticSpec.from_dict(source))
-    else:
-        dataset = deserialize_dataset(source)
-    return _execute_cell(dataset, payload)
+    return _execute_cell(_worker_dataset, payload)
 
 
-def _run_cells(dataset: Dataset, source, cells: list[dict], workers: int
+def _run_cells(dataset: Dataset, cells: list[dict], workers: int
                ) -> dict[str, dict]:
-    """Run independent grid cells, optionally on a process pool."""
+    """Run independent grid cells, optionally on a process pool whose workers
+    each receive the parsed dataset once."""
     if workers <= 1 or len(cells) <= 1:
         results = [_execute_cell(dataset, c) for c in cells]
     else:
-        for c in cells:
-            c["dataset_source"] = source
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(dataset,)) as pool:
             results = list(pool.map(_pool_worker, cells))
-    return {r["key"]: r for r in results}
+    return {c["key"]: r for c, r in zip(cells, results)}
 
 
 def _write_json(payload: dict, path) -> None:
@@ -173,17 +247,15 @@ def _write_csv_lines(path, lines: list[str]) -> None:
 
 def cmd_gen_data(args) -> None:
     config = _file_config(args)
-    spec_dict = dict(config.get("dataset_spec", {}))
+    spec = SyntheticSpec.from_dict(config.get("dataset_spec", {}))
     overrides = {
         "num_graphs": args.graphs, "n": args.nodes, "d": args.dim,
         "num_classes": args.classes, "threshold": args.threshold,
         "label_mode": args.label_mode, "noise_scale": args.noise,
         "seed": args.seed,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            spec_dict[key] = value
-    spec = SyntheticSpec.from_dict(spec_dict)
+    spec = dataclasses.replace(
+        spec, **{k: v for k, v in overrides.items() if v is not None})
     ds = generate_synthetic(spec)
     out = Path(args.out)
     if out.parent != Path(""):
@@ -193,214 +265,63 @@ def cmd_gen_data(args) -> None:
           f"mean_edge_density={ds.mean_edge_density():.3f}")
 
 
-def cmd_sweep_dropedge(args) -> None:
+def cmd_sweep(args) -> None:
+    """Run one sweep grid: train its cells, then write one run JSON per cell
+    and the grid's CSV tables."""
     config = _file_config(args)
-    dataset, ds_hash, ds_name, source = _resolve_dataset(args, config)
-    sweep = SweepSpec(dataset=source, out_dir=args.out,
-                      models=_models_for_sweep(args, config))
-    if "drop_probabilities" in config:
-        sweep.drop_probabilities = [float(p) for p in config["drop_probabilities"]]
-    sweep.validate()
-
+    cells, report = _SWEEPS[args.sweep](args, config)
+    dataset, ds_hash, ds_name = _resolve_dataset(args, config)
     out_dir = Path(args.out)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
+    results = _run_cells(dataset, [
+        {"key": key, "train_config": cfg.to_dict(), "drop_p": p}
+        for key, cfg, p in cells], args.workers)
 
-    cells = []
-    for kind in sweep.models:
-        cfg = _train_config(args, config, kind)
-        for p in sweep.drop_probabilities:
-            cells.append({
-                "key": f"dropedge_{kind}_p{p:.2f}",
-                "train_config": cfg.to_dict(),
-                "drop_p": p,
-            })
-    results = _run_cells(dataset, source, cells, args.workers)
-
-    rows = ["dataset,p,model,mean,std"]
-    for p in sweep.drop_probabilities:
+    emptied = [cfg.seeds[0] for _, cfg, p in cells if p == 1.0]
+    if emptied:  # the p=1 contract: the edge-drop stream empties every graph
+        kept = [i for i, g in enumerate(dataset.graphs) if drop_edges(
+            g, 1.0, seeded_rng(emptied[0], "edge-drop", i)).num_edges]
+        if kept:
+            raise ContractError(f"p=1.00 left edges in corrupted graph {kept[0]}")
+        print(f"p=1.00: all {len(dataset)} corrupted graphs have empty edge sets")
+    for key, cfg, p in cells:
+        payload = dict(results[key], kind=args.sweep, dataset=ds_name,
+                       dataset_hash=ds_hash, config_hash=config_hash(cfg))
         if p == 1.0:
-            seed = _train_config(args, config, sweep.models[0]).seeds[0]
-            kept = [i for i, g in enumerate(dataset.graphs)
-                    if drop_edges(g, 1.0, seeded_rng(seed, "edge-drop", i)).num_edges]
-            if kept:
-                raise ContractError(f"p=1.00 left edges in corrupted graph {kept[0]}")
-            print(f"p=1.00: all {len(dataset)} corrupted graphs have empty "
-                  f"edge sets")
-        for kind in sweep.models:
-            key = f"dropedge_{kind}_p{p:.2f}"
-            res = results[key]
-            cfg = _train_config(args, config, kind)
-            extra = {
-                "kind": "dropedge", "dataset": ds_name,
-                "dataset_hash": ds_hash, "config_hash": config_hash(cfg),
-            }
-            if p == 1.0:
-                extra["empty_edge_check"] = True
-            payload = dict(res)
-            payload.pop("key")
-            payload.update(extra)
-            _write_json(payload, runs_dir / f"{key}.json")
-            rows.append(f"{ds_name},{p:.2f},{kind},"
-                        f"{res['mean_test']:.2f},{res['std_test']:.2f}")
-    _write_csv_lines(out_dir / "dropedge.csv", rows)
-    print(f"wrote {out_dir / 'dropedge.csv'} ({len(rows) - 1} result rows)")
-
-
-def cmd_sweep_dropout(args) -> None:
-    config = _file_config(args)
-    dataset, ds_hash, ds_name, source = _resolve_dataset(args, config)
-    sweep = SweepSpec(dataset=source, out_dir=args.out, models=["exphormer"])
-    if "dropout_grid" in config:
-        sweep.dropout_grid = [float(v) for v in config["dropout_grid"]]
-    if "attention_dropout_grid" in config:
-        sweep.attention_dropout_grid = [
-            float(v) for v in config["attention_dropout_grid"]]
-    sweep.validate()
-
-    out_dir = Path(args.out)
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-
-    base = _train_config(args, config, "exphormer")
-    cells = []
-    for d in sweep.dropout_grid:
-        for a in sweep.attention_dropout_grid:
-            cfg = dataclasses.replace(
-                base, exphormer=dataclasses.replace(
-                    base.exphormer, dropout=d, attention_dropout=a))
-            cells.append({
-                "key": f"dropout_d{d:.2f}_a{a:.2f}",
-                "train_config": cfg.to_dict(),
-                "drop_p": 0.0,
-            })
-    results = _run_cells(dataset, source, cells, args.workers)
-
-    configs = {c["key"]: c["train_config"] for c in cells}
-    header = "dropout," + ",".join(f"{a:.2f}" for a in sweep.attention_dropout_grid)
-    val_rows, test_rows = [header], [header]
-    for d in sweep.dropout_grid:
-        vals, tests = [f"{d:.2f}"], [f"{d:.2f}"]
-        for a in sweep.attention_dropout_grid:
-            key = f"dropout_d{d:.2f}_a{a:.2f}"
-            res = results[key]
-            payload = dict(res)
-            payload.pop("key")
-            payload.update({"kind": "dropout", "dataset": ds_name,
-                            "dataset_hash": ds_hash,
-                            "config_hash": config_hash(
-                                TrainConfig.from_dict(configs[key]))})
-            _write_json(payload, runs_dir / f"{key}.json")
-            vals.append(f"{res['mean_val']:.2f}")
-            tests.append(f"{res['mean_test']:.2f}")
-        val_rows.append(",".join(vals))
-        test_rows.append(",".join(tests))
-    _write_csv_lines(out_dir / "dropout_val.csv", val_rows)
-    _write_csv_lines(out_dir / "dropout_test.csv", test_rows)
-    print(f"wrote {out_dir / 'dropout_val.csv'} and dropout_test.csv "
-          f"({len(sweep.dropout_grid) * len(sweep.attention_dropout_grid)} cells)")
-
-
-def cmd_sweep_layers(args) -> None:
-    config = _file_config(args)
-    dataset, ds_hash, ds_name, source = _resolve_dataset(args, config)
-    sweep = SweepSpec(dataset=source, out_dir=args.out, models=["exphormer"])
-    if "layer_counts" in config:
-        sweep.layer_counts = [int(v) for v in config["layer_counts"]]
-    sweep.validate()
-
-    out_dir = Path(args.out)
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-
-    base = _train_config(args, config, "exphormer")
-    cells = []
-    for layers in sweep.layer_counts:
-        cfg = dataclasses.replace(
-            base, exphormer=dataclasses.replace(base.exphormer,
-                                                num_layers=layers))
-        cells.append({"key": f"layers_{layers}",
-                      "train_config": cfg.to_dict(), "drop_p": 0.0})
-    results = _run_cells(dataset, source, cells, args.workers)
-
-    configs = {c["key"]: c["train_config"] for c in cells}
-    rows = ["layers,val,test,val_std,test_std"]
-    for layers in sweep.layer_counts:
-        key = f"layers_{layers}"
-        res = results[key]
-        payload = dict(res)
-        payload.pop("key")
-        payload.update({"kind": "layers", "dataset": ds_name,
-                        "dataset_hash": ds_hash,
-                        "config_hash": config_hash(
-                            TrainConfig.from_dict(configs[key]))})
-        _write_json(payload, runs_dir / f"layers_{layers}.json")
-        rows.append(f"{layers},{res['mean_val']:.2f},{res['mean_test']:.2f},"
-                    f"{res['std_val']:.2f},{res['std_test']:.2f}")
-    _write_csv_lines(out_dir / "layers.csv", rows)
-    print(f"wrote {out_dir / 'layers.csv'} ({len(sweep.layer_counts)} rows)")
-
-
-def cmd_sweep_variants(args) -> None:
-    config = _file_config(args)
-    dataset, ds_hash, ds_name, source = _resolve_dataset(args, config)
-    sweep = SweepSpec(dataset=source, out_dir=args.out,
-                      models=["attn_residual_gcn"])
-    if "variants" in config:
-        sweep.variants = [(str(p), float(q)) for p, q in config["variants"]]
-    sweep.validate()
-
-    out_dir = Path(args.out)
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-
-    base = _train_config(args, config, "attn_residual_gcn")
-    cells = []
-    for placement, prob in sweep.variants:
-        cfg = dataclasses.replace(
-            base, variant=dataclasses.replace(base.variant, placement=placement,
-                                              apply_probability=prob))
-        cells.append({"key": f"variant_{placement}_p{prob:.2f}",
-                      "train_config": cfg.to_dict(), "drop_p": 0.0})
-    results = _run_cells(dataset, source, cells, args.workers)
-
-    configs = {c["key"]: c["train_config"] for c in cells}
-    rows = ["placement,probability,val,test"]
-    for placement, prob in sweep.variants:
-        key = f"variant_{placement}_p{prob:.2f}"
-        res = results[key]
-        payload = dict(res)
-        payload.pop("key")
-        payload.update({"kind": "variants", "dataset": ds_name,
-                        "dataset_hash": ds_hash,
-                        "config_hash": config_hash(
-                            TrainConfig.from_dict(configs[key]))})
+            payload["empty_edge_check"] = True
         _write_json(payload, runs_dir / f"{key}.json")
-        rows.append(f"{placement},{prob:.2f},{res['mean_val']:.2f},"
-                    f"{res['mean_test']:.2f}")
-    _write_csv_lines(out_dir / "variants.csv", rows)
-    print(f"wrote {out_dir / 'variants.csv'} ({len(sweep.variants)} rows)")
+    tables, tail = report(results, ds_name)
+    for name, lines in tables.items():
+        _write_csv_lines(out_dir / name, lines)
+    print(f"wrote {out_dir / next(iter(tables))} {tail}")
+
+
+def _curve_table(run: dict) -> tuple[int, list[str], float]:
+    """(seed, CSV lines, final train-test gap) of one run's curves."""
+    curves = run["curves"]
+    lines = ["epoch,split,accuracy,loss,lr"]
+    for i, epoch in enumerate(curves["epoch"]):
+        for split_name, series in (("train", "train_acc"), ("val", "val_acc"),
+                                   ("test", "test_acc")):
+            lines.append(f"{epoch},{split_name},{curves[series][i]:.4f},"
+                         f"{curves['loss'][i]:.6f},{curves['lr'][i]:.8f}")
+    return run["seed"], lines, curves["train_acc"][-1] - curves["test_acc"][-1]
 
 
 def cmd_curves(args) -> None:
     run_path = Path(args.run)
-    if not run_path.exists():
-        raise FileNotFoundError(f"run file not found: {run_path}")
-    with open(run_path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    raw = run_path.read_bytes()
+    try:
+        tables = [_curve_table(run) for run in json.loads(raw)["runs"]]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DatasetError(f"malformed run JSON {run_path}: "
+                           f"{type(exc).__name__}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for run in payload["runs"]:
-        curves = run["curves"]
-        lines = ["epoch,split,accuracy,loss,lr"]
-        for i, epoch in enumerate(curves["epoch"]):
-            for split_name, series in (("train", "train_acc"), ("val", "val_acc"),
-                                       ("test", "test_acc")):
-                lines.append(f"{epoch},{split_name},{curves[series][i]:.4f},"
-                             f"{curves['loss'][i]:.6f},{curves['lr'][i]:.8f}")
-        _write_csv_lines(out_dir / f"curves_seed{run['seed']}.csv", lines)
-        gap = curves["train_acc"][-1] - curves["test_acc"][-1]
-        print(f"seed {run['seed']}: final train-test gap = {gap:.2f}")
+    for seed, lines, gap in tables:
+        _write_csv_lines(out_dir / f"curves_seed{seed}.csv", lines)
+        print(f"seed {seed}: final train-test gap = {gap:.2f}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -434,13 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--config", help="JSON config file")
     gen.set_defaults(func=cmd_gen_data)
 
-    for name, func in (("sweep-dropedge", cmd_sweep_dropedge),
-                       ("sweep-dropout", cmd_sweep_dropout),
-                       ("sweep-layers", cmd_sweep_layers),
-                       ("sweep-variants", cmd_sweep_variants)):
-        p = sub.add_parser(name, parents=[shared],
-                           help=f"run the {name.split('-', 1)[1]} grid")
-        p.set_defaults(func=func)
+    for name in _SWEEPS:
+        p = sub.add_parser(f"sweep-{name}", parents=[shared],
+                           help=f"run the {name} grid")
+        p.set_defaults(func=cmd_sweep, sweep=name)
 
     curves = sub.add_parser("curves", help="export per-epoch curves from a run")
     curves.add_argument("--run", required=True, help="run JSON emitted by a sweep")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _known_keys
 from .errors import ConfigError, DatasetParseError, DegenerateSeriesError
 from .rng import as_generator, seeded_rng
 
@@ -162,7 +163,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**d)
+        return cls(**_known_keys(cls, d, "dataset_spec"))
 
 
 class Dataset:
@@ -349,7 +350,7 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
         edges = np.asarray(obj["edges"], dtype=np.int64).reshape(-1, 2)
         weights = np.asarray(obj["w"], dtype=np.float64)
         label = int(obj["y"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DatasetParseError(f"bad graph record: {exc}", line) from exc
     g = ConnectomeGraph(n=n, x=x, edges=edges, weights=weights, label=label)
     try:
@@ -369,16 +370,21 @@ def deserialize_dataset(path, content: bytes | None = None) -> Dataset:
     """
     graphs = []
     header = header_line = None
-    source = open(path, "rb") if content is None else io.BytesIO(content)
-    with io.TextIOWrapper(source, encoding="utf-8") as fh:
+    with open(path, "rb") if content is None else io.BytesIO(content) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DatasetParseError(f"not UTF-8 text: {exc.reason}",
+                                        lineno) from exc
             if not raw:
                 continue
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise DatasetParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            except RecursionError:
+                raise DatasetParseError("JSON nested too deeply", lineno) from None
             if header is None:
                 if not isinstance(obj, dict) or not isinstance(
                         obj.get("num_classes"), int):

@@ -169,21 +169,15 @@ def normalized_adjacency(g: ConnectomeGraph, use_edge_weights: bool = True):
     no edges this is exactly the identity.
     """
     n = g.n
-    if g.num_edges:
-        w = g.weights if use_edge_weights else np.ones(g.num_edges)
-        deg = np.ones(n)
-        np.add.at(deg, g.edges[:, 0], w)
-        np.add.at(deg, g.edges[:, 1], w)
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        loops = np.arange(n, dtype=np.int64)
-        src = np.concatenate([u, v, loops])
-        dst = np.concatenate([v, u, loops])
-        wts = np.concatenate([w, w, np.ones(n)])
-        wts = wts / np.sqrt(deg[src] * deg[dst])
-    else:
-        loops = np.arange(n, dtype=np.int64)
-        src = dst = loops
-        wts = np.ones(n)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    w = g.weights if use_edge_weights else np.ones(g.num_edges)
+    deg = np.ones(n)
+    np.add.at(deg, u, w)
+    np.add.at(deg, v, w)
+    loops = np.arange(n, dtype=np.int64)
+    src = np.concatenate([u, v, loops])
+    dst = np.concatenate([v, u, loops])
+    wts = np.concatenate([w, w, np.ones(n)]) / np.sqrt(deg[src] * deg[dst])
     return np.stack([src, dst], axis=1), wts
 
 
@@ -233,6 +227,19 @@ def _assemble_interaction(num_real: int, num_global: int, src, dst, tags
                             src=src[order], dst=dst[order], tags=tags[order])
 
 
+def _interaction_graph(g: ConnectomeGraph, num_global: int, srcs: list,
+                       dsts: list, tags: list) -> InteractionGraph:
+    """g's local edges in both directions, the given extra edges, and a
+    self-loop on each of the g.n + num_global nodes."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    loops = np.arange(g.n + num_global, dtype=np.int64)
+    return _assemble_interaction(
+        g.n, num_global, np.concatenate([u, v, *srcs, loops]),
+        np.concatenate([v, u, *dsts, loops]),
+        np.concatenate([np.full(2 * u.size, TAG_LOCAL), *tags,
+                        np.full(loops.size, TAG_SELF)]))
+
+
 def build_interaction_graph(g: ConnectomeGraph, cfg: ExphormerConfig,
                             seed=0) -> InteractionGraph:
     """Merge local, expander, and global-node attention edges plus self-loops.
@@ -243,47 +250,24 @@ def build_interaction_graph(g: ConnectomeGraph, cfg: ExphormerConfig,
     """
     cfg.validate()
     n, gl = g.n, cfg.num_global_nodes
-    total = n + gl
     srcs, dsts, tags = [], [], []
-    if g.num_edges:
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        srcs += [u, v]
-        dsts += [v, u]
-        tags += [np.full(u.size, TAG_LOCAL)] * 2
     if n >= 3:
         exp = build_expander(n, cfg.expander_degree, seed)
         srcs += [exp[:, 0], exp[:, 1]]
         dsts += [exp[:, 1], exp[:, 0]]
         tags += [np.full(exp.shape[0], TAG_EXPANDER)] * 2
-    if gl:
-        real = np.arange(n, dtype=np.int64)
-        for k in range(gl):
-            gid = np.full(n, n + k, dtype=np.int64)
-            srcs += [gid, real]
-            dsts += [real, gid]
-            tags += [np.full(n, TAG_GLOBAL)] * 2
-    loops = np.arange(total, dtype=np.int64)
-    srcs.append(loops)
-    dsts.append(loops)
-    tags.append(np.full(total, TAG_SELF))
-    return _assemble_interaction(n, gl, np.concatenate(srcs),
-                                 np.concatenate(dsts), np.concatenate(tags))
+    real = np.arange(n, dtype=np.int64)
+    for k in range(gl):
+        gid = np.full(n, n + k, dtype=np.int64)
+        srcs += [gid, real]
+        dsts += [real, gid]
+        tags += [np.full(n, TAG_GLOBAL)] * 2
+    return _interaction_graph(g, gl, srcs, dsts, tags)
 
 
 def local_interaction_graph(g: ConnectomeGraph) -> InteractionGraph:
     """Interaction graph of just the local edges plus self-loops (no virtuals)."""
-    srcs, dsts, tags = [], [], []
-    if g.num_edges:
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        srcs += [u, v]
-        dsts += [v, u]
-        tags += [np.full(u.size, TAG_LOCAL)] * 2
-    loops = np.arange(g.n, dtype=np.int64)
-    srcs.append(loops)
-    dsts.append(loops)
-    tags.append(np.full(g.n, TAG_SELF))
-    return _assemble_interaction(g.n, 0, np.concatenate(srcs),
-                                 np.concatenate(dsts), np.concatenate(tags))
+    return _interaction_graph(g, 0, [], [], [])
 
 
 def sparse_attention(ig: InteractionGraph, h: Tensor, p: dict[str, Tensor],
@@ -455,11 +439,15 @@ class ResidualGCN:
                         adj=BlockAdjacency.union(p.adj for p in preps),
                         pool=Tensor(pool))
 
-    def _gcn_stack(self, batch: GCNBatch, tape) -> list[Tensor]:
+    def _gcn_stack(self, batch: GCNBatch, tape, after_layer=None) -> list[Tensor]:
+        """Every layer's output; after_layer(i, h), when given, replaces
+        layer i's output before the next layer reads it."""
         h = batch.x
         outs = []
         for i in range(self.cfg.num_gcn_layers):
             h = gcn_layer(batch.adj, h, self.params[f"gcn{i}.weight"], tape)
+            if after_layer is not None:
+                h = after_layer(i, h)
             outs.append(h)
         return outs
 
@@ -582,14 +570,15 @@ class AttnResidualGCN(ResidualGCN):
         b = _ParamBuilder(seed)
         b.params = self.params
         if variant.placement == "after_each_gcn":
-            names = [f"attn{i}" for i in range(cfg.num_gcn_layers)]
+            names = {i: f"attn{i}" for i in range(cfg.num_gcn_layers)}
         else:
-            names = ["attn_cat"]
-        for name in names:
+            names = {"cat": "attn_cat"}
+        for name in names.values():
             b.attention_block(name, width)
-        # load_params replaces each tensor's .data in place, so these views
-        # of self.params stay current
-        self._attn = {name: _block_params(self.params, name) for name in names}
+        # keyed by GCN layer index or "cat". load_params replaces each
+        # tensor's .data in place, so these views of self.params stay current
+        self._attn = {key: _block_params(self.params, name)
+                      for key, name in names.items()}
 
     @property
     def batches_graphs(self) -> bool:
@@ -619,27 +608,20 @@ class AttnResidualGCN(ResidualGCN):
                 tape: Tape | None = None, rng=None) -> Tensor:
         if mode == "train" and rng is None:
             rng = seeded_rng(self.seed, "forward")
-        apply_attn = self._apply_attention(mode, rng)
-        use_per_layer = self.variant.placement == "after_each_gcn"
         batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
-        h = batch.x
-        outs = []
-        for i in range(self.cfg.num_gcn_layers):
-            h = gcn_layer(batch.adj, h, self.params[f"gcn{i}.weight"], tape)
-            if apply_attn and use_per_layer:
-                h = sparse_attention(prep.local_ig, h, self._attn[f"attn{i}"],
-                                     self.variant.num_heads,
-                                     self.variant.attention_dropout,
-                                     self.cfg.dropout, mode, rng, tape)
+        attend = None
+        if self._apply_attention(mode, rng):
+            def attend(key, h: Tensor) -> Tensor:
                 self.attn_calls += 1
-            outs.append(h)
-        hcat = concat_cols(outs, tape)
-        if apply_attn and not use_per_layer:
-            hcat = sparse_attention(prep.local_ig, hcat, self._attn["attn_cat"],
-                                    self.variant.num_heads,
-                                    self.variant.attention_dropout,
-                                    self.cfg.dropout, mode, rng, tape)
-            self.attn_calls += 1
+                v = self.variant
+                return sparse_attention(prep.local_ig, h, self._attn[key],
+                                        v.num_heads, v.attention_dropout,
+                                        self.cfg.dropout, mode, rng, tape)
+        per_layer = self.variant.placement == "after_each_gcn"
+        hcat = concat_cols(
+            self._gcn_stack(batch, tape, attend if per_layer else None), tape)
+        if attend and not per_layer:
+            hcat = attend("cat", hcat)
         return self._head(matmul(batch.pool, hcat, tape), mode, tape, rng)
 
 
@@ -682,14 +664,25 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
             raise ConfigError(f"not a checkpoint file: {path}")
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            config = header["config"]
+            shapes = [(e["name"], int(e["rows"]), int(e["cols"]))
+                      for e in header["tensors"]]
+            if not all(isinstance(name, str) and min(rows, cols) >= 0
+                       for name, rows, cols in shapes):
+                raise ValueError("tensor names must be strings, shapes >= 0")
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"corrupt checkpoint header in {path}: {exc!r}") from None
         params = {}
-        for entry in header["tensors"]:
-            rows, cols = entry["rows"], entry["cols"]
+        for name, rows, cols in shapes:
             buf = fh.read(rows * cols * 8)
+            if len(buf) != rows * cols * 8:
+                raise ConfigError(f"truncated checkpoint {path}: tensor {name} needs "
+                                  f"{rows * cols * 8} bytes, {len(buf)} left")
             arr = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-            params[entry["name"]] = Tensor(arr, requires_grad=True)
-    return params, header["config"]
+            params[name] = Tensor(arr, requires_grad=True)
+    return params, config
 
 
 def load_params(model, params: dict[str, Tensor]) -> None:

@@ -8,15 +8,14 @@ given the config: repeated runs produce bit-identical curves.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, backward, cross_entropy
+from .config import _known_keys
 from .data import Dataset, DatasetSplits, drop_edges, split_dataset
 from .errors import ConfigError, ContractError, DivergenceError, EmptySplitError
 from .models import (
@@ -79,41 +78,6 @@ class TrainConfig:
         if "seeds" in d:
             d["seeds"] = tuple(d["seeds"])
         return cls(**d)
-
-
-def _known_keys(cls, d, where: str) -> dict:
-    """d itself, after checking it is a dict whose keys are all fields of cls
-    and whose values have the JSON type of the field's default."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
-    defaults = cls()
-    for key, value in d.items():
-        default = getattr(defaults, key)
-        if dataclasses.is_dataclass(default):
-            continue  # a nested config, checked on its own
-        if not _same_json_type(value, default):
-            raise ConfigError(f"{where}.{key} must be of the type of its default "
-                              f"{default!r}, got {value!r}")
-    return d
-
-
-def _same_json_type(value, default) -> bool:
-    """Whether a JSON value fits a field whose default is `default`.
-
-    A float field takes an int too; bools are never numbers; a tuple field
-    (seeds) takes a list of ints.
-    """
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(
-            _same_json_type(v, 0) for v in value)
-    if isinstance(value, bool) or isinstance(default, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
 
 
 @dataclass
@@ -325,28 +289,3 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset, drop_p: float,
                             seeds=tuple(cfg.seeds), runs=runs,
                             mean_test=mean_test, std_test=std_test,
                             mean_val=mean_val, std_val=std_val)
-
-
-def write_run_json(result: ExperimentResult, path, extra: dict | None = None
-                   ) -> None:
-    payload = result.to_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def write_curves_csv(run: RunResult, path) -> None:
-    """Per-epoch accuracy rows for the three splits, plotting-ready.
-
-    The loss column repeats the epoch's training loss on every row.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "split", "accuracy", "loss", "lr"])
-        for m in run.metrics:
-            for split_name, acc in (("train", m.train_acc), ("val", m.val_acc),
-                                    ("test", m.test_acc)):
-                writer.writerow([m.epoch, split_name, f"{acc:.4f}",
-                                 f"{m.loss:.6f}", f"{m.lr:.8f}"])

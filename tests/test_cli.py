@@ -251,6 +251,15 @@ class TestCurves:
                    str(tmp_path / "out")])
         assert rc == 4
 
+    @pytest.mark.parametrize("text", ['{"runs": [', '{"runs": [{"seed": 0}]}'])
+    def test_malformed_run_is_dataset_error(self, tmp_path, capsys, text):
+        run_path = tmp_path / "run.json"
+        run_path.write_text(text)
+        rc = main(["curves", "--run", str(run_path), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert f"malformed run JSON {run_path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_invalid_config_json(self, tiny_dataset, tmp_path):
@@ -349,3 +358,47 @@ class TestExitCodes:
         assert rc == 4
         assert re.search(r"dataset error: the (val|test) split is empty: 3 graphs",
                          capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,grid", [
+        ("sweep-dropedge", {"drop_probabilities": ["a"]}),
+        ("sweep-layers", {"layer_counts": 2}),
+        ("sweep-variants", {"variants": [["after_concat"]]}),
+        ("sweep-dropout", {"attention_dropout_grid": []}),
+    ])
+    def test_malformed_grid_is_config_error(self, tiny_dataset, tmp_path, capsys,
+                                            command, grid):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(grid))
+        rc = main([command, "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        assert next(iter(grid)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,word", [({"bogus": 1}, "bogus"),
+                                           ({"n": "x"}, "dataset_spec.n"),
+                                           ({"d": 2.5}, "dataset_spec.d")])
+    def test_bad_dataset_spec_is_config_error(self, tmp_path, capsys, spec, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset_spec": spec}))
+        rc = main(["gen-data", "--config", str(cfg), "--out",
+                   str(tmp_path / "ds.jsonl")])
+        assert rc == 2
+        assert word in capsys.readouterr().err
+
+    def test_dataset_spec_takes_an_int_feature_dim(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset_spec": {"num_graphs": 4, "n": 12,
+                                                    "d": 10}}))
+        out = tmp_path / "ds.jsonl"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[1])["d"] == 10
+
+    def test_non_utf8_dataset_is_dataset_error(self, tiny_dataset, tmp_path,
+                                               capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(tiny_dataset.read_bytes().splitlines(keepends=True)[0]
+                        + b"\xff\xfe\n")
+        rc = main(["sweep-dropedge", "--dataset", str(bad), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 4
+        assert "line 2: not UTF-8" in capsys.readouterr().err

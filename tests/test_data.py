@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from connectobench import (
     ConfigError,
     ConnectomeGraph,
+    Dataset,
+    DatasetError,
     DatasetParseError,
     DegenerateSeriesError,
     SyntheticSpec,
@@ -21,6 +25,7 @@ from connectobench import (
     serialize_dataset,
     split_dataset,
 )
+from connectobench.data import dataset_to_lines
 
 from helpers import pooled_feature_probe
 
@@ -341,3 +346,35 @@ class TestSerialization:
 
         with pytest.raises(DatasetParseError, match=r"line 1: .*no graphs"):
             deserialize_dataset(self._rewrite(tmp_path, edit))
+
+
+_VALID_FILE = "\n".join(dataset_to_lines(generate_synthetic(SyntheticSpec(
+    num_graphs=3, n=4, num_classes=2, seed=1)))).encode("utf-8") + b"\n"
+
+
+def _load_or_dataset_error(raw: bytes) -> None:
+    try:
+        ds = deserialize_dataset("fuzz.jsonl", raw)
+    except DatasetError:
+        return
+    assert isinstance(ds, Dataset)
+
+
+class TestLoaderFuzz:
+    """Whatever the bytes, the loader returns a Dataset or raises DatasetError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_arbitrary_bytes(self, raw):
+        _load_or_dataset_error(raw)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.integers(0, len(_VALID_FILE) - 1),
+                              st.integers(0, 255)), min_size=1, max_size=8),
+           st.integers(1, len(_VALID_FILE)))
+    def test_mutated_valid_file(self, edits, keep):
+        raw = bytearray(_VALID_FILE)
+        for at, byte in edits:
+            raw[at] = byte
+        _load_or_dataset_error(bytes(raw[:keep]))

@@ -1,5 +1,7 @@
 """Models: GCN propagation, expander/interaction graphs, attention, variants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -521,6 +523,26 @@ class TestCheckpoint:
         params, _ = load_checkpoint(path)
         with pytest.raises(ConfigError):
             load_params(m2, params)
+
+    def test_truncated_buffer_names_file_and_tensor(self, tmp_path):
+        m = build_model("residual_gcn", in_dim=5, num_classes=2, seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m.params, m.config_dict())
+        path.write_bytes(path.read_bytes()[:-8])
+        last = sorted(m.params)[-1]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"truncated checkpoint {path}: tensor {last} needs")):
+            load_checkpoint(path)
+
+    def test_corrupt_header_names_file(self, tmp_path):
+        m = build_model("residual_gcn", in_dim=5, num_classes=2, seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m.params, m.config_dict())
+        magic, _, rest = path.read_bytes().partition(b"\n")
+        path.write_bytes(magic + b"\n{not json\n" + rest.partition(b"\n")[2])
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"corrupt checkpoint header in {path}")):
+            load_checkpoint(path)
 
 
 class TestConfigValidation:

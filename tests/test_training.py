@@ -30,7 +30,7 @@ from connectobench.data import dataset_to_lines
 from connectobench.models import build_model
 from connectobench.optim import AdamState, adam_step, zero_grads
 from connectobench.rng import seeded_rng
-from connectobench.training import run_single_seed, write_curves_csv
+from connectobench.training import run_single_seed
 
 from helpers import raw_index_prep
 
@@ -329,12 +329,3 @@ class TestRunExperiment:
     def test_invalid_drop_p(self):
         with pytest.raises(ConfigError):
             run_experiment(small_config(), small_dataset(), 1.2)
-
-    def test_curves_csv_row_count(self, tmp_path):
-        ds = small_dataset()
-        cfg = small_config(total_epochs=4, warmup_epochs=1)
-        res = run_experiment(cfg, ds, 0.0)
-        path = tmp_path / "curves.csv"
-        write_curves_csv(res.runs[0], path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + 4 * 3  # header + epochs x splits
