@@ -472,9 +472,10 @@ class BlockAdjacency:
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise IndexError(f"edge endpoint out of range for {n} nodes")
         order = np.lexsort((weights, edges[:, 0], edges[:, 1]))
-        block = np.zeros((n, n))
-        np.add.at(block, (edges[order, 1], edges[order, 0]), weights[order])
-        return cls([block])
+        # bincount adds in input order, as np.add.at would, but in one pass
+        block = np.bincount(edges[order, 1] * n + edges[order, 0],
+                            weights=weights[order], minlength=n * n)
+        return cls([block.reshape(n, n)])
 
     @classmethod
     def union(cls, ops) -> "BlockAdjacency":

@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from .config import _same_json_type
 from .data import (
     Dataset,
     SyntheticSpec,
@@ -89,6 +90,16 @@ def _train_config(args, config, model_kind: str) -> TrainConfig:
     return cfg
 
 
+def _typed(default):
+    """A grid value converter that takes only values of default's JSON type
+    (see config._same_json_type) and returns them as default's type."""
+    def convert(value):
+        if not _same_json_type(value, default):
+            raise TypeError(f"{value!r} is not of the type of {default!r}")
+        return type(default)(value)
+    return convert
+
+
 def _grid(config, key: str, convert, default) -> list:
     """The config's `key` grid, or `default`, with each value passed through
     convert. A value convert rejects, or an empty grid, is a ConfigError."""
@@ -115,14 +126,14 @@ def _with(base: TrainConfig, part: str, **changes) -> TrainConfig:
 
 def _variant(value) -> tuple[str, float]:
     placement, probability = value
-    return str(placement), float(probability)
+    return _typed("")(placement), _typed(0.0)(probability)
 
 
 def _dropedge_grid(args, config):
     models = [_MODEL_FLAGS[args.model]] if args.model else _grid(
         config, "models", lambda m: _MODEL_FLAGS.get(m, m),
         ["residual_gcn", "exphormer"])
-    probs = _grid(config, "drop_probabilities", float, [0.0, 0.5, 1.0])
+    probs = _grid(config, "drop_probabilities", _typed(0.0), [0.0, 0.5, 1.0])
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise ConfigError("drop probabilities must lie in [0, 1]")
     key = "dropedge_{}_p{:.2f}".format
@@ -142,8 +153,8 @@ def _dropedge_grid(args, config):
 
 def _dropout_grid(args, config):
     base = _train_config(args, config, "exphormer")
-    drops = _grid(config, "dropout_grid", float, [0.1, 0.3])
-    attns = _grid(config, "attention_dropout_grid", float, [0.1, 0.3, 0.5])
+    drops = _grid(config, "dropout_grid", _typed(0.0), [0.1, 0.3])
+    attns = _grid(config, "attention_dropout_grid", _typed(0.0), [0.1, 0.3, 0.5])
     key = "dropout_d{:.2f}_a{:.2f}".format
     cells = [(key(d, a), _with(base, "exphormer", dropout=d, attention_dropout=a),
               0.0) for d in drops for a in attns]
@@ -163,7 +174,7 @@ def _dropout_grid(args, config):
 
 def _layers_grid(args, config):
     base = _train_config(args, config, "exphormer")
-    counts = _grid(config, "layer_counts", int, [2, 3])
+    counts = _grid(config, "layer_counts", _typed(0), [2, 3])
     cells = [(f"layers_{n}", _with(base, "exphormer", num_layers=n), 0.0)
              for n in counts]
 

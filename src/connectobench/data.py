@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .config import _known_keys
 from .errors import ConfigError, DatasetParseError, DegenerateSeriesError
@@ -342,14 +344,24 @@ def serialize_dataset(ds: Dataset, path) -> None:
             fh.write(line + "\n")
 
 
+def _json_int(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # bools, floats and ints too wide for orjson
+        raise TypeError(f"{key} must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
 def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
+        n = _json_int(obj, "n")
+        d = _json_int(obj, "d")
         x = np.asarray(obj["x"], dtype=np.float64).reshape(n, d)
-        edges = np.asarray(obj["edges"], dtype=np.int64).reshape(-1, 2)
+        pairs = obj["edges"]
+        if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
+            raise TypeError("edge endpoints must be JSON integers")
+        edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         weights = np.asarray(obj["w"], dtype=np.float64)
-        label = int(obj["y"])
+        label = _json_int(obj, "y")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DatasetParseError(f"bad graph record: {exc}", line) from exc
     g = ConnectomeGraph(n=n, x=x, edges=edges, weights=weights, label=label)
@@ -358,6 +370,23 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
     except ConfigError as exc:
         raise DatasetParseError(str(exc), line) from exc
     return g
+
+
+# orjson 3.8 has no nesting limit of its own and overflows the C stack on a
+# line nested about 100k deep. A dataset record nests 3 deep.
+_MAX_NESTING = 1024
+_BRACKET_STEP = np.zeros(256, dtype=np.int64)
+_BRACKET_STEP[[ord("["), ord("{")]] = 1
+_BRACKET_STEP[[ord("]"), ord("}")]] = -1
+
+
+def _nested_too_deeply(raw: bytes) -> bool:
+    """Whether raw may nest deeper than _MAX_NESTING. Brackets inside strings
+    count too, so this can over-estimate but never under-estimate."""
+    if raw.count(b"[") + raw.count(b"{") <= _MAX_NESTING:
+        return False
+    steps = _BRACKET_STEP[np.frombuffer(raw, dtype=np.uint8)]
+    return int(np.cumsum(steps).max()) > _MAX_NESTING
 
 
 def deserialize_dataset(path, content: bytes | None = None) -> Dataset:
@@ -372,22 +401,21 @@ def deserialize_dataset(path, content: bytes | None = None) -> Dataset:
     header = header_line = None
     with open(path, "rb") if content is None else io.BytesIO(content) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise DatasetParseError(f"not UTF-8 text: {exc.reason}",
-                                        lineno) from exc
-            if not raw:
+            if raw.isspace():
                 continue
+            if _nested_too_deeply(raw):
+                raise DatasetParseError("JSON nested too deeply", lineno)
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                obj = orjson.loads(raw)
+            except orjson.JSONDecodeError as exc:
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as bad_text:
+                    raise DatasetParseError(f"not UTF-8 text: {bad_text.reason}",
+                                            lineno) from exc
                 raise DatasetParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            except RecursionError:
-                raise DatasetParseError("JSON nested too deeply", lineno) from None
             if header is None:
-                if not isinstance(obj, dict) or not isinstance(
-                        obj.get("num_classes"), int):
+                if not isinstance(obj, dict) or type(obj.get("num_classes")) is not int:
                     raise DatasetParseError(
                         "missing dataset header with an integer num_classes", lineno)
                 header, header_line = obj, lineno

@@ -216,15 +216,16 @@ def _assemble_interaction(num_real: int, num_global: int, src, dst, tags
     dst = np.asarray(dst, dtype=np.int64)
     tags = np.asarray(tags, dtype=np.int64)
     total = num_real + num_global
-    key = src * total + dst
-    order = np.lexsort((tags, key))
-    key, src, dst, tags = key[order], src[order], dst[order], tags[order]
+    # one key orders the edges by (dst, src, tag); the first entry of each
+    # (dst, src) pair carries its lowest tag, so local > expander > global
+    key = np.sort((dst * total + src) * 4 + tags)
+    pair = key >> 2
     first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    src, dst, tags = src[first], dst[first], tags[first]
-    order = np.lexsort((src, dst))
+    first[1:] = pair[1:] != pair[:-1]
+    pair = pair[first]
     return InteractionGraph(num_real=num_real, num_global=num_global,
-                            src=src[order], dst=dst[order], tags=tags[order])
+                            src=pair % total, dst=pair // total,
+                            tags=key[first] & 3)
 
 
 def _interaction_graph(g: ConnectomeGraph, num_global: int, srcs: list,

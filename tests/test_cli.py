@@ -364,6 +364,10 @@ class TestExitCodes:
         ("sweep-layers", {"layer_counts": 2}),
         ("sweep-variants", {"variants": [["after_concat"]]}),
         ("sweep-dropout", {"attention_dropout_grid": []}),
+        # values int()/float() would convert are still the wrong JSON type
+        ("sweep-layers", {"layer_counts": [2.5, True]}),
+        ("sweep-dropedge", {"drop_probabilities": [True, "0.5"]}),
+        ("sweep-variants", {"variants": [["after_concat", True]]}),
     ])
     def test_malformed_grid_is_config_error(self, tiny_dataset, tmp_path, capsys,
                                             command, grid):

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +351,98 @@ class TestSerialization:
 
         with pytest.raises(DatasetParseError, match=r"line 1: .*no graphs"):
             deserialize_dataset(self._rewrite(tmp_path, edit))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 6.0, "n must be a JSON integer"),
+        ("n", "6", "n must be a JSON integer"),
+        ("d", 6.0, "d must be a JSON integer"),
+        ("y", 1.0, "y must be a JSON integer"),
+        ("y", True, "y must be a JSON integer"),
+        ("y", 2 ** 64, "y must be a JSON integer"),  # orjson: a float
+        ("edges", [[0.7, 1.2]], "edge endpoints must be JSON integers"),
+        ("edges", [[0, True]], "edge endpoints must be JSON integers"),
+        ("edges", [[0, 2 ** 64]], "edge endpoints must be JSON integers"),
+        ("edges", [[0, 2 ** 63]], "too large"),
+    ])
+    def test_non_integer_field_reports_line(self, tmp_path, field, value, message):
+        def edit(lines):
+            record = json.loads(lines[2])
+            record[field] = value
+            if field == "edges":
+                record["w"] = [0.9]
+            lines[2] = json.dumps(record)
+
+        with pytest.raises(DatasetParseError, match=rf"line 3: bad graph record: .*{message}"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
+    def test_boolean_num_classes_reports_line(self, tmp_path):
+        def edit(lines):
+            lines[0] = json.dumps({"version": 1, "num_classes": True, "spec": None})
+
+        with pytest.raises(DatasetParseError, match="line 1: .*integer num_classes"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_reports_line(self, tmp_path, token):
+        def edit(lines):
+            record = json.loads(lines[2])
+            record["w"][0] = 12345.5
+            lines[2] = json.dumps(record).replace("12345.5", token)
+
+        with pytest.raises(DatasetParseError, match="line 3: invalid JSON"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
+    @pytest.mark.parametrize("opening,closing", [("[", "]"), ('{"a":', "}")])
+    def test_deep_nesting_reports_line(self, tmp_path, opening, closing):
+        def edit(lines):
+            lines[2] = opening * 1025 + "1" + closing * 1025
+
+        with pytest.raises(DatasetParseError, match="line 3: JSON nested too deeply"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
+    def test_nesting_deep_enough_to_overflow_the_parser_reports_line(self, tmp_path):
+        def edit(lines):
+            lines[2] = '{"a":[' * 200_000 + "1" + "]}" * 200_000
+
+        # in a child process: parsed unchecked, this line crashes the interpreter
+        code = ("import sys\nfrom connectobench import DatasetParseError, "
+                "deserialize_dataset\ntry:\n    deserialize_dataset(sys.argv[1])\n"
+                "except DatasetParseError as exc:\n    print(exc)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(self._rewrite(tmp_path, edit))],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "line 3: JSON nested too deeply" in proc.stdout
+
+    def test_record_with_many_brackets_loads(self, tmp_path):
+        # 1500 edges put 1502 brackets on the line, but it nests only 3 deep
+        ds = Dataset([complete_graph(1500)], num_classes=2)
+        serialize_dataset(ds, tmp_path / "ds.jsonl")
+        assert graphs_equal(deserialize_dataset(tmp_path / "ds.jsonl")[0], ds[0])
+
+
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     sys.float_info.max, -sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FINITE, min_size=4, max_size=12), st.lists(_FINITE, max_size=6))
+def test_finite_floats_roundtrip_bit_exact(xs, ws):
+    n = len(xs)
+    iu, iv = np.triu_indices(n, k=1)
+    edges = np.stack([iu[:len(ws)], iv[:len(ws)]], axis=1).astype(np.int64)
+    g = ConnectomeGraph(n=n, x=np.array(xs).reshape(n, 1), edges=edges,
+                        weights=np.array(ws, dtype=np.float64), label=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.jsonl"
+        serialize_dataset(Dataset([g], num_classes=2), path)
+        back = deserialize_dataset(path)[0]
+    assert back.x.tobytes() == g.x.tobytes()
+    assert back.weights.tobytes() == g.weights.tobytes()
+    assert np.array_equal(back.edges, g.edges)
 
 
 _VALID_FILE = "\n".join(dataset_to_lines(generate_synthetic(SyntheticSpec(
