@@ -472,7 +472,7 @@ class BlockAdjacency:
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise IndexError(f"edge endpoint out of range for {n} nodes")
         order = np.lexsort((weights, edges[:, 0], edges[:, 1]))
-        # bincount adds in input order, as np.add.at would, but in one pass
+        # bincount sums in the lexsorted order, which keeps the block bit-stable
         block = np.bincount(edges[order, 1] * n + edges[order, 0],
                             weights=weights[order], minlength=n * n)
         return cls([block.reshape(n, n)])

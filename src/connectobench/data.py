@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,15 +328,22 @@ def _graph_to_line(g: ConnectomeGraph) -> str:
         "w": g.weights.tolist(),
         "y": g.label,
     }
-    return json.dumps(record, separators=(",", ":"))
+    return json.dumps(record, separators=(",", ":"), allow_nan=False)
 
 
 def dataset_to_lines(ds: Dataset) -> list[str]:
-    """JSON-Lines encoding: one header line, then one line per graph."""
+    """JSON-Lines encoding: one header line, then one line per graph.
+
+    A NaN or an infinity raises ConfigError, as the loader would refuse it.
+    """
     header = {"version": 1, "num_classes": ds.num_classes, "spec": ds.spec}
-    return [json.dumps(header, separators=(",", ":"))] + [
-        _graph_to_line(g) for g in ds.graphs
-    ]
+    try:
+        return [json.dumps(header, separators=(",", ":"), allow_nan=False)] + [
+            _graph_to_line(g) for g in ds.graphs
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"cannot write a dataset holding NaN or infinity: {exc}"
+                          ) from exc
 
 
 def serialize_dataset(ds: Dataset, path) -> None:
@@ -375,18 +383,25 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
 # orjson 3.8 has no nesting limit of its own and overflows the C stack on a
 # line nested about 100k deep. A dataset record nests 3 deep.
 _MAX_NESTING = 1024
-_BRACKET_STEP = np.zeros(256, dtype=np.int64)
+_BRACKET_STEP = np.zeros(256, dtype=np.int8)
 _BRACKET_STEP[[ord("["), ord("{")]] = 1
 _BRACKET_STEP[[ord("]"), ord("}")]] = -1
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 
 
 def _nested_too_deeply(raw: bytes) -> bool:
-    """Whether raw may nest deeper than _MAX_NESTING. Brackets inside strings
-    count too, so this can over-estimate but never under-estimate."""
+    """Whether raw may nest deeper than _MAX_NESTING.
+
+    String contents are blanked first, so a bracket inside a string cannot
+    cancel a real one. On invalid JSON the depth is still exact up to the
+    point where a parser stops.
+    """
     if raw.count(b"[") + raw.count(b"{") <= _MAX_NESTING:
         return False
-    steps = _BRACKET_STEP[np.frombuffer(raw, dtype=np.uint8)]
-    return int(np.cumsum(steps).max()) > _MAX_NESTING
+    blanked = np.frombuffer(_JSON_STRING.sub(b'""', raw), dtype=np.uint8)
+    depth = np.cumsum(_BRACKET_STEP[blanked],
+                      dtype=np.int32 if blanked.size < 2**31 else np.int64)
+    return int(depth.max()) > _MAX_NESTING
 
 
 def deserialize_dataset(path, content: bytes | None = None) -> Dataset:

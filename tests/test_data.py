@@ -400,9 +400,15 @@ class TestSerialization:
         with pytest.raises(DatasetParseError, match="line 3: JSON nested too deeply"):
             deserialize_dataset(self._rewrite(tmp_path, edit))
 
-    def test_nesting_deep_enough_to_overflow_the_parser_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        '{"a":[' * 200_000 + "1" + "]}" * 200_000,
+        # closing brackets inside a string must not cancel the real openings
+        '{"s":"' + "]" * 200_000 + '","a":' + "[" * 200_000 + "1" + "]" * 200_000 + "}",
+        '{"a":' + '["]]]]\\"]]",' * 200_000 + "1" + "]" * 200_000 + "}",
+    ], ids=["nested", "closers-in-string", "closers-in-escaped-strings"])
+    def test_nesting_deep_enough_to_overflow_the_parser_reports_line(self, tmp_path, line):
         def edit(lines):
-            lines[2] = '{"a":[' * 200_000 + "1" + "]}" * 200_000
+            lines[2] = line
 
         # in a child process: parsed unchecked, this line crashes the interpreter
         code = ("import sys\nfrom connectobench import DatasetParseError, "
@@ -414,6 +420,24 @@ class TestSerialization:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "line 3: JSON nested too deeply" in proc.stdout
+
+    def test_brackets_inside_strings_do_not_count_as_nesting(self, tmp_path):
+        def edit(lines):
+            header = json.loads(lines[0])
+            header["spec"] = {"note": "[{" * 2000 + '\\"[', "tags": ["{"] * 2000}
+            lines[0] = json.dumps(header)
+
+        assert len(deserialize_dataset(self._rewrite(tmp_path, edit))) == 3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused_at_write_time(self, tmp_path, value):
+        g = complete_graph(3)
+        g.weights[1] = value
+        with pytest.raises(ConfigError, match="NaN or infinity"):
+            serialize_dataset(Dataset([g], num_classes=2), tmp_path / "ds.jsonl")
+        with pytest.raises(ConfigError, match="NaN or infinity"):
+            serialize_dataset(Dataset([complete_graph(3)], num_classes=2, spec={"s": value}),
+                              tmp_path / "ds.jsonl")
 
     def test_record_with_many_brackets_loads(self, tmp_path):
         # 1500 edges put 1502 brackets on the line, but it nests only 3 deep
