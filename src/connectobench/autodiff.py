@@ -11,10 +11,14 @@ fixed (destination, source) ordering so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .rng import as_generator
+
+_FLOAT64 = np.dtype(np.float64)
 
 __all__ = [
     "Tensor",
@@ -51,14 +55,16 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got array of shape {arr.shape}")
-        self.data = arr
+        # a float64 2-D ndarray is stored as given, as np.asarray would
+        if type(data) is not np.ndarray or data.ndim != 2 or data.dtype != _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+            if data.ndim == 0:
+                data = data.reshape(1, 1)
+            elif data.ndim == 1:
+                data = data.reshape(1, -1)
+            elif data.ndim != 2:
+                raise ShapeError(f"tensors are 2-D, got array of shape {data.shape}")
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -112,7 +118,10 @@ def _record(tape, op, inputs, out, grad_fn):
 
 
 def _needs(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+    for t in tensors:
+        if t.requires_grad:
+            return True
+    return False
 
 
 def _int_vector(values, name: str) -> np.ndarray:
@@ -129,17 +138,19 @@ def backward(tape: Tape, loss: Tensor) -> None:
     such as a model parameter. Walks the tape in reverse, touching each
     recorded node at most once; gradients of intermediate tensors only flow
     through the walk, and their .grad is left as it was. Repeated calls
-    accumulate, so two backward passes double the leaf gradients.
+    accumulate in place into a leaf's existing .grad array, so two backward
+    passes double the leaf gradients.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     flow: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     owners: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
-        gout = flow.pop(id(node.out), None)
+        k = id(node.out)
+        gout = flow.pop(k, None)
         if gout is None:
             continue
-        owners.pop(id(node.out), None)
+        del owners[k]
         for t, g in zip(node.inputs, node.grad_fn(gout)):
             if g is None or not t.requires_grad:
                 continue
@@ -151,9 +162,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 owners[k] = t
     for k, g in flow.items():
         t = owners[k]
-        # copy: ops may pass gout through unchanged, and leaf grads must
-        # never alias each other (callers scale them in place)
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        if t.grad is None:
+            # copy: ops may pass gout through unchanged, and leaf grads must
+            # never alias each other (callers scale them in place)
+            t.grad = g.copy()
+        else:
+            t.grad += g
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -290,7 +304,7 @@ def gather_rows(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
     out = Tensor(np.take(a.data, plan.ids, axis=0), requires_grad=a.requires_grad)
 
     def grad_fn(g):
-        return (_scatter_add_rows(np.zeros_like(a.data), plan, g),)
+        return (_sum_rows_by_id(plan, g, a.rows),)
 
     _record(tape, "gather_rows", (a,), out, grad_fn)
     return out
@@ -423,12 +437,17 @@ def _as_plan(idx, name: str) -> IndexPlan:
     return idx if isinstance(idx, IndexPlan) else IndexPlan(idx, name)
 
 
-def _scatter_add_rows(target: np.ndarray, plan: IndexPlan, rows: np.ndarray):
-    """target[ids[i]] += rows[i], accumulating repeated ids in sorted order."""
-    if plan.ids.size:
-        target[plan.keys] += np.add.reduceat(plan.sort_rows(rows), plan.starts,
-                                             axis=0)
-    return target
+def _sum_rows_by_id(plan: IndexPlan, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, cols) array: row k sums the rows[i] with ids[i] == k in sorted order,
+    and is zero if no id is k. The caller checks that the ids lie in [0, n)."""
+    if not plan.ids.size:
+        return np.zeros((n, rows.shape[1]))
+    sums = np.add.reduceat(plan.sort_rows(rows), plan.starts, axis=0)
+    if plan.keys.size == n:  # every row is named: the run sums are the result
+        return sums
+    out = np.zeros((n, rows.shape[1]))
+    out[plan.keys] = sums
+    return out
 
 
 class BlockAdjacency:
@@ -518,11 +537,8 @@ def segment_sum_rows(a: Tensor, segments, num_segments: int,
         raise ShapeError(f"segments length {plan.ids.size} != rows {a.rows}")
     if plan.lo < 0 or plan.hi >= num_segments:
         raise IndexError(f"segment id out of range for {num_segments} segments")
-    data = np.zeros((num_segments, a.cols))
-    if plan.ids.size:
-        data[plan.keys] = np.add.reduceat(plan.sort_rows(a.data), plan.starts,
-                                          axis=0)
-    out = Tensor(data, requires_grad=a.requires_grad)
+    out = Tensor(_sum_rows_by_id(plan, a.data, num_segments),
+                 requires_grad=a.requires_grad)
 
     def grad_fn(g):
         return (np.take(g, plan.ids, axis=0),)
@@ -565,12 +581,20 @@ def softmax_segments(scores: Tensor, segments, tape: Tape | None = None) -> Tens
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _block_indicator(num_blocks: int, width: int) -> np.ndarray:
+    """0/1 (num_blocks * width, num_blocks) matrix: x @ it sums each column block."""
+    indicator = np.repeat(np.eye(num_blocks), width, axis=0)
+    indicator.flags.writeable = False
+    return indicator
+
+
 def sum_col_blocks(a: Tensor, num_blocks: int, tape: Tape | None = None) -> Tensor:
     """Sum each contiguous block of columns down to one column per block."""
     if num_blocks < 1 or a.cols % num_blocks != 0:
         raise ShapeError(f"{a.cols} columns not divisible into {num_blocks} blocks")
     width = a.cols // num_blocks
-    out = Tensor(a.data.reshape(a.rows, num_blocks, width).sum(axis=2),
+    out = Tensor(a.data @ _block_indicator(num_blocks, width),
                  requires_grad=a.requires_grad)
 
     def grad_fn(g):
@@ -585,10 +609,10 @@ def expand_col_blocks(a: Tensor, width: int, tape: Tape | None = None) -> Tensor
     if width < 1:
         raise ShapeError(f"block width must be >= 1, got {width}")
     out = Tensor(np.repeat(a.data, width, axis=1), requires_grad=a.requires_grad)
-    cols = a.cols
+    indicator = _block_indicator(a.cols, width)
 
     def grad_fn(g):
-        return (g.reshape(a.rows, cols, width).sum(axis=2),)
+        return (g @ indicator,)
 
     _record(tape, "expand_col_blocks", (a,), out, grad_fn)
     return out
@@ -600,24 +624,31 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
         raise ShapeError(
             f"layer_norm gain/bias must be (1, {a.cols}), got {gain.shape} / {bias.shape}")
-    centred = a.data - a.data.mean(axis=1, keepdims=True)
-    # np.var's own arithmetic, on the centred rows already at hand
-    var = np.square(centred).sum(axis=1, keepdims=True) / a.cols
+    # np.add.reduce(x, axis=1) / cols is x.mean(axis=1)'s (and np.var's) arithmetic
+    cols = a.cols
+    centred = a.data - np.add.reduce(a.data, axis=1, keepdims=True) / cols
+    y = np.square(centred)
+    var = np.add.reduce(y, axis=1, keepdims=True) / cols
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    out = Tensor(xhat * gain.data + bias.data, requires_grad=_needs(a, gain, bias))
+    xhat = np.multiply(centred, inv, out=centred)
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y, requires_grad=_needs(a, gain, bias))
 
     def grad_fn(g):
         ga = ggain = gbias = None
         if gain.requires_grad:
-            ggain = (g * xhat).sum(axis=0, keepdims=True)
+            ggain = np.add.reduce(g * xhat, axis=0, keepdims=True)
         if bias.requires_grad:
-            gbias = g.sum(axis=0, keepdims=True)
+            gbias = np.add.reduce(g, axis=0, keepdims=True)
         if a.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            ga = inv * (dxhat - m1 - xhat * m2)
+            m1 = np.add.reduce(dxhat, axis=1, keepdims=True) / cols
+            prod = dxhat * xhat
+            m2 = np.add.reduce(prod, axis=1, keepdims=True) / cols
+            dxhat -= m1
+            dxhat -= np.multiply(xhat, m2, out=prod)
+            ga = np.multiply(dxhat, inv, out=dxhat)
         return ga, ggain, gbias
 
     _record(tape, "layer_norm", (a, gain, bias), out, grad_fn)

@@ -3,7 +3,7 @@
 Subcommands: gen-data, sweep-dropedge, sweep-dropout, sweep-layers,
 sweep-variants, curves. Flag values override config-file entries, which
 override built-in defaults. Exit codes: 0 success, 2 config error, 3 run
-divergence, 4 I/O or dataset error.
+divergence, 4 I/O or dataset error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -277,18 +277,14 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    """Run one sweep grid: train its cells, then write one run JSON per cell
-    and the grid's CSV tables."""
+    """Run one sweep grid: check the p=1 contract, train its cells, then write
+    one run JSON per cell and the grid's CSV tables."""
     config = _file_config(args)
     cells, report = _SWEEPS[args.sweep](args, config)
     dataset, ds_hash, ds_name = _resolve_dataset(args, config)
     out_dir = Path(args.out)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_cells(dataset, [
-        {"key": key, "train_config": cfg.to_dict(), "drop_p": p}
-        for key, cfg, p in cells], args.workers)
-
     emptied = [cfg.seeds[0] for _, cfg, p in cells if p == 1.0]
     if emptied:  # the p=1 contract: the edge-drop stream empties every graph
         kept = [i for i, g in enumerate(dataset.graphs) if drop_edges(
@@ -296,6 +292,9 @@ def cmd_sweep(args) -> None:
         if kept:
             raise ContractError(f"p=1.00 left edges in corrupted graph {kept[0]}")
         print(f"p=1.00: all {len(dataset)} corrupted graphs have empty edge sets")
+    results = _run_cells(dataset, [
+        {"key": key, "train_config": cfg.to_dict(), "drop_p": p}
+        for key, cfg, p in cells], args.workers)
     for key, cfg, p in cells:
         payload = dict(results[key], kind=args.sweep, dataset=ds_name,
                        dataset_hash=ds_hash, config_hash=config_hash(cfg))
@@ -399,6 +398,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -154,11 +154,7 @@ class InteractionGraph:
 
 def node_degrees(g: ConnectomeGraph) -> np.ndarray:
     """Undirected degree of every node (edge weights ignored)."""
-    deg = np.zeros(g.n, dtype=np.int64)
-    if g.num_edges:
-        np.add.at(deg, g.edges[:, 0], 1)
-        np.add.at(deg, g.edges[:, 1], 1)
-    return deg
+    return np.bincount(g.edges.ravel(), minlength=g.n)
 
 
 def normalized_adjacency(g: ConnectomeGraph, use_edge_weights: bool = True):

@@ -244,6 +244,106 @@ class TestIndexPlan:
             softmax_segments(Tensor(np.ones((3, 2))), IndexPlan([0, 1]))
 
 
+def _zero_fill_sums(plan: IndexPlan, rows: np.ndarray, n: int) -> np.ndarray:
+    """Reference for the full-plan fast path: run sums added into zero rows."""
+    out = np.zeros((n, rows.shape[1]))
+    if plan.ids.size:
+        out[plan.keys] += np.add.reduceat(plan.sort_rows(rows), plan.starts, axis=0)
+    return out
+
+
+# n target rows, and ids that name every row, miss some, or are empty
+FAST_PATH_PLANS = {"covers_all": (3, [2, 0, 1, 2, 0, 1, 1]),
+                   "misses_rows": (5, [3, 0, 3, 3]),
+                   "empty": (3, [])}
+
+
+class TestFullPlanFastPath:
+    @pytest.mark.parametrize("case", list(FAST_PATH_PLANS))
+    def test_gather_rows_backward_matches_zero_fill(self, case):
+        n, ids = FAST_PATH_PLANS[case]
+        plan = IndexPlan(ids)
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.standard_normal((n, 4)), requires_grad=True)
+        proj = rng.standard_normal((len(ids), 4))
+        tape = Tape()
+        out = gather_rows(a, plan, tape)
+        backward(tape, sum_all(mul(out, Tensor(proj), tape), tape))
+        assert a.grad.shape == (n, 4)
+        assert np.array_equal(a.grad, _zero_fill_sums(plan, proj, n))
+
+    @pytest.mark.parametrize("case", list(FAST_PATH_PLANS))
+    def test_segment_sum_rows_forward_matches_zero_fill(self, case):
+        n, ids = FAST_PATH_PLANS[case]
+        plan = IndexPlan(ids)
+        data = np.random.default_rng(6).standard_normal((len(ids), 4))
+        out = segment_sum_rows(Tensor(data), plan, n)
+        assert out.shape == (n, 4)
+        assert np.array_equal(out.data, _zero_fill_sums(plan, data, n))
+
+
+class TestColumnBlocks:
+    SHAPES = [(0, 2, 3), (1, 1, 5), (7, 4, 16), (569, 4, 16), (9, 3, 8), (5, 6, 1)]
+
+    @pytest.mark.parametrize("rows,blocks,width", SHAPES)
+    def test_sum_col_blocks_matches_reshape_sum(self, rows, blocks, width):
+        rng = np.random.default_rng(rows + blocks + width)
+        # integer values sum exactly in any order, so the layout must match
+        # bit for bit; random values must match to rounding
+        ints = rng.integers(-50, 50, (rows, blocks * width)).astype(float)
+        reals = rng.standard_normal((rows, blocks * width))
+        for data, exact in ((ints, True), (reals, False)):
+            ref = data.reshape(rows, blocks, width).sum(axis=2)
+            out = sum_col_blocks(Tensor(data), blocks).data
+            assert out.shape == ref.shape
+            if exact:
+                assert np.array_equal(out, ref)
+            else:
+                np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows,blocks,width", SHAPES)
+    def test_expand_col_blocks_backward_matches_reshape_sum(self, rows, blocks,
+                                                            width):
+        rng = np.random.default_rng(rows * blocks + width)
+        ints = rng.integers(-50, 50, (rows, blocks * width)).astype(float)
+        reals = rng.standard_normal((rows, blocks * width))
+        for g, exact in ((ints, True), (reals, False)):
+            a = Tensor(rng.standard_normal((rows, blocks)), requires_grad=True)
+            tape = Tape()
+            out = expand_col_blocks(a, width, tape)
+            backward(tape, sum_all(mul(out, Tensor(g), tape), tape))
+            ref = g.reshape(rows, blocks, width).sum(axis=2)
+            if exact:
+                assert np.array_equal(a.grad, ref)
+            else:
+                np.testing.assert_allclose(a.grad, ref, rtol=1e-12, atol=1e-12)
+
+
+class TestTensor:
+    def test_float64_matrix_is_stored_as_given(self):
+        x = np.arange(6.0).reshape(2, 3)
+        for data in (x, x.T):
+            t = Tensor(data)
+            assert t.data is data and np.shares_memory(t.data, x)
+
+    @pytest.mark.parametrize("data,shape", [
+        (np.arange(6).reshape(2, 3), (2, 3)),
+        (np.arange(6, dtype=np.float32).reshape(3, 2), (3, 2)),
+        ([[1, 2], [3, 4]], (2, 2)),
+        (np.arange(4.0), (1, 4)),
+        (np.float64(2.5), (1, 1)),
+        (3, (1, 1)),
+    ])
+    def test_other_inputs_convert(self, data, shape):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64 and t.shape == shape
+        assert np.array_equal(t.data.ravel(), np.ravel(data))
+
+    def test_three_d_input_raises(self):
+        with pytest.raises(ShapeError):
+            Tensor(np.zeros((2, 2, 2)))
+
+
 class TestElementwiseAndShape:
     def test_mean_pool_rows(self):
         out = mean_pool_rows(Tensor([[2.0, 4.0], [4.0, 8.0]]))

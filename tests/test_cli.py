@@ -155,11 +155,34 @@ class TestSweepDropedge:
         cfg["drop_probabilities"] = [1.0]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        trained = []
+
+        def record(cfg, dataset, drop_p):
+            trained.append(drop_p)
+            return run_experiment(cfg, dataset, drop_p)
+
         monkeypatch.setattr(cli, "drop_edges", keep_one_edge)
+        monkeypatch.setattr(cli, "run_experiment", record)
         with pytest.raises(ContractError, match="p=1.00 left edges"):
             main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
                   str(tmp_path / "sweep"), "--config", str(cfg_path),
                   "--model", "residual-gcn"])
+        assert trained == []  # the contract is checked before any cell trains
+
+    def test_ctrl_c_exits_130_without_traceback(self, tiny_dataset,
+                                                 sweep_config, tmp_path,
+                                                 monkeypatch, capsys):
+        def interrupt(dataset, cells, workers):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_run_cells", interrupt)
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "sweep"), "--config", str(sweep_config),
+                   "--model", "residual-gcn"])
+        assert rc == 130
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "interrupted" in err
+        assert "Traceback" not in err
 
 
 class TestSweepDropout:

@@ -68,6 +68,18 @@ def random_graph(rng, n, density=0.3):
     return graph_from_edges(n, edges, weights, seed=int(rng.integers(1 << 30)))
 
 
+def test_node_degrees_counts_both_endpoints():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        g = random_graph(rng, n, density=float(rng.random()))
+        ref = np.zeros(n, dtype=np.int64)
+        np.add.at(ref, g.edges[:, 0], 1)
+        np.add.at(ref, g.edges[:, 1], 1)
+        deg = node_degrees(g)
+        assert deg.dtype == np.int64 and np.array_equal(deg, ref)
+
+
 class TestGCNLayer:
     def test_empty_edges_reduces_to_relu_hw(self):
         g = graph_from_edges(1, np.zeros((0, 2)), x=[[1.0, -1.0]])
