@@ -3,7 +3,8 @@
 Subcommands: gen-data, sweep-dropedge, sweep-dropout, sweep-layers,
 sweep-variants, curves. Flag values override config-file entries, which
 override built-in defaults. Exit codes: 0 success, 2 config error, 3 run
-divergence, 4 I/O or dataset error, 130 interrupted (Ctrl-C).
+divergence, 4 I/O or dataset error or a broken contract (such as p=1 leaving
+an edge), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ def _train_config(args, config, model_kind: str) -> TrainConfig:
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers, "
                               f"got {args.seeds!r}") from None
-    cfg.validate()
     return cfg
 
 
@@ -277,10 +277,13 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    """Run one sweep grid: check the p=1 contract, train its cells, then write
-    one run JSON per cell and the grid's CSV tables."""
+    """Run one sweep grid: check every cell's config and the p=1 contract,
+    train its cells, then write one run JSON per cell and the grid's CSV
+    tables."""
     config = _file_config(args)
     cells, report = _SWEEPS[args.sweep](args, config)
+    for _, cfg, _ in cells:
+        cfg.validate()
     dataset, ds_hash, ds_name = _resolve_dataset(args, config)
     out_dir = Path(args.out)
     runs_dir = out_dir / "runs"
@@ -394,6 +397,9 @@ def main(argv=None) -> int:
         return 3
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
+        return 4
+    except ContractError as exc:
+        print(f"contract error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from .autodiff import (
     sum_col_blocks,
 )
 from .data import ConnectomeGraph
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .rng import as_generator, seeded_rng
 
 TAG_LOCAL, TAG_EXPANDER, TAG_GLOBAL, TAG_SELF = 0, 1, 2, 3
@@ -114,6 +114,9 @@ class AttnVariantConfig:
             raise ConfigError("apply_probability must be in [0, 1]")
         if self.num_heads < 1:
             raise ConfigError("num_heads must be >= 1")
+        if not 0.0 <= self.attention_dropout < 1.0:
+            raise ConfigError(
+                f"attention_dropout must be in [0, 1), got {self.attention_dropout}")
 
 
 @dataclass(eq=False)
@@ -206,35 +209,27 @@ def build_expander(n: int, degree: int, seed=0) -> np.ndarray:
     return np.stack([keys // n, keys % n], axis=1)
 
 
-def _assemble_interaction(num_real: int, num_global: int, src, dst, tags
-                          ) -> InteractionGraph:
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    tags = np.asarray(tags, dtype=np.int64)
-    total = num_real + num_global
-    # one key orders the edges by (dst, src, tag); the first entry of each
-    # (dst, src) pair carries its lowest tag, so local > expander > global
-    key = np.sort((dst * total + src) * 4 + tags)
-    pair = key >> 2
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
-    pair = pair[first]
-    return InteractionGraph(num_real=num_real, num_global=num_global,
-                            src=pair % total, dst=pair // total,
-                            tags=key[first] & 3)
-
-
-def _interaction_graph(g: ConnectomeGraph, num_global: int, srcs: list,
-                       dsts: list, tags: list) -> InteractionGraph:
+def _interaction_graph(g: ConnectomeGraph, num_global: int = 0, srcs=(),
+                       dsts=(), tags=()) -> InteractionGraph:
     """g's local edges in both directions, the given extra edges, and a
     self-loop on each of the g.n + num_global nodes."""
     u, v = g.edges[:, 0], g.edges[:, 1]
     loops = np.arange(g.n + num_global, dtype=np.int64)
-    return _assemble_interaction(
-        g.n, num_global, np.concatenate([u, v, *srcs, loops]),
-        np.concatenate([v, u, *dsts, loops]),
-        np.concatenate([np.full(2 * u.size, TAG_LOCAL), *tags,
-                        np.full(loops.size, TAG_SELF)]))
+    src = np.concatenate([u, v, *srcs, loops])
+    dst = np.concatenate([v, u, *dsts, loops])
+    tag = np.concatenate([np.full(2 * u.size, TAG_LOCAL), *tags,
+                          np.full(loops.size, TAG_SELF)])
+    total = loops.size
+    # one key orders the edges by (dst, src, tag); the first entry of each
+    # (dst, src) pair carries its lowest tag, so local > expander > global
+    key = np.sort((dst * total + src) * 4 + tag)
+    pair = key >> 2
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    pair = pair[first]
+    return InteractionGraph(num_real=g.n, num_global=num_global,
+                            src=pair % total, dst=pair // total,
+                            tags=key[first] & 3)
 
 
 def build_interaction_graph(g: ConnectomeGraph, cfg: ExphormerConfig,
@@ -260,11 +255,6 @@ def build_interaction_graph(g: ConnectomeGraph, cfg: ExphormerConfig,
         dsts += [real, gid]
         tags += [np.full(n, TAG_GLOBAL)] * 2
     return _interaction_graph(g, gl, srcs, dsts, tags)
-
-
-def local_interaction_graph(g: ConnectomeGraph) -> InteractionGraph:
-    """Interaction graph of just the local edges plus self-loops (no virtuals)."""
-    return _interaction_graph(g, 0, [], [], [])
 
 
 def sparse_attention(ig: InteractionGraph, h: Tensor, p: dict[str, Tensor],
@@ -313,11 +303,11 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _ParamBuilder:
-    """Creates parameters whose init stream depends only on (seed, name)."""
+    """Adds parameters whose init stream depends only on (seed, name) to params."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, params: dict[str, Tensor]):
         self.seed = seed
-        self.params: dict[str, Tensor] = {}
+        self.params = params
 
     def weight(self, name: str, fan_in: int, fan_out: int) -> None:
         rng = seeded_rng(self.seed, "param", name)
@@ -341,6 +331,23 @@ class _ParamBuilder:
         self.zeros(f"{prefix}.ffn_b2", width)
         self.ones(f"{prefix}.ln2_gain", width)
         self.zeros(f"{prefix}.ln2_bias", width)
+
+    def mlp(self, prefix: str, fan_in: int, hidden: int, out: int) -> None:
+        self.weight(f"{prefix}.w1", fan_in, hidden)
+        self.zeros(f"{prefix}.b1", hidden)
+        self.weight(f"{prefix}.w2", hidden, out)
+        self.zeros(f"{prefix}.b2", out)
+
+
+def _mlp_head(params: dict[str, Tensor], prefix: str, pooled: Tensor,
+              rate: float, mode: str, tape, rng) -> Tensor:
+    """Logits of pooled rows through the MLP _ParamBuilder.mlp(prefix) made."""
+    z = dropout(pooled, rate, mode, rng, tape)
+    z = relu(add(matmul(z, params[f"{prefix}.w1"], tape),
+                 params[f"{prefix}.b1"], tape), tape)
+    z = dropout(z, rate, mode, rng, tape)
+    return add(matmul(z, params[f"{prefix}.w2"], tape),
+               params[f"{prefix}.b2"], tape)
 
 
 def _block_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
@@ -377,7 +384,30 @@ class PreparedExphormer:
     real_rows: IndexPlan  # rows 0..n-1: the real nodes, ahead of the global ones
 
 
-class ResidualGCN:
+class _Model:
+    """A model's checked config, sizes, seed, params and config_dict."""
+
+    def __init__(self, cfg, in_dim: int, num_classes: int, seed: int):
+        cfg.validate()
+        self.cfg = cfg
+        self.in_dim = in_dim
+        self.num_classes = num_classes
+        self.seed = seed
+        self.params: dict[str, Tensor] = {}
+
+    def config_dict(self) -> dict:
+        return {"kind": self.kind, "in_dim": self.in_dim,
+                "num_classes": self.num_classes,
+                "config": dataclasses.asdict(self.cfg)}
+
+    def _train_rng(self, mode: str, rng):
+        """rng, or in train mode without one the model's own forward stream."""
+        if mode == "train" and rng is None:
+            return seeded_rng(self.seed, "forward")
+        return rng
+
+
+class ResidualGCN(_Model):
     """GCN stack with concatenated layer outputs and an MLP head.
 
     A mini-batch runs as one forward over the disjoint union of its graphs
@@ -390,27 +420,14 @@ class ResidualGCN:
 
     def __init__(self, cfg: ResidualGCNConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
-        cfg.validate()
-        self.cfg = cfg
-        self.in_dim = in_dim
-        self.num_classes = num_classes
-        self.seed = seed
-        b = _ParamBuilder(seed)
+        super().__init__(cfg, in_dim, num_classes, seed)
+        b = _ParamBuilder(seed, self.params)
         prev = in_dim
         for i in range(cfg.num_gcn_layers):
             b.weight(f"gcn{i}.weight", prev, cfg.hidden_dim)
             prev = cfg.hidden_dim
-        concat_dim = cfg.num_gcn_layers * cfg.hidden_dim
-        b.weight("mlp.w1", concat_dim, cfg.mlp_hidden)
-        b.zeros("mlp.b1", cfg.mlp_hidden)
-        b.weight("mlp.w2", cfg.mlp_hidden, num_classes)
-        b.zeros("mlp.b2", num_classes)
-        self.params = b.params
-
-    def config_dict(self) -> dict:
-        return {"kind": self.kind, "in_dim": self.in_dim,
-                "num_classes": self.num_classes,
-                "config": dataclasses.asdict(self.cfg)}
+        b.mlp("mlp", cfg.num_gcn_layers * cfg.hidden_dim, cfg.mlp_hidden,
+              num_classes)
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         edges, weights = normalized_adjacency(graph, self.cfg.use_edge_weights)
@@ -436,37 +453,31 @@ class ResidualGCN:
                         adj=BlockAdjacency.union(p.adj for p in preps),
                         pool=Tensor(pool))
 
-    def _gcn_stack(self, batch: GCNBatch, tape, after_layer=None) -> list[Tensor]:
-        """Every layer's output; after_layer(i, h), when given, replaces
-        layer i's output before the next layer reads it."""
-        h = batch.x
-        outs = []
+    def _logits(self, prep: PreparedGCN | GCNBatch, mode: str, tape, rng,
+                after_layer=None, after_concat=None) -> Tensor:
+        """The forward body. after_layer(i, h), when given, replaces GCN layer
+        i's output before the next layer reads it; after_concat(h) replaces
+        the concatenated outputs before pooling."""
+        batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
+        h, outs = batch.x, []
         for i in range(self.cfg.num_gcn_layers):
             h = gcn_layer(batch.adj, h, self.params[f"gcn{i}.weight"], tape)
             if after_layer is not None:
                 h = after_layer(i, h)
             outs.append(h)
-        return outs
-
-    def _head(self, pooled: Tensor, mode: str, tape, rng) -> Tensor:
-        z = dropout(pooled, self.cfg.dropout, mode, rng, tape)
-        z = relu(add(matmul(z, self.params["mlp.w1"], tape),
-                     self.params["mlp.b1"], tape), tape)
-        z = dropout(z, self.cfg.dropout, mode, rng, tape)
-        return add(matmul(z, self.params["mlp.w2"], tape),
-                   self.params["mlp.b2"], tape)
+        hcat = concat_cols(outs, tape)
+        if after_concat is not None:
+            hcat = after_concat(hcat)
+        return _mlp_head(self.params, "mlp", matmul(batch.pool, hcat, tape),
+                         self.cfg.dropout, mode, tape, rng)
 
     def forward(self, prep: PreparedGCN | GCNBatch, mode: str = "eval",
                 tape: Tape | None = None, rng=None) -> Tensor:
         """Logits with one row per graph of a GCNBatch, or one row for a graph."""
-        if mode == "train" and rng is None:
-            rng = seeded_rng(self.seed, "forward")
-        batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
-        hcat = concat_cols(self._gcn_stack(batch, tape), tape)
-        return self._head(matmul(batch.pool, hcat, tape), mode, tape, rng)
+        return self._logits(prep, mode, tape, self._train_rng(mode, rng))
 
 
-class Exphormer:
+class Exphormer(_Model):
     """Sparse graph transformer over a local + expander + global edge set."""
 
     kind = "exphormer"
@@ -476,12 +487,8 @@ class Exphormer:
 
     def __init__(self, cfg: ExphormerConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
-        cfg.validate()
-        self.cfg = cfg
-        self.in_dim = in_dim
-        self.num_classes = num_classes
-        self.seed = seed
-        b = _ParamBuilder(seed)
+        super().__init__(cfg, in_dim, num_classes, seed)
+        b = _ParamBuilder(seed, self.params)
         in_total = in_dim + (1 if cfg.structural_encoding == "degree" else 0)
         b.weight("input.w", in_total, cfg.hidden_dim)
         b.zeros("input.b", cfg.hidden_dim)
@@ -489,20 +496,11 @@ class Exphormer:
             b.weight("global.emb", cfg.num_global_nodes, cfg.hidden_dim)
         for l in range(cfg.num_layers):
             b.attention_block(f"layer{l}", cfg.hidden_dim)
-        b.weight("head.w1", cfg.hidden_dim, cfg.hidden_dim)
-        b.zeros("head.b1", cfg.hidden_dim)
-        b.weight("head.w2", cfg.hidden_dim, num_classes)
-        b.zeros("head.b2", num_classes)
-        self.params = b.params
+        b.mlp("head", cfg.hidden_dim, cfg.hidden_dim, num_classes)
         # load_params replaces each tensor's .data in place, so these views
         # of self.params stay current
         self._layers = [_block_params(self.params, f"layer{l}")
                         for l in range(cfg.num_layers)]
-
-    def config_dict(self) -> dict:
-        return {"kind": self.kind, "in_dim": self.in_dim,
-                "num_classes": self.num_classes,
-                "config": dataclasses.asdict(self.cfg)}
 
     def prepare(self, graph: ConnectomeGraph, ig_seed=0) -> PreparedExphormer:
         ig = build_interaction_graph(graph, self.cfg, ig_seed)
@@ -522,8 +520,7 @@ class Exphormer:
     def forward(self, prep: PreparedExphormer, mode: str = "eval",
                 tape: Tape | None = None, rng=None,
                 attn_capture: list | None = None) -> Tensor:
-        if mode == "train" and rng is None:
-            rng = seeded_rng(self.seed, "forward")
+        rng = self._train_rng(mode, rng)
         cfg = self.cfg
         h = add(matmul(prep.x, self.params["input.w"], tape),
                 self.params["input.b"], tape)
@@ -533,13 +530,8 @@ class Exphormer:
             h = sparse_attention(prep.ig, h, block, cfg.num_heads,
                                  cfg.attention_dropout, cfg.dropout, mode, rng,
                                  tape, capture=attn_capture)
-        real = gather_rows(h, prep.real_rows, tape)
-        z = dropout(mean_pool_rows(real, tape), cfg.dropout, mode, rng, tape)
-        z = relu(add(matmul(z, self.params["head.w1"], tape),
-                     self.params["head.b1"], tape), tape)
-        z = dropout(z, cfg.dropout, mode, rng, tape)
-        return add(matmul(z, self.params["head.w2"], tape),
-                   self.params["head.b2"], tape)
+        pooled = mean_pool_rows(gather_rows(h, prep.real_rows, tape), tape)
+        return _mlp_head(self.params, "head", pooled, cfg.dropout, mode, tape, rng)
 
 
 class AttnResidualGCN(ResidualGCN):
@@ -558,14 +550,12 @@ class AttnResidualGCN(ResidualGCN):
         super().__init__(cfg, in_dim, num_classes, seed)
         variant.validate()
         self.variant = variant
-        self.attn_calls = 0
         concat_dim = cfg.num_gcn_layers * cfg.hidden_dim
         width = cfg.hidden_dim if variant.placement == "after_each_gcn" else concat_dim
         if width % variant.num_heads != 0:
             raise ConfigError(
                 f"attention width {width} not divisible by {variant.num_heads} heads")
-        b = _ParamBuilder(seed)
-        b.params = self.params
+        b = _ParamBuilder(seed, self.params)
         if variant.placement == "after_each_gcn":
             names = {i: f"attn{i}" for i in range(cfg.num_gcn_layers)}
         else:
@@ -590,7 +580,7 @@ class AttnResidualGCN(ResidualGCN):
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         prep = super().prepare(graph)
-        prep.local_ig = local_interaction_graph(graph)
+        prep.local_ig = _interaction_graph(graph)
         return prep
 
     def _apply_attention(self, mode: str, rng) -> bool:
@@ -603,23 +593,22 @@ class AttnResidualGCN(ResidualGCN):
 
     def forward(self, prep: PreparedGCN | GCNBatch, mode: str = "eval",
                 tape: Tape | None = None, rng=None) -> Tensor:
-        if mode == "train" and rng is None:
-            rng = seeded_rng(self.seed, "forward")
-        batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
-        attend = None
-        if self._apply_attention(mode, rng):
-            def attend(key, h: Tensor) -> Tensor:
-                self.attn_calls += 1
-                v = self.variant
-                return sparse_attention(prep.local_ig, h, self._attn[key],
-                                        v.num_heads, v.attention_dropout,
-                                        self.cfg.dropout, mode, rng, tape)
-        per_layer = self.variant.placement == "after_each_gcn"
-        hcat = concat_cols(
-            self._gcn_stack(batch, tape, attend if per_layer else None), tape)
-        if attend and not per_layer:
-            hcat = attend("cat", hcat)
-        return self._head(matmul(batch.pool, hcat, tape), mode, tape, rng)
+        rng = self._train_rng(mode, rng)
+        if not self._apply_attention(mode, rng):
+            return self._logits(prep, mode, tape, rng)
+        if isinstance(prep, GCNBatch):
+            raise ContractError("attention runs on one prepared graph per "
+                                "forward, not on a GCNBatch")
+
+        def attend(key, h: Tensor) -> Tensor:
+            v = self.variant
+            return sparse_attention(prep.local_ig, h, self._attn[key],
+                                    v.num_heads, v.attention_dropout,
+                                    self.cfg.dropout, mode, rng, tape)
+        if self.variant.placement == "after_each_gcn":
+            return self._logits(prep, mode, tape, rng, after_layer=attend)
+        return self._logits(prep, mode, tape, rng,
+                            after_concat=lambda h: attend("cat", h))
 
 
 def build_model(kind: str, in_dim: int, num_classes: int, seed: int = 0,

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ConfigError(f"model_kind must be one of {MODEL_KINDS}")
         if self.decay_rule not in ("linear", "exponential"):
             raise ConfigError("decay_rule must be 'linear' or 'exponential'")
+        for block in (self.gcn, self.exphormer, self.variant):
+            block.validate()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -233,18 +235,14 @@ def train_epoch(model, prepared, splits: DatasetSplits, cfg: TrainConfig,
     )
 
 
-def _make_model(cfg: TrainConfig, in_dim: int, num_classes: int, seed: int):
-    return build_model(cfg.model_kind, in_dim, num_classes, seed,
-                       gcn_cfg=cfg.gcn, exphormer_cfg=cfg.exphormer,
-                       variant=cfg.variant)
-
-
 def run_single_seed(cfg: TrainConfig, dataset: Dataset, drop_p: float,
                     splits: DatasetSplits, seed: int) -> RunResult:
     """Corrupt the dataset with one edge-drop stream, train the full schedule."""
     corrupted = [drop_edges(g, drop_p, seeded_rng(seed, "edge-drop", i))
                  for i, g in enumerate(dataset.graphs)]
-    model = _make_model(cfg, dataset.feature_dim, dataset.num_classes, seed)
+    model = build_model(cfg.model_kind, dataset.feature_dim, dataset.num_classes,
+                        seed, gcn_cfg=cfg.gcn, exphormer_cfg=cfg.exphormer,
+                        variant=cfg.variant)
     prepared = model.prepare_dataset(corrupted, run_seed=seed)
     opt = AdamState()
     metrics = []

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from connectobench import (
-    ContractError,
     ResidualGCNConfig,
     SyntheticSpec,
     TrainConfig,
@@ -142,7 +141,7 @@ class TestSweepDropedge:
 
     def test_surviving_edge_at_p_one_is_an_error(self, tiny_dataset,
                                                  sweep_config, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, capsys):
         real = cli.drop_edges
 
         def keep_one_edge(g, p, seed=0):
@@ -163,10 +162,13 @@ class TestSweepDropedge:
 
         monkeypatch.setattr(cli, "drop_edges", keep_one_edge)
         monkeypatch.setattr(cli, "run_experiment", record)
-        with pytest.raises(ContractError, match="p=1.00 left edges"):
-            main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
-                  str(tmp_path / "sweep"), "--config", str(cfg_path),
-                  "--model", "residual-gcn"])
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "sweep"), "--config", str(cfg_path),
+                   "--model", "residual-gcn"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("contract error: p=1.00 left edges")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert trained == []  # the contract is checked before any cell trains
 
     def test_ctrl_c_exits_130_without_traceback(self, tiny_dataset,
@@ -371,6 +373,21 @@ class TestExitCodes:
                    str(tmp_path / "o"), "--config", str(cfg)])
         assert rc == 2
         assert "must be of the type of its default" in capsys.readouterr().err
+
+    def test_bad_cell_config_fails_before_any_cell_trains(
+            self, tiny_dataset, sweep_config, tmp_path, monkeypatch, capsys):
+        cfg = json.loads(sweep_config.read_text())
+        cfg["dropout_grid"] = [0.1, 1.5]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropout", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg_path)])
+        assert rc == 2
+        assert "dropout must be in [0, 1), got 1.5" in capsys.readouterr().err
+        assert trained == []
 
     def test_too_few_graphs_is_dataset_error(self, tmp_path, capsys):
         data = tmp_path / "three.jsonl"

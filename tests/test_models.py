@@ -11,6 +11,7 @@ from connectobench import (
     BlockAdjacency,
     ConfigError,
     ConnectomeGraph,
+    ContractError,
     Exphormer,
     ExphormerConfig,
     ResidualGCN,
@@ -27,14 +28,15 @@ from connectobench import (
     load_params,
     save_checkpoint,
 )
+from connectobench import models
 from connectobench.models import (
     build_model,
     gcn_layer,
-    local_interaction_graph,
     node_degrees,
     normalized_adjacency,
     sparse_attention,
     _block_params,
+    _interaction_graph,
 )
 from connectobench.rng import seeded_rng
 
@@ -304,7 +306,7 @@ class TestSparseAttention:
     def attention_setup(self, n=7, width=8, heads=2, seed=0):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, n)
-        ig = local_interaction_graph(g)
+        ig = _interaction_graph(g)
         model = Exphormer(ExphormerConfig(num_layers=1, num_heads=heads,
                                           hidden_dim=width, num_global_nodes=0),
                           in_dim=n, num_classes=2, seed=seed)
@@ -347,9 +349,9 @@ class TestSparseAttention:
         h = rng.standard_normal((n, width))
         hp = np.empty_like(h)
         hp[perm] = h
-        out = sparse_attention(local_interaction_graph(g), Tensor(h), params, 2,
+        out = sparse_attention(_interaction_graph(g), Tensor(h), params, 2,
                                0.0, 0.0, "eval", None, None).data
-        outp = sparse_attention(local_interaction_graph(gp), Tensor(hp), params, 2,
+        outp = sparse_attention(_interaction_graph(gp), Tensor(hp), params, 2,
                                 0.0, 0.0, "eval", None, None).data
         assert np.max(np.abs(outp[perm] - out)) < 1e-8
 
@@ -440,6 +442,19 @@ class TestExphormer:
         assert after.tobytes() == saved.forward(prep).data.tobytes()
 
 
+@pytest.fixture
+def attn_calls(monkeypatch):
+    """A list that grows by one per sparse_attention call a model makes."""
+    calls = []
+    real = models.sparse_attention
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(models, "sparse_attention", counting)
+    return calls
+
+
 class TestAttnVariant:
     def make(self, placement, prob, seed=0):
         cfg = ResidualGCNConfig(num_gcn_layers=2, hidden_dim=6, mlp_hidden=5)
@@ -458,7 +473,7 @@ class TestAttnVariant:
         b = plain.forward(plain.prepare(g), mode="eval").data
         assert np.array_equal(a, b)
 
-    def test_probability_one_counts_once_per_forward(self):
+    def test_probability_one_counts_once_per_forward(self, attn_calls):
         rng = np.random.default_rng(41)
         g = random_graph(rng, 8)
         m = self.make("after_concat", 1.0)
@@ -466,16 +481,16 @@ class TestAttnVariant:
         stream = seeded_rng(0, "bernoulli")
         for expected in (1, 2, 3):
             m.forward(prep, mode="train", rng=stream)
-            assert m.attn_calls == expected
+            assert len(attn_calls) == expected
 
-    def test_per_layer_placement_counts_each_layer(self):
+    def test_per_layer_placement_counts_each_layer(self, attn_calls):
         rng = np.random.default_rng(42)
         g = random_graph(rng, 8)
         m = self.make("after_each_gcn", 1.0)
         m.forward(m.prepare(g), mode="train", rng=seeded_rng(1))
-        assert m.attn_calls == m.cfg.num_gcn_layers
+        assert len(attn_calls) == m.cfg.num_gcn_layers
 
-    def test_application_count_binomial(self):
+    def test_application_count_binomial(self, attn_calls):
         rng = np.random.default_rng(43)
         g = random_graph(rng, 6)
         cfg = ResidualGCNConfig(num_gcn_layers=1, hidden_dim=4, mlp_hidden=4)
@@ -488,14 +503,25 @@ class TestAttnVariant:
         for _ in range(1000):
             m.forward(prep, mode="train", rng=stream)
         # 3 sigma of Binomial(1000, 0.5)
-        assert abs(m.attn_calls - 500) <= 3 * np.sqrt(1000 * 0.25)
+        assert abs(len(attn_calls) - 500) <= 3 * np.sqrt(1000 * 0.25)
 
-    def test_eval_applies_when_probability_positive(self):
+    def test_eval_applies_when_probability_positive(self, attn_calls):
         rng = np.random.default_rng(44)
         g = random_graph(rng, 8)
         m = self.make("after_concat", 0.3)
         m.forward(m.prepare(g), mode="eval")
-        assert m.attn_calls == 1
+        assert len(attn_calls) == 1
+
+    def test_batch_with_attention_is_a_contract_error(self):
+        rng = np.random.default_rng(45)
+        m = self.make("after_each_gcn", 0.5)
+        batch = m.collate([m.prepare(random_graph(rng, 8)) for _ in range(2)])
+        with pytest.raises(ContractError, match="one prepared graph per forward"):
+            m.forward(batch, mode="eval")
+        plain = self.make("after_concat", 0.0)
+        batch = plain.collate([plain.prepare(random_graph(rng, 8))
+                               for _ in range(2)])
+        assert plain.forward(batch, mode="train", rng=seeded_rng(2)).shape == (2, 2)
 
     def test_width_must_divide_heads(self):
         cfg = ResidualGCNConfig(num_gcn_layers=3, hidden_dim=5, mlp_hidden=4)
@@ -579,7 +605,76 @@ class TestConfigValidation:
             AttnVariantConfig(placement="before").validate()
         with pytest.raises(ConfigError):
             AttnVariantConfig(apply_probability=1.5).validate()
+        for bad in (-0.1, 1.0):
+            with pytest.raises(ConfigError, match="attention_dropout"):
+                AttnVariantConfig(attention_dropout=bad).validate()
 
     def test_unknown_model_kind(self):
         with pytest.raises(ConfigError):
             build_model("transformer", in_dim=4, num_classes=2)
+
+
+_GCN_OPS = ["matmul", "sparse_aggregate", "relu"]
+_ATTENTION_OPS = [
+    "matmul", "matmul", "matmul", "gather_rows", "gather_rows", "mul",
+    "sum_col_blocks", "scale", "softmax_segments", "dropout", "gather_rows",
+    "expand_col_blocks", "mul", "segment_sum_rows", "matmul", "add", "dropout",
+    "add", "layer_norm", "matmul", "add", "relu", "matmul", "add", "dropout",
+    "add", "layer_norm"]
+_HEAD_OPS = ["dropout", "matmul", "add", "relu", "dropout", "matmul", "add"]
+
+
+def _mlp_shapes(prefix, fan_in, hidden, out):
+    return {f"{prefix}.w1": (fan_in, hidden), f"{prefix}.b1": (1, hidden),
+            f"{prefix}.w2": (hidden, out), f"{prefix}.b2": (1, out)}
+
+
+def _attention_shapes(prefix, w):
+    shapes = {f"{prefix}.{proj}": (w, w) for proj in ("q", "k", "v", "out")}
+    shapes.update({f"{prefix}.{name}": (1, w) for name in (
+        "out_bias", "ln1_gain", "ln1_bias", "ffn_b2", "ln2_gain", "ln2_bias")})
+    shapes.update({f"{prefix}.ffn_w1": (w, 2 * w), f"{prefix}.ffn_b1": (1, 2 * w),
+                   f"{prefix}.ffn_w2": (2 * w, w)})
+    return shapes
+
+
+_GCN_SHAPES = {"gcn0.weight": (6, 64), "gcn1.weight": (64, 64),
+               "gcn2.weight": (64, 64), **_mlp_shapes("mlp", 192, 64, 2)}
+
+
+class TestModelStructure:
+    """Each model at its default config, on one 6-node graph with 6 features
+    and 2 classes: the ops a train-mode forward records, in order, and the
+    parameters it owns. A refactor that must keep outputs bit-identical keeps
+    both."""
+
+    EXPECTED = {
+        "residual_gcn": (
+            _GCN_OPS * 3 + ["concat_cols", "matmul"] + _HEAD_OPS, _GCN_SHAPES),
+        "exphormer": (
+            ["matmul", "add", "concat_rows"] + _ATTENTION_OPS * 2
+            + ["gather_rows", "mean_pool_rows"] + _HEAD_OPS,
+            {"input.w": (7, 64), "input.b": (1, 64), "global.emb": (1, 64),
+             **_attention_shapes("layer0", 64), **_attention_shapes("layer1", 64),
+             **_mlp_shapes("head", 64, 64, 2)}),
+        "attn_residual_gcn": (
+            _GCN_OPS * 3 + ["concat_cols"] + _ATTENTION_OPS + ["matmul"]
+            + _HEAD_OPS, {**_GCN_SHAPES, **_attention_shapes("attn_cat", 192)}),
+    }
+
+    @pytest.mark.parametrize("kind,forward_ops", [
+        ("residual_gcn", 18), ("exphormer", 66), ("attn_residual_gcn", 45)])
+    def test_tape_ops_and_params(self, kind, forward_ops):
+        g = random_graph(np.random.default_rng(50), 6, density=0.5)
+        m = build_model(kind, in_dim=6, num_classes=2, seed=0)
+        prep = m.prepare_dataset([g], run_seed=0)[0]
+        tape = Tape()
+        logits = m.forward(prep, mode="train", tape=tape, rng=seeded_rng(0, "s"))
+        ops, shapes = self.EXPECTED[kind]
+        assert len(ops) == forward_ops
+        assert [node.op for node in tape.nodes] == ops
+        cross_entropy(logits, [prep.label], tape=tape)
+        assert len(tape.nodes) == forward_ops + 1
+        assert tape.nodes[-1].op == "cross_entropy"
+        assert sorted((name, t.shape) for name, t in m.params.items()) \
+            == sorted(shapes.items())

@@ -97,6 +97,17 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(model_kind="mlp").validate()
 
+    @pytest.mark.parametrize("block,field", [("gcn", "dropout"),
+                                             ("exphormer", "dropout"),
+                                             ("variant", "attention_dropout")])
+    def test_every_nested_block_is_validated(self, block, field):
+        # each block is checked whatever the model kind, so a sweep can check
+        # every cell's config before any cell trains
+        cfg = TrainConfig(model_kind="residual_gcn")
+        setattr(getattr(cfg, block), field, 1.5)
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
 
 class TestTrainEpoch:
     def test_zero_lr_leaves_params_bit_identical(self):
