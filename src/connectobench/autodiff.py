@@ -310,15 +310,42 @@ def gather_rows(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def mean_pool_rows(a: Tensor, tape: Tape | None = None) -> Tensor:
-    """Average node rows into a single 1 x d vector."""
-    if a.rows == 0:
-        raise ShapeError("mean_pool_rows of an empty tensor")
-    out = Tensor(a.data.mean(axis=0, keepdims=True), requires_grad=a.requires_grad)
-    n = a.rows
+def _equal_runs(values) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal consecutive values."""
+    cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+    bounds = [0, *cuts, len(values)] if values else []
+    return list(zip(bounds, bounds[1:]))
+
+
+def mean_pool_rows(a: Tensor, tape: Tape | None = None, counts=None) -> Tensor:
+    """Average node rows into one 1 x d row per graph.
+
+    Without counts all rows are one graph. With counts, graph i owns the next
+    counts[i] rows and pools into row i. Every graph's row is what
+    rows.mean(axis=0) gives, bit for bit: each run of graphs with equal
+    counts is summed as one (graphs, rows, d) reduction over its middle axis
+    and divided by the count, which is .mean's arithmetic.
+    """
+    counts = [a.rows] if counts is None else [int(c) for c in counts]
+    if not counts or min(counts) < 1:
+        raise ShapeError("mean_pool_rows: cannot pool a graph with no rows")
+    if sum(counts) != a.rows:
+        raise ShapeError(f"mean_pool_rows: counts cover {sum(counts)} rows, "
+                         f"input has {a.rows}")
+    cols = a.cols
+    pooled = np.empty((len(counts), cols))
+    row = 0
+    for lo, hi in _equal_runs(counts):
+        k, m = hi - lo, counts[lo]
+        dest = pooled[lo:hi]
+        np.add.reduce(a.data[row:row + k * m].reshape(k, m, cols), axis=1, out=dest)
+        dest /= m
+        row += k * m
+    out = Tensor(pooled, requires_grad=a.requires_grad)
+    divisors = np.array(counts, dtype=np.float64).reshape(-1, 1)
 
     def grad_fn(g):
-        return (np.repeat(g, n, axis=0) / n,)
+        return (np.repeat(g / divisors, counts, axis=0),)
 
     _record(tape, "mean_pool_rows", (a,), out, grad_fn)
     return out
@@ -453,24 +480,38 @@ def _sum_rows_by_id(plan: IndexPlan, rows: np.ndarray, n: int) -> np.ndarray:
 class BlockAdjacency:
     """Block-diagonal linear operator over the rows of a stacked node matrix.
 
-    blocks[b] is a dense (n_b, n_b) matrix acting on rows
-    offsets[b]:offsets[b + 1]. One block is one graph's adjacency; a batch of
+    Block b is a dense (n_b, n_b) matrix acting on the n_b rows that follow
+    the rows of blocks 0..b-1. One block is one graph's adjacency; a batch of
     graphs is the union of their blocks, so graphs never exchange messages.
-    Blocks are plain data: sparse_aggregate differentiates only its input rows.
+    Each run of consecutive equal-size blocks is kept as one (k, m, m) stack,
+    and apply makes one batched product per run, not one per block: a batch
+    of graphs that share a parcellation is a single run. Blocks are plain
+    data: sparse_aggregate differentiates only its input rows.
     """
 
-    __slots__ = ("blocks", "offsets")
+    __slots__ = ("stacks", "bounds")
 
     def __init__(self, blocks):
-        self.blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-        for b in self.blocks:
+        stacks = []
+        for b in blocks:
+            b = np.asarray(b, dtype=np.float64)
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ShapeError(f"adjacency blocks must be square, got {b.shape}")
-        self.offsets = np.cumsum([0] + [b.shape[0] for b in self.blocks])
+            stacks.append(b[np.newaxis])
+        self._set_runs(stacks)
+
+    def _set_runs(self, stacks) -> None:
+        """Keep the (k, m, m) stacks, merging neighbours of equal m."""
+        self.stacks = [stacks[lo] if hi - lo == 1 else np.concatenate(stacks[lo:hi])
+                       for lo, hi in _equal_runs([s.shape[1] for s in stacks])]
+        # run r acts on rows bounds[r]:bounds[r + 1]
+        self.bounds = [0]
+        for s in self.stacks:
+            self.bounds.append(self.bounds[-1] + s.shape[0] * s.shape[1])
 
     @property
     def rows(self) -> int:
-        return int(self.offsets[-1])
+        return self.bounds[-1]
 
     @classmethod
     def from_edges(cls, edges, weights, n: int) -> "BlockAdjacency":
@@ -499,13 +540,22 @@ class BlockAdjacency:
     @classmethod
     def union(cls, ops) -> "BlockAdjacency":
         """Disjoint union: the blocks of every operator, in order."""
-        return cls([b for op in ops for b in op.blocks])
+        out = cls.__new__(cls)
+        out._set_runs([s for op in ops for s in op.stacks])
+        return out
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """A_b @ x_b (or A_b^T @ x_b) for every block b of the stacked rows x."""
-        out = np.empty_like(x)
-        for b, lo, hi in zip(self.blocks, self.offsets[:-1], self.offsets[1:]):
-            out[lo:hi] = (b.T if transpose else b) @ x[lo:hi]
+        """A_b @ x_b (or A_b^T @ x_b) for every block b of the stacked rows x.
+
+        Each block's product is the same gemm a 2-D A_b @ x_b makes, so the
+        result is bit-equal to a loop over the blocks.
+        """
+        out = np.empty(x.shape)
+        cols = x.shape[1]
+        for s, lo, hi in zip(self.stacks, self.bounds, self.bounds[1:]):
+            k, m = s.shape[:2]
+            np.matmul(s.transpose(0, 2, 1) if transpose else s,
+                      x[lo:hi].reshape(k, m, cols), out=out[lo:hi].reshape(k, m, cols))
         return out
 
 

@@ -53,6 +53,8 @@ class ConnectomeGraph:
         return self.num_edges / pairs if pairs else 0.0
 
     def validate(self) -> None:
+        if self.n < 1:
+            raise ConfigError(f"a graph needs at least one node, got n={self.n}")
         if self.x.shape[0] != self.n:
             raise ConfigError(f"x has {self.x.shape[0]} rows for {self.n} nodes")
         if self.edges.shape != (self.num_edges, 2):

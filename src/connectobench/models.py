@@ -118,6 +118,18 @@ class AttnVariantConfig:
             raise ConfigError(
                 f"attention_dropout must be in [0, 1), got {self.attention_dropout}")
 
+    def width(self, gcn: ResidualGCNConfig) -> int:
+        """Feature width the attention blocks see on top of the GCN stack gcn:
+        one layer's output, or the concatenation of all of them. Raises
+        ConfigError unless num_heads divides it."""
+        width = gcn.hidden_dim
+        if self.placement == "after_concat":
+            width *= gcn.num_gcn_layers
+        if width % self.num_heads != 0:
+            raise ConfigError(f"attention width {width} ({self.placement}) not "
+                              f"divisible by {self.num_heads} heads")
+        return width
+
 
 @dataclass(eq=False)
 class InteractionGraph:
@@ -372,7 +384,7 @@ class GCNBatch:
 
     x: Tensor            # (N, d): every graph's node rows, stacked
     adj: BlockAdjacency  # one adjacency block per graph, at its row offset
-    pool: Tensor         # (B, N): row b averages graph b's node rows
+    counts: list[int]    # node rows of each graph, in row order
 
 
 @dataclass(eq=False)
@@ -411,8 +423,7 @@ class ResidualGCN(_Model):
     """GCN stack with concatenated layer outputs and an MLP head.
 
     A mini-batch runs as one forward over the disjoint union of its graphs
-    (see collate); per-graph mean pooling is a matmul with the batch's
-    averaging matrix.
+    (see collate), and mean_pool_rows pools each graph's rows to one row.
     """
 
     kind = "residual_gcn"
@@ -440,18 +451,12 @@ class ResidualGCN(_Model):
 
     @staticmethod
     def collate(preps: list[PreparedGCN]) -> GCNBatch:
-        """Stack prepared graphs into one block-diagonal input with a pooling matrix."""
+        """Stack prepared graphs into one block-diagonal input."""
         if not preps:
             raise ShapeError("collate of an empty graph list")
-        sizes = np.array([p.n for p in preps])
-        if sizes.min() == 0:
-            raise ShapeError("cannot pool a graph with no nodes")
-        pool = np.zeros((sizes.size, int(sizes.sum())))
-        pool[np.repeat(np.arange(sizes.size), sizes), np.arange(pool.shape[1])] = \
-            np.repeat(1.0 / sizes, sizes)
         return GCNBatch(x=Tensor(np.concatenate([p.x.data for p in preps])),
                         adj=BlockAdjacency.union(p.adj for p in preps),
-                        pool=Tensor(pool))
+                        counts=[p.n for p in preps])
 
     def _logits(self, prep: PreparedGCN | GCNBatch, mode: str, tape, rng,
                 after_layer=None, after_concat=None) -> Tensor:
@@ -468,8 +473,9 @@ class ResidualGCN(_Model):
         hcat = concat_cols(outs, tape)
         if after_concat is not None:
             hcat = after_concat(hcat)
-        return _mlp_head(self.params, "mlp", matmul(batch.pool, hcat, tape),
-                         self.cfg.dropout, mode, tape, rng)
+        pooled = mean_pool_rows(hcat, tape, counts=batch.counts)
+        return _mlp_head(self.params, "mlp", pooled, self.cfg.dropout, mode,
+                         tape, rng)
 
     def forward(self, prep: PreparedGCN | GCNBatch, mode: str = "eval",
                 tape: Tape | None = None, rng=None) -> Tensor:
@@ -550,11 +556,7 @@ class AttnResidualGCN(ResidualGCN):
         super().__init__(cfg, in_dim, num_classes, seed)
         variant.validate()
         self.variant = variant
-        concat_dim = cfg.num_gcn_layers * cfg.hidden_dim
-        width = cfg.hidden_dim if variant.placement == "after_each_gcn" else concat_dim
-        if width % variant.num_heads != 0:
-            raise ConfigError(
-                f"attention width {width} not divisible by {variant.num_heads} heads")
+        width = variant.width(cfg)
         b = _ParamBuilder(seed, self.params)
         if variant.placement == "after_each_gcn":
             names = {i: f"attn{i}" for i in range(cfg.num_gcn_layers)}

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ConfigError("decay_rule must be 'linear' or 'exponential'")
         for block in (self.gcn, self.exphormer, self.variant):
             block.validate()
+        if self.model_kind == "attn_residual_gcn":
+            self.variant.width(self.gcn)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -119,6 +119,16 @@ def test_criterion_1_gradient_suite():
         ew = rng.uniform(0.5, 1.0, 4)
         labels = rng.integers(0, 3, size=rows)  # matmul(a, w) gives 3 classes
         drop_seed = int(rng.integers(1 << 20))
+        # a batch of three graphs of mixed sizes, drawn from a stream of its
+        # own so the checks above see the same data as without it
+        brng = np.random.default_rng(300 + instance)
+        sizes = [2, 2, 3]
+        u = Tensor(away_from_zero(brng, (sum(sizes), cols)), requires_grad=True)
+        union = BlockAdjacency.union(
+            BlockAdjacency.from_edges(
+                np.stack([brng.integers(0, n, 3), brng.integers(0, n, 3)], axis=1),
+                brng.uniform(0.5, 1.0, 3), n)
+            for n in sizes)
 
         checks = {
             "matmul": (lambda t=None: matmul(a, w, t), [a, w]),
@@ -154,6 +164,10 @@ def test_criterion_1_gradient_suite():
                 [a]),
             "softmax_segments_plan": (
                 lambda t=None: softmax_segments(a, IndexPlan(seg[::-1]), t), [a]),
+            "mean_pool_rows_counts": (
+                lambda t=None: mean_pool_rows(u, t, counts=sizes), [u]),
+            "sparse_aggregate_union": (
+                lambda t=None: sparse_aggregate(union, u, t), [u]),
         }
         for name, (build, tensors) in checks.items():
             worst_overall = max(worst_overall,

@@ -35,6 +35,7 @@ from connectobench.autodiff import (
     segment_sum_rows,
     sum_col_blocks,
 )
+from connectobench.models import ResidualGCN, ResidualGCNConfig, load_params
 from connectobench.optim import AdamState, adam_step
 
 from helpers import max_rel_err, numerical_grad
@@ -123,6 +124,55 @@ class TestSparseAggregate:
         b = sparse_aggregate(
             BlockAdjacency.from_edges(edges[shuffled], w[shuffled], 4), h).data
         assert np.array_equal(a, b)
+
+
+def _loop_apply(blocks, x, transpose=False):
+    """The per-block product BlockAdjacency.apply replaces."""
+    out, lo = np.empty_like(x), 0
+    for b in blocks:
+        hi = lo + b.shape[0]
+        out[lo:hi] = (b.T if transpose else b) @ x[lo:hi]
+        lo = hi
+    return out
+
+
+class TestBlockAdjacency:
+    @pytest.mark.parametrize("sizes", [[40] * 16, [1], [5, 5, 7, 5, 5],
+                                       [3, 9, 9, 2, 2, 2], [6, 1, 6]])
+    @pytest.mark.parametrize("cols", [1, 3, 64])
+    def test_stacked_apply_matches_per_block_loop(self, sizes, cols):
+        rng = np.random.default_rng(len(sizes) * 100 + cols)
+        blocks = [rng.standard_normal((n, n)) for n in sizes]
+        x = rng.standard_normal((sum(sizes), cols))
+        union = BlockAdjacency.union(BlockAdjacency([b]) for b in blocks)
+        direct = BlockAdjacency(blocks)
+        runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
+        assert len(union.stacks) == len(direct.stacks) == runs
+        assert union.rows == direct.rows == sum(sizes)
+        for transpose in (False, True):
+            expected = _loop_apply(blocks, x, transpose)
+            assert np.array_equal(union.apply(x, transpose), expected)
+            assert np.array_equal(direct.apply(x, transpose), expected)
+
+    def test_union_of_unions_keeps_block_order(self):
+        rng = np.random.default_rng(4)
+        blocks = [rng.standard_normal((n, n)) for n in (2, 2, 3, 3, 2)]
+        x = rng.standard_normal((12, 4))
+        nested = BlockAdjacency.union([BlockAdjacency(blocks[:3]),
+                                       BlockAdjacency(blocks[3:])])
+        assert [s.shape for s in nested.stacks] == [(2, 2, 2), (2, 3, 3), (1, 2, 2)]
+        assert np.array_equal(nested.apply(x), _loop_apply(blocks, x))
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+    def test_non_square_block_raises(self, bad):
+        with pytest.raises(ShapeError, match="square"):
+            BlockAdjacency([np.eye(2), bad])
+
+    def test_union_row_mismatch_raises(self):
+        union = BlockAdjacency.union([BlockAdjacency([np.eye(2)]),
+                                      BlockAdjacency([np.eye(3)])])
+        with pytest.raises(ShapeError, match="covers 5 rows"):
+            sparse_aggregate(union, Tensor(np.ones((4, 2))))
 
 
 class TestSoftmaxSegments:
@@ -349,6 +399,35 @@ class TestElementwiseAndShape:
         out = mean_pool_rows(Tensor([[2.0, 4.0], [4.0, 8.0]]))
         assert np.array_equal(out.data, [[3.0, 6.0]])
 
+    @pytest.mark.parametrize("counts", [[40] * 16, [5, 5, 7, 5, 5], [1, 9, 1],
+                                        [130, 2, 2, 300], [3]])
+    @pytest.mark.parametrize("cols", [1, 2, 192])
+    def test_mean_pool_rows_per_graph_matches_mean(self, counts, cols):
+        rng = np.random.default_rng(sum(counts) + cols)
+        x = rng.standard_normal((sum(counts), cols)) * 1e3
+        a = Tensor(x, requires_grad=True)
+        tape = Tape()
+        out = mean_pool_rows(a, tape, counts=counts)
+        bounds = np.cumsum([0] + counts)
+        expected = np.concatenate([x[lo:hi].mean(axis=0, keepdims=True)
+                                   for lo, hi in zip(bounds, bounds[1:])])
+        assert np.array_equal(out.data, expected)
+        g = rng.standard_normal(out.shape)
+        (grad,) = tape.nodes[-1].grad_fn(g)
+        assert np.array_equal(grad, np.concatenate(
+            [np.repeat(g[i:i + 1], n, axis=0) / n for i, n in enumerate(counts)]))
+
+    def test_mean_pool_rows_without_counts_is_mean(self):
+        x = np.random.default_rng(8).standard_normal((51, 64))
+        assert np.array_equal(mean_pool_rows(Tensor(x)).data,
+                              x.mean(axis=0, keepdims=True))
+
+    @pytest.mark.parametrize("rows,counts", [(0, None), (3, [3, 0]), (0, []),
+                                             (4, [2, 1])])
+    def test_mean_pool_rows_refuses_bad_counts(self, rows, counts):
+        with pytest.raises(ShapeError, match="mean_pool_rows"):
+            mean_pool_rows(Tensor(np.ones((rows, 2))), counts=counts)
+
     def test_relu(self):
         out = relu(Tensor([[1.0, -1.0, 0.0]]))
         assert np.array_equal(out.data, [[1.0, 0.0, 0.0]])
@@ -563,3 +642,49 @@ class TestAdam:
             return p.data
 
         assert np.array_equal(run(), run())
+
+    @staticmethod
+    def _per_tensor_step(params, lr, state):
+        """The update adam_step makes, one parameter at a time."""
+        state["t"] += 1
+        t = state["t"]
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for name in sorted(params):
+            p = params[name]
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m = state["m"].get(name, np.zeros_like(p.data))
+            v = state["v"].get(name, np.zeros_like(p.data))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            state["m"][name], state["v"][name] = m, v
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+    def test_flat_step_matches_per_tensor_loop(self):
+        def model(seed):
+            return ResidualGCN(ResidualGCNConfig(num_gcn_layers=2, hidden_dim=5,
+                                                 mlp_hidden=4), 3, 2, seed)
+
+        flat, ref = model(0), model(0)
+        state, ref_state = AdamState(), {"t": 0, "m": {}, "v": {}}
+        rng = np.random.default_rng(1)
+        for step in range(5):
+            for name, p in flat.params.items():
+                grad = None if name == "mlp.b1" and step in (1, 2) else \
+                    rng.standard_normal(p.shape) * 10.0 ** (step - 2)
+                p.grad = ref.params[name].grad = grad
+            if step == 3:  # load_params rebinds .data; the moments carry on
+                load_params(flat, model(2).params)
+                load_params(ref, model(2).params)
+            adam_step(flat.params, 0.01 * (step + 1), state)
+            self._per_tensor_step(ref.params, 0.01 * (step + 1), ref_state)
+            for name, p in flat.params.items():
+                assert np.array_equal(p.data, ref.params[name].data), name
+
+    def test_changed_parameter_set_is_refused(self):
+        state = AdamState()
+        adam_step({"p": Tensor(np.ones((2, 2)), requires_grad=True)}, 0.1, state)
+        with pytest.raises(ContractError, match="adam_step"):
+            adam_step({"q": Tensor(np.ones((2, 2)), requires_grad=True)}, 0.1, state)
+        with pytest.raises(ContractError, match="adam_step"):
+            adam_step({"p": Tensor(np.ones((1, 4)), requires_grad=True)}, 0.1, state)

@@ -328,6 +328,24 @@ class TestExitCodes:
         assert rc == 4
         assert "line 6" in capsys.readouterr().err
 
+    def test_graph_with_no_nodes_is_dataset_error(self, tiny_dataset, tmp_path,
+                                                  monkeypatch, capsys):
+        lines = tiny_dataset.read_text().splitlines()
+        record = json.loads(lines[3])
+        record.update(n=0, x=[], edges=[], w=[])
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropedge", "--dataset", str(bad), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 4" in err[0] and "n=0" in err[0]
+        assert trained == []
+
     def test_missing_dataset_is_io_error(self, tmp_path):
         rc = main(["sweep-dropedge", "--dataset", str(tmp_path / "no.jsonl"),
                    "--out", str(tmp_path / "o")])
@@ -387,6 +405,18 @@ class TestExitCodes:
                    str(tmp_path / "o"), "--config", str(cfg_path)])
         assert rc == 2
         assert "dropout must be in [0, 1), got 1.5" in capsys.readouterr().err
+        assert trained == []
+        # 4 heads divide the after_concat width 2 * 6 = 12 but not the
+        # after_each_gcn width 6, so the second cell's config is refused
+        cfg = json.loads(sweep_config.read_text())
+        cfg["train"]["variant"]["num_heads"] = 4
+        cfg["variants"] = [["after_concat", 1.0], ["after_each_gcn", 1.0]]
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["sweep-variants", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "v"), "--config", str(cfg_path)])
+        assert rc == 2
+        assert "attention width 6 (after_each_gcn) not divisible by 4 heads" \
+            in capsys.readouterr().err
         assert trained == []
 
     def test_too_few_graphs_is_dataset_error(self, tmp_path, capsys):

@@ -650,7 +650,8 @@ class TestModelStructure:
 
     EXPECTED = {
         "residual_gcn": (
-            _GCN_OPS * 3 + ["concat_cols", "matmul"] + _HEAD_OPS, _GCN_SHAPES),
+            _GCN_OPS * 3 + ["concat_cols", "mean_pool_rows"] + _HEAD_OPS,
+            _GCN_SHAPES),
         "exphormer": (
             ["matmul", "add", "concat_rows"] + _ATTENTION_OPS * 2
             + ["gather_rows", "mean_pool_rows"] + _HEAD_OPS,
@@ -658,7 +659,7 @@ class TestModelStructure:
              **_attention_shapes("layer0", 64), **_attention_shapes("layer1", 64),
              **_mlp_shapes("head", 64, 64, 2)}),
         "attn_residual_gcn": (
-            _GCN_OPS * 3 + ["concat_cols"] + _ATTENTION_OPS + ["matmul"]
+            _GCN_OPS * 3 + ["concat_cols"] + _ATTENTION_OPS + ["mean_pool_rows"]
             + _HEAD_OPS, {**_GCN_SHAPES, **_attention_shapes("attn_cat", 192)}),
     }
 
