@@ -5,74 +5,44 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter.
-
-    m and v are flat over every parameter, laid out as layout's (name, shape)
-    pairs in sorted name order. The first step allocates them, and two
-    scratch buffers of the same size so that no step allocates any.
-    """
+    """First/second moment buffers plus the shared step counter."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.layout: list[tuple[str, tuple[int, int]]] | None = None
-        self.m = self.v = self._scratch = None
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
 
 def adam_step(params: dict[str, Tensor], lr: float, state: AdamState) -> None:
     """Apply one Adam update in-place; parameters with no grad get zero grad.
 
-    Deterministic given the state. The standard bias-corrected update runs
-    once over all gradients laid end to end in sorted name order, with the
-    operations of a per-parameter update in the same order, so every entry
-    gets the same bits. Parameters stay separate arrays (load_params rebinds
-    their .data). Raises ContractError if the names or shapes differ from
-    the first step's.
+    Deterministic given the state: parameters are visited in sorted name order
+    and the update uses the standard bias-corrected moment estimates.
     """
-    names = sorted(params)
-    tensors = [params[name] for name in names]
-    layout = [(name, p.shape) for name, p in zip(names, tensors)]
-    if state.layout is None:
-        size = sum(p.data.size for p in tensors)
-        state.layout = layout
-        state.m, state.v = np.zeros(size), np.zeros(size)
-        state._scratch = np.empty(size), np.empty(size)
-    elif layout != state.layout:
-        raise ContractError("adam_step: parameter names or shapes changed "
-                            "since the first step")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    m, v = state.m, state.v
-    g, tmp = state._scratch
-    parts, lo = [], 0  # parts[i] views parameter i's span of g
-    for p in tensors:
-        parts.append(g[lo:lo + p.data.size])
-        parts[-1][...] = 0.0 if p.grad is None else p.grad.ravel()
-        lo += p.data.size
-    # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * (g * g), then
-    # g = lr * (m / bc1) / (sqrt(v / bc2) + eps), written into the buffers
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=tmp)
-    v *= b2
-    g *= g
-    g *= 1.0 - b2
-    v += g
-    denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-    denom += state.eps
-    np.divide(m, bc1, out=g)
-    g *= lr
-    g /= denom
-    for p, part in zip(tensors, parts):
-        p.data -= part.reshape(p.data.shape)
+    for name in sorted(params):
+        p = params[name]
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

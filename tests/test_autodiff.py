@@ -35,7 +35,6 @@ from connectobench.autodiff import (
     segment_sum_rows,
     sum_col_blocks,
 )
-from connectobench.models import ResidualGCN, ResidualGCNConfig, load_params
 from connectobench.optim import AdamState, adam_step
 
 from helpers import max_rel_err, numerical_grad
@@ -642,49 +641,3 @@ class TestAdam:
             return p.data
 
         assert np.array_equal(run(), run())
-
-    @staticmethod
-    def _per_tensor_step(params, lr, state):
-        """The update adam_step makes, one parameter at a time."""
-        state["t"] += 1
-        t = state["t"]
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        for name in sorted(params):
-            p = params[name]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = state["m"].get(name, np.zeros_like(p.data))
-            v = state["v"].get(name, np.zeros_like(p.data))
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            state["m"][name], state["v"][name] = m, v
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-    def test_flat_step_matches_per_tensor_loop(self):
-        def model(seed):
-            return ResidualGCN(ResidualGCNConfig(num_gcn_layers=2, hidden_dim=5,
-                                                 mlp_hidden=4), 3, 2, seed)
-
-        flat, ref = model(0), model(0)
-        state, ref_state = AdamState(), {"t": 0, "m": {}, "v": {}}
-        rng = np.random.default_rng(1)
-        for step in range(5):
-            for name, p in flat.params.items():
-                grad = None if name == "mlp.b1" and step in (1, 2) else \
-                    rng.standard_normal(p.shape) * 10.0 ** (step - 2)
-                p.grad = ref.params[name].grad = grad
-            if step == 3:  # load_params rebinds .data; the moments carry on
-                load_params(flat, model(2).params)
-                load_params(ref, model(2).params)
-            adam_step(flat.params, 0.01 * (step + 1), state)
-            self._per_tensor_step(ref.params, 0.01 * (step + 1), ref_state)
-            for name, p in flat.params.items():
-                assert np.array_equal(p.data, ref.params[name].data), name
-
-    def test_changed_parameter_set_is_refused(self):
-        state = AdamState()
-        adam_step({"p": Tensor(np.ones((2, 2)), requires_grad=True)}, 0.1, state)
-        with pytest.raises(ContractError, match="adam_step"):
-            adam_step({"q": Tensor(np.ones((2, 2)), requires_grad=True)}, 0.1, state)
-        with pytest.raises(ContractError, match="adam_step"):
-            adam_step({"p": Tensor(np.ones((1, 4)), requires_grad=True)}, 0.1, state)

@@ -3,8 +3,9 @@
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload gcn-structure --seeds 10..19
 
 For every seed, runs `perfbench/run.py --workload W --seed S --trace 0` once
-in each checkout, the parent first on even pairs and the change first on odd
-ones, so drift in machine load falls on both sides alike. Then, for every
+in each checkout, at run.py's default run length, the parent first on even
+pairs and the change first on odd ones, so drift in machine load falls on
+both sides alike. Then, for every
 end-to-end metric that PARENT_DIR/BENCHMARK.json declares, prints each
 side's median and quartiles, the ratio of the medians (change / parent), how
 many pairs the change won (ties count for neither side) and whether a gain
@@ -37,11 +38,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The result line of one untraced benchmark run in checkout."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
+         str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: seed {seed} exited with {proc.returncode}\n"
@@ -74,18 +75,15 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True)
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or float(spec["run_seconds"])
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     values = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in sides}
     bad = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, seed, seconds)
+            result = run_once(sides[side], args.workload, seed)
             if not result["correct"] or result["failed"]:
                 bad.append(f"{side} seed {seed}: correct={result['correct']} "
                            f"failed={result['failed']}/{result['attempted']}")
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
               f"({order[0]} first)", file=sys.stderr)
 
     n = len(args.seeds)
-    print(f"# {args.workload}: {n} pairs, seeds {args.seeds}, {seconds:g} s runs")
+    print(f"# {args.workload}: {n} pairs, seeds {args.seeds}")
     print(f"{'metric':<18} {'parent median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'ratio':>6} {'wins':>6}  call")
     for m in spec["end_to_end"]:
