@@ -85,9 +85,6 @@ class Tensor:
             raise ContractError(f"item() needs a 1-element tensor, got {self.shape}")
         return float(self.data.flat[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -170,41 +167,41 @@ def backward(tape: Tape, loss: Tensor) -> None:
             t.grad += g
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Matrix product a @ b."""
+def matmul(a: Tensor, b: Tensor, tape: Tape | None = None,
+           bias: Tensor | None = None) -> Tensor:
+    """Matrix product a @ b, plus the 1 x b.cols row bias on every row if given:
+    a linear layer as one tape node, which gives the bias its row-sum gradient."""
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_needs(a, b))
+    prod = a.data @ b.data
+    inputs = (a, b)
+    if bias is not None:
+        if bias.shape != (1, b.cols):
+            raise ShapeError(f"matmul: bias must be (1, {b.cols}), got {bias.shape}")
+        prod += bias.data
+        inputs = (a, b, bias)
+    out = Tensor(prod, requires_grad=_needs(*inputs))
 
     def grad_fn(g):
         return (
             g @ b.data.T if a.requires_grad else None,
             a.data.T @ g if b.requires_grad else None,
+            g.sum(axis=0, keepdims=True) if bias is not None and bias.requires_grad
+            else None,
         )
 
-    _record(tape, "matmul", (a, b), out, grad_fn)
+    _record(tape, "matmul", inputs, out, grad_fn)
     return out
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise sum; a single-row operand broadcasts over the other's rows."""
-    if a.shape == b.shape:
-        mode = "same"
-    elif b.rows == 1 and b.cols == a.cols:
-        mode = "bias_b"
-    elif a.rows == 1 and a.cols == b.cols:
-        mode = "bias_a"
-    else:
+    """Elementwise sum of same-shape tensors."""
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data, requires_grad=_needs(a, b))
 
     def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g.sum(axis=0, keepdims=True) if mode == "bias_a" else g
-        if b.requires_grad:
-            gb = g.sum(axis=0, keepdims=True) if mode == "bias_b" else g
-        return ga, gb
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
     _record(tape, "add", (a, b), out, grad_fn)
     return out
@@ -245,52 +242,41 @@ def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def concat_cols(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
-    """Stack tensors along the feature axis."""
+def _concat(parts: list[Tensor], axis: int, op: str, tape: Tape | None) -> Tensor:
+    """Stack parts along axis (0: rows, 1: columns); the other axis must agree."""
     if not parts:
-        raise ShapeError("concat_cols of an empty list")
-    rows = parts[0].rows
+        raise ShapeError(f"{op} of an empty list")
+    other = parts[0].shape[1 - axis]
     for p in parts:
-        if p.rows != rows:
-            raise ShapeError(f"concat_cols: row counts differ, {p.rows} vs {rows}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1),
+        if p.shape[1 - axis] != other:
+            raise ShapeError(f"{op}: {('column', 'row')[axis]} counts differ, "
+                             f"{p.shape[1 - axis]} vs {other}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis),
                  requires_grad=_needs(*parts))
-    widths = [p.cols for p in parts]
+    sizes = [p.shape[axis] for p in parts]
 
     def grad_fn(g):
+        # slicing by offset: np.split costs several times more per call
         grads = []
         offset = 0
-        for p, w in zip(parts, widths):
-            grads.append(g[:, offset:offset + w] if p.requires_grad else None)
-            offset += w
+        for p, size in zip(parts, sizes):
+            part = g[offset:offset + size] if axis == 0 else g[:, offset:offset + size]
+            grads.append(part if p.requires_grad else None)
+            offset += size
         return tuple(grads)
 
-    _record(tape, "concat_cols", tuple(parts), out, grad_fn)
+    _record(tape, op, tuple(parts), out, grad_fn)
     return out
+
+
+def concat_cols(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
+    """Stack tensors along the feature axis."""
+    return _concat(parts, 1, "concat_cols", tape)
 
 
 def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
     """Stack tensors along the row axis."""
-    if not parts:
-        raise ShapeError("concat_rows of an empty list")
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise ShapeError(f"concat_rows: column counts differ, {p.cols} vs {cols}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0),
-                 requires_grad=_needs(*parts))
-    heights = [p.rows for p in parts]
-
-    def grad_fn(g):
-        grads = []
-        offset = 0
-        for p, h in zip(parts, heights):
-            grads.append(g[offset:offset + h] if p.requires_grad else None)
-            offset += h
-        return tuple(grads)
-
-    _record(tape, "concat_rows", tuple(parts), out, grad_fn)
-    return out
+    return _concat(parts, 0, "concat_rows", tape)
 
 
 def gather_rows(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
@@ -467,8 +453,6 @@ def _as_plan(idx, name: str) -> IndexPlan:
 def _sum_rows_by_id(plan: IndexPlan, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, cols) array: row k sums the rows[i] with ids[i] == k in sorted order,
     and is zero if no id is k. The caller checks that the ids lie in [0, n)."""
-    if not plan.ids.size:
-        return np.zeros((n, rows.shape[1]))
     sums = np.add.reduceat(plan.sort_rows(rows), plan.starts, axis=0)
     if plan.keys.size == n:  # every row is named: the run sums are the result
         return sums
@@ -608,12 +592,6 @@ def softmax_segments(scores: Tensor, segments, tape: Tape | None = None) -> Tens
     plan = _as_plan(segments, "segments")
     if plan.ids.size != scores.rows:
         raise ShapeError(f"segments length {plan.ids.size} != rows {scores.rows}")
-    if scores.rows == 0:
-        out = Tensor(np.zeros_like(scores.data), requires_grad=scores.requires_grad)
-        _record(tape, "softmax_segments", (scores,), out,
-                lambda g: (np.zeros_like(scores.data),))
-        return out
-
     starts, counts = plan.starts, plan.counts
     v = plan.sort_rows(scores.data)
     seg_max = np.maximum.reduceat(v, starts, axis=0)

@@ -21,7 +21,7 @@ from .config import _same_json_type
 from .data import (
     Dataset,
     SyntheticSpec,
-    dataset_to_lines,
+    dataset_bytes,
     deserialize_dataset,
     drop_edges,
     generate_synthetic,
@@ -54,25 +54,29 @@ def config_hash(cfg: TrainConfig) -> str:
 def _file_config(args) -> dict:
     if not args.config:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON in {args.config}: "
-                              f"{exc.msg}") from exc
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"invalid config JSON in {args.config}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object, "
+                          f"got {type(config).__name__}")
+    return config
 
 
 def _resolve_dataset(args, config) -> tuple[Dataset, str, str]:
     """Return (dataset, git-style content hash, display name)."""
     path = args.dataset or config.get("dataset")
     if path:
+        if not isinstance(path, str):
+            raise ConfigError(f"config key dataset must be a path, got {path!r}")
         raw = Path(path).read_bytes()
         return deserialize_dataset(path, raw), git_blob_sha1(raw), Path(path).stem
     spec_dict = config.get("dataset_spec")
     if spec_dict:
         ds = generate_synthetic(SyntheticSpec.from_dict(spec_dict))
-        blob = ("\n".join(dataset_to_lines(ds)) + "\n").encode("utf-8")
-        return ds, git_blob_sha1(blob), "synthetic"
+        return ds, git_blob_sha1(dataset_bytes(ds)), "synthetic"
     raise ConfigError("no dataset: pass --dataset or a config dataset_spec")
 
 
@@ -277,12 +281,16 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    """Run one sweep grid: check every cell's config and the p=1 contract,
-    train its cells, then write one run JSON per cell and the grid's CSV
-    tables."""
+    """Run one sweep grid: check every cell's key and config and the p=1
+    contract, train its cells, then write one run JSON per cell and the
+    grid's CSV tables."""
     config = _file_config(args)
     cells, report = _SWEEPS[args.sweep](args, config)
-    for _, cfg, _ in cells:
+    keys = set()
+    for key, cfg, _ in cells:
+        if key in keys:  # the two cells would write one run JSON and CSV row
+            raise ConfigError(f"two grid cells share the key {key}")
+        keys.add(key)
         cfg.validate()
     dataset, ds_hash, ds_name = _resolve_dataset(args, config)
     out_dir = Path(args.out)

@@ -321,8 +321,8 @@ def split_dataset(graphs, ratios=(0.7, 0.15, 0.15), seed=0) -> DatasetSplits:
                          test=sorted(buckets[2]))
 
 
-def _graph_to_line(g: ConnectomeGraph) -> str:
-    record = {
+def _graph_record(g: ConnectomeGraph) -> dict:
+    return {
         "n": g.n,
         "d": int(g.x.shape[1]),
         "x": g.x.reshape(-1).tolist(),
@@ -330,28 +330,28 @@ def _graph_to_line(g: ConnectomeGraph) -> str:
         "w": g.weights.tolist(),
         "y": g.label,
     }
-    return json.dumps(record, separators=(",", ":"), allow_nan=False)
 
 
-def dataset_to_lines(ds: Dataset) -> list[str]:
-    """JSON-Lines encoding: one header line, then one line per graph.
-
-    A NaN or an infinity raises ConfigError, as the loader would refuse it.
-    """
+def dataset_bytes(ds: Dataset) -> bytearray:
+    """The dataset file in UTF-8: a JSON header line, then a JSON line per
+    graph, each newline-ended, built in one buffer that never holds a second
+    copy of the file. A NaN or an infinity raises ConfigError, as the loader
+    would refuse it."""
     header = {"version": 1, "num_classes": ds.num_classes, "spec": ds.spec}
+    out = bytearray()
     try:
-        return [json.dumps(header, separators=(",", ":"), allow_nan=False)] + [
-            _graph_to_line(g) for g in ds.graphs
-        ]
+        for record in itertools.chain([header], map(_graph_record, ds.graphs)):
+            line = json.dumps(record, separators=(",", ":"), allow_nan=False)
+            out += line.encode("utf-8") + b"\n"
     except ValueError as exc:
         raise ConfigError(f"cannot write a dataset holding NaN or infinity: {exc}"
                           ) from exc
+    return out
 
 
 def serialize_dataset(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in dataset_to_lines(ds):
-            fh.write(line + "\n")
+    with open(path, "wb") as fh:
+        fh.write(dataset_bytes(ds))
 
 
 def _json_int(obj: dict, key: str) -> int:

@@ -300,11 +300,11 @@ def sparse_attention(ig: InteractionGraph, h: Tensor, p: dict[str, Tensor],
     ve = gather_rows(v, ig.src_plan, tape)
     mixed = mul(ve, expand_col_blocks(weights, head_dim, tape), tape)
     ctx = segment_sum_rows(mixed, ig.dst_plan, h.rows, tape)
-    attn = add(matmul(ctx, p["out"], tape), p["out_bias"], tape)
+    attn = matmul(ctx, p["out"], tape, bias=p["out_bias"])
     attn = dropout(attn, dropout_rate, mode, rng, tape)
     h1 = layer_norm(add(h, attn, tape), p["ln1_gain"], p["ln1_bias"], tape)
-    ff = relu(add(matmul(h1, p["ffn_w1"], tape), p["ffn_b1"], tape), tape)
-    ff = add(matmul(ff, p["ffn_w2"], tape), p["ffn_b2"], tape)
+    ff = relu(matmul(h1, p["ffn_w1"], tape, bias=p["ffn_b1"]), tape)
+    ff = matmul(ff, p["ffn_w2"], tape, bias=p["ffn_b2"])
     ff = dropout(ff, dropout_rate, mode, rng, tape)
     return layer_norm(add(h1, ff, tape), p["ln2_gain"], p["ln2_bias"], tape)
 
@@ -331,7 +331,8 @@ class _ParamBuilder:
     def ones(self, name: str, cols: int) -> None:
         self.params[name] = Tensor(np.ones((1, cols)), requires_grad=True)
 
-    def attention_block(self, prefix: str, width: int) -> None:
+    def attention_block(self, prefix: str, width: int) -> dict[str, Tensor]:
+        """Adds a sparse_attention block's params; returns them by short name."""
         for proj in ("q", "k", "v", "out"):
             self.weight(f"{prefix}.{proj}", width, width)
         self.zeros(f"{prefix}.out_bias", width)
@@ -343,6 +344,8 @@ class _ParamBuilder:
         self.zeros(f"{prefix}.ffn_b2", width)
         self.ones(f"{prefix}.ln2_gain", width)
         self.zeros(f"{prefix}.ln2_bias", width)
+        return {name[len(prefix) + 1:]: t for name, t in self.params.items()
+                if name.startswith(prefix + ".")}
 
     def mlp(self, prefix: str, fan_in: int, hidden: int, out: int) -> None:
         self.weight(f"{prefix}.w1", fan_in, hidden)
@@ -355,17 +358,10 @@ def _mlp_head(params: dict[str, Tensor], prefix: str, pooled: Tensor,
               rate: float, mode: str, tape, rng) -> Tensor:
     """Logits of pooled rows through the MLP _ParamBuilder.mlp(prefix) made."""
     z = dropout(pooled, rate, mode, rng, tape)
-    z = relu(add(matmul(z, params[f"{prefix}.w1"], tape),
-                 params[f"{prefix}.b1"], tape), tape)
+    z = relu(matmul(z, params[f"{prefix}.w1"], tape, bias=params[f"{prefix}.b1"]),
+             tape)
     z = dropout(z, rate, mode, rng, tape)
-    return add(matmul(z, params[f"{prefix}.w2"], tape),
-               params[f"{prefix}.b2"], tape)
-
-
-def _block_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
-    cut = len(prefix) + 1
-    return {name[cut:]: t for name, t in params.items()
-            if name.startswith(prefix + ".")}
+    return matmul(z, params[f"{prefix}.w2"], tape, bias=params[f"{prefix}.b2"])
 
 
 @dataclass(eq=False)
@@ -500,13 +496,11 @@ class Exphormer(_Model):
         b.zeros("input.b", cfg.hidden_dim)
         if cfg.num_global_nodes:
             b.weight("global.emb", cfg.num_global_nodes, cfg.hidden_dim)
-        for l in range(cfg.num_layers):
-            b.attention_block(f"layer{l}", cfg.hidden_dim)
-        b.mlp("head", cfg.hidden_dim, cfg.hidden_dim, num_classes)
         # load_params replaces each tensor's .data in place, so these views
         # of self.params stay current
-        self._layers = [_block_params(self.params, f"layer{l}")
+        self._layers = [b.attention_block(f"layer{l}", cfg.hidden_dim)
                         for l in range(cfg.num_layers)]
+        b.mlp("head", cfg.hidden_dim, cfg.hidden_dim, num_classes)
 
     def prepare(self, graph: ConnectomeGraph, ig_seed=0) -> PreparedExphormer:
         ig = build_interaction_graph(graph, self.cfg, ig_seed)
@@ -528,8 +522,7 @@ class Exphormer(_Model):
                 attn_capture: list | None = None) -> Tensor:
         rng = self._train_rng(mode, rng)
         cfg = self.cfg
-        h = add(matmul(prep.x, self.params["input.w"], tape),
-                self.params["input.b"], tape)
+        h = matmul(prep.x, self.params["input.w"], tape, bias=self.params["input.b"])
         if cfg.num_global_nodes:
             h = concat_rows([h, self.params["global.emb"]], tape)
         for block in self._layers:
@@ -562,11 +555,9 @@ class AttnResidualGCN(ResidualGCN):
             names = {i: f"attn{i}" for i in range(cfg.num_gcn_layers)}
         else:
             names = {"cat": "attn_cat"}
-        for name in names.values():
-            b.attention_block(name, width)
         # keyed by GCN layer index or "cat". load_params replaces each
         # tensor's .data in place, so these views of self.params stay current
-        self._attn = {key: _block_params(self.params, name)
+        self._attn = {key: b.attention_block(name, width)
                       for key, name in names.items()}
 
     @property

@@ -129,11 +129,15 @@ def test_criterion_1_gradient_suite():
                 np.stack([brng.integers(0, n, 3), brng.integers(0, n, 3)], axis=1),
                 brng.uniform(0.5, 1.0, 3), n)
             for n in sizes)
+        b3 = Tensor(brng.standard_normal((1, 3)), requires_grad=True)
 
         checks = {
             "matmul": (lambda t=None: matmul(a, w, t), [a, w]),
             "add": (lambda t=None: add(a, b, t), [a, b]),
-            "add_bias": (lambda t=None: add(a, bias, t), [a, bias]),
+            # the identity weight keeps the output (rows, cols), so the shared
+            # rng draws the same projections for this and every later check
+            "add_bias": (lambda t=None: matmul(a, Tensor(np.eye(cols)), t,
+                                               bias=bias), [a, bias]),
             "mul": (lambda t=None: mul(a, b, t), [a, b]),
             "scale": (lambda t=None: scale(a, -2.5, t), [a]),
             "relu": (lambda t=None: relu(a, t), [a]),
@@ -168,6 +172,7 @@ def test_criterion_1_gradient_suite():
                 lambda t=None: mean_pool_rows(u, t, counts=sizes), [u]),
             "sparse_aggregate_union": (
                 lambda t=None: sparse_aggregate(union, u, t), [u]),
+            "matmul_bias": (lambda t=None: matmul(a, w, t, bias=b3), [a, w, b3]),
         }
         for name, (build, tensors) in checks.items():
             worst_overall = max(worst_overall,

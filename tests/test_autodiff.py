@@ -78,6 +78,30 @@ class TestMatmul:
         b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         check_op_gradient(lambda tape=None: matmul(a, b, tape), [a, b])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bias_matches_separate_add_bit_for_bit(self, seed):
+        """matmul(a, w, bias=b) gives the bytes that matmul then a broadcast
+        add of b gave as two tape nodes, forward and every gradient."""
+        rng = np.random.default_rng(seed)
+        rows, inner, cols = (int(k) for k in rng.integers(1, 9, size=3))
+        a, w, bias = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for shape in ((rows, inner), (inner, cols), (1, cols)))
+        proj = Tensor(rng.standard_normal((rows, cols)))
+        tape = Tape()
+        out = matmul(a, w, tape, bias=bias)
+        backward(tape, sum_all(mul(out, proj, tape), tape))
+        g = np.ones((rows, cols)) * proj.data  # what reaches out in backward
+        expected = [a.data @ w.data + bias.data, g @ w.data.T, a.data.T @ g,
+                    g.sum(axis=0, keepdims=True)]
+        for got, want in zip([out.data, a.grad, w.grad, bias.grad], expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (3, 1), (1, 4)])
+    def test_bias_must_be_one_row_of_output_width(self, shape):
+        bias = Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError, match=r"bias must be \(1, 3\)"):
+            matmul(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3))), bias=bias)
+
 
 class TestSparseAggregate:
     def test_empty_edges_is_zero(self):
@@ -450,11 +474,21 @@ class TestElementwiseAndShape:
         ("mul", [(3, 4), (3, 4)]),
     ])
     def test_binary_gradients(self, op, shapes):
+        """add_bias: the bias of a linear layer, which matmul adds."""
         rng = np.random.default_rng(11)
         a = Tensor(rng.standard_normal(shapes[0]), requires_grad=True)
         b = Tensor(rng.standard_normal(shapes[1]), requires_grad=True)
-        fn = add if op.startswith("add") else mul
+        if op == "add_bias":
+            w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+            check_op_gradient(lambda tape=None: matmul(a, w, tape, bias=b),
+                              [a, w, b])
+            return
+        fn = add if op == "add_same" else mul
         check_op_gradient(lambda tape=None: fn(a, b, tape), [a, b])
+
+    def test_add_does_not_broadcast(self):
+        with pytest.raises(ShapeError, match=r"add: incompatible shapes"):
+            add(Tensor(np.ones((3, 4))), Tensor(np.ones((1, 4))))
 
     @pytest.mark.parametrize("name", [
         "relu", "scale", "concat_cols", "concat_rows", "gather_rows",

@@ -129,6 +129,22 @@ class TestSweepDropedge:
         for run in runs:
             assert json.loads(run.read_text())["dataset_hash"] == expected
 
+    def test_dataset_spec_hash_is_the_generated_files_blob_sha1(
+            self, sweep_config, tmp_path):
+        cfg = json.loads(sweep_config.read_text())
+        cfg.update(dataset_spec={"num_graphs": 16, "n": 8, "seed": 5},
+                   drop_probabilities=[0.0])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        data = tmp_path / "spec.jsonl"
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+        out = tmp_path / "sweep"
+        assert main(["sweep-dropedge", "--config", str(cfg_path), "--out", str(out),
+                     "--model", "residual-gcn"]) == 0
+        run = json.loads((out / "runs" / "dropedge_residual_gcn_p0.00.json")
+                         .read_text())
+        assert run["dataset_hash"] == git_blob_sha1(data.read_bytes())
+
     def test_p_one_runs_marked(self, tiny_dataset, sweep_config, tmp_path):
         out = tmp_path / "sweep"
         main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
@@ -466,6 +482,53 @@ class TestExitCodes:
         out = tmp_path / "ds.jsonl"
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text().splitlines()[1])["d"] == 10
+
+    @pytest.mark.parametrize("command,content,message", [
+        ("sweep-dropedge", b"[1, 2]", "cfg.json must hold a JSON object, got list"),
+        ("gen-data", b"[1, 2]", "cfg.json must hold a JSON object, got list"),
+        ("sweep-dropedge", b"\xff\xfe{}", "cfg.json: 'utf-8' codec can't decode"),
+        ("gen-data", b"\xff\xfe{}", "cfg.json: 'utf-8' codec can't decode"),
+        ("sweep-dropedge", b"[" * 100_000, "cfg.json: maximum recursion depth"),
+        ("sweep-dropedge", b'{"dataset": 5}', "config key dataset must be a path"),
+    ])
+    def test_malformed_config_file_is_config_error(self, tmp_path, monkeypatch,
+                                                   capsys, command, content,
+                                                   message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1 and message in err[0]
+        assert trained == []
+
+    @pytest.mark.parametrize("command,grid,key", [
+        ("sweep-dropedge", {"drop_probabilities": [0.001, 0.004]},
+         "dropedge_residual_gcn_p0.00"),
+        ("sweep-dropedge", {"models": ["residual_gcn", "residual-gcn"]},
+         "dropedge_residual_gcn_p0.00"),
+        ("sweep-dropout", {"dropout_grid": [0.1, 0.104]}, "dropout_d0.10_a0.10"),
+        ("sweep-layers", {"layer_counts": [2, 3, 2]}, "layers_2"),
+        ("sweep-variants", {"variants": [["after_concat", 1.0],
+                                         ["after_concat", 0.999]]},
+         "variant_after_concat_p1.00"),
+    ])
+    def test_repeated_cell_key_fails_before_reading_the_dataset(
+            self, tmp_path, monkeypatch, capsys, command, grid, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(grid))
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        # the dataset does not exist: reading it would exit 4, not 2
+        rc = main([command, "--dataset", str(tmp_path / "absent.jsonl"), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert err == [f"config error: two grid cells share the key {key}"]
+        assert trained == [] and not (tmp_path / "o").exists()
 
     def test_non_utf8_dataset_is_dataset_error(self, tiny_dataset, tmp_path,
                                                capsys):

@@ -30,7 +30,7 @@ from connectobench import (
     serialize_dataset,
     split_dataset,
 )
-from connectobench.data import dataset_to_lines
+from connectobench.data import dataset_bytes
 
 from helpers import pooled_feature_probe
 
@@ -469,8 +469,8 @@ def test_finite_floats_roundtrip_bit_exact(xs, ws):
     assert np.array_equal(back.edges, g.edges)
 
 
-_VALID_FILE = "\n".join(dataset_to_lines(generate_synthetic(SyntheticSpec(
-    num_graphs=3, n=4, num_classes=2, seed=1)))).encode("utf-8") + b"\n"
+_VALID_FILE = dataset_bytes(generate_synthetic(SyntheticSpec(
+    num_graphs=3, n=4, num_classes=2, seed=1)))
 
 
 def _load_or_dataset_error(raw: bytes) -> None:

@@ -35,7 +35,6 @@ from connectobench.models import (
     node_degrees,
     normalized_adjacency,
     sparse_attention,
-    _block_params,
     _interaction_graph,
 )
 from connectobench.rng import seeded_rng
@@ -310,7 +309,7 @@ class TestSparseAttention:
         model = Exphormer(ExphormerConfig(num_layers=1, num_heads=heads,
                                           hidden_dim=width, num_global_nodes=0),
                           in_dim=n, num_classes=2, seed=seed)
-        params = _block_params(model.params, "layer0")
+        params = model._layers[0]
         h = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         return ig, h, params, heads
 
@@ -345,7 +344,7 @@ class TestSparseAttention:
         model = Exphormer(ExphormerConfig(num_layers=1, num_heads=2,
                                           hidden_dim=width, num_global_nodes=0),
                           in_dim=n, num_classes=2, seed=4)
-        params = _block_params(model.params, "layer0")
+        params = model._layers[0]
         h = rng.standard_normal((n, width))
         hp = np.empty_like(h)
         hp[perm] = h
@@ -618,10 +617,9 @@ _GCN_OPS = ["matmul", "sparse_aggregate", "relu"]
 _ATTENTION_OPS = [
     "matmul", "matmul", "matmul", "gather_rows", "gather_rows", "mul",
     "sum_col_blocks", "scale", "softmax_segments", "dropout", "gather_rows",
-    "expand_col_blocks", "mul", "segment_sum_rows", "matmul", "add", "dropout",
-    "add", "layer_norm", "matmul", "add", "relu", "matmul", "add", "dropout",
-    "add", "layer_norm"]
-_HEAD_OPS = ["dropout", "matmul", "add", "relu", "dropout", "matmul", "add"]
+    "expand_col_blocks", "mul", "segment_sum_rows", "matmul", "dropout", "add",
+    "layer_norm", "matmul", "relu", "matmul", "dropout", "add", "layer_norm"]
+_HEAD_OPS = ["dropout", "matmul", "relu", "dropout", "matmul"]
 
 
 def _mlp_shapes(prefix, fan_in, hidden, out):
@@ -653,7 +651,7 @@ class TestModelStructure:
             _GCN_OPS * 3 + ["concat_cols", "mean_pool_rows"] + _HEAD_OPS,
             _GCN_SHAPES),
         "exphormer": (
-            ["matmul", "add", "concat_rows"] + _ATTENTION_OPS * 2
+            ["matmul", "concat_rows"] + _ATTENTION_OPS * 2
             + ["gather_rows", "mean_pool_rows"] + _HEAD_OPS,
             {"input.w": (7, 64), "input.b": (1, 64), "global.emb": (1, 64),
              **_attention_shapes("layer0", 64), **_attention_shapes("layer1", 64),
@@ -664,7 +662,7 @@ class TestModelStructure:
     }
 
     @pytest.mark.parametrize("kind,forward_ops", [
-        ("residual_gcn", 18), ("exphormer", 66), ("attn_residual_gcn", 45)])
+        ("residual_gcn", 16), ("exphormer", 57), ("attn_residual_gcn", 40)])
     def test_tape_ops_and_params(self, kind, forward_ops):
         g = random_graph(np.random.default_rng(50), 6, density=0.5)
         m = build_model(kind, in_dim=6, num_classes=2, seed=0)

@@ -26,7 +26,7 @@ from connectobench import (
     split_dataset,
     train_epoch,
 )
-from connectobench.data import dataset_to_lines
+from connectobench.data import dataset_bytes
 from connectobench.models import build_model
 from connectobench.optim import AdamState, adam_step, zero_grads
 from connectobench.rng import seeded_rng
@@ -313,11 +313,9 @@ class TestRunExperiment:
 
     def test_source_dataset_unchanged(self):
         ds = small_dataset()
-        digest_before = hashlib.sha256(
-            "\n".join(dataset_to_lines(ds)).encode()).hexdigest()
+        digest_before = hashlib.sha256(dataset_bytes(ds)).hexdigest()
         run_experiment(small_config(), ds, 0.7)
-        digest_after = hashlib.sha256(
-            "\n".join(dataset_to_lines(ds)).encode()).hexdigest()
+        digest_after = hashlib.sha256(dataset_bytes(ds)).hexdigest()
         assert digest_before == digest_after
 
     def test_curves_have_total_epochs_entries(self):

@@ -1,16 +1,20 @@
-"""Golden run: hash every output of six small sweeps.
+"""Golden run: hash every output of nine small sweeps.
 
     python3 tools/golden_run.py [--work DIR]
 
 Builds the two benchmark datasets (300 feature_only graphs with n=50 and
-seed 7; 500 structure_only graphs with n=40 and seed 11), runs
+seed 7; 500 structure_only graphs with n=40 and seed 11) and runs
 `sweep-dropedge` for residual-gcn, exphormer and attn-residual-gcn on each
-(2 epochs with 1 warmup epoch, p 0/0.5/1, training seed 0), and prints one
-`sha256  relative/path` line per file written, plus one per sweep's
-standard output. Run it on two checkouts and diff the printouts: equal
-printouts mean the outputs are byte-identical. It imports the package from
-this checkout's `src/` and runs with one BLAS thread. It takes about 30 s
-on a 2-vCPU machine.
+(p 0/0.5/1, training seed 0). Then builds a third dataset (80 feature_only
+graphs with n=20 and seed 5) and runs `sweep-variants`, `sweep-dropout` and
+`sweep-layers` on it with their default grids and training seeds 0 and 1,
+which reaches attention after every GCN layer, attention inserted with
+probability below 1, and the dropout and layer-count grids. Every sweep
+trains 2 epochs with 1 warmup epoch. Prints one `sha256  relative/path`
+line per file written, plus one per sweep's standard output. Run it on two
+checkouts and diff the printouts: equal printouts mean the outputs are
+byte-identical. It imports the package from this checkout's `src/` and runs
+with one BLAS thread. It takes about 100 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from connectobench import cli  # noqa: E402
 DATASETS = {"feature": ("feature_only", 300, 50, 7),
             "structure": ("structure_only", 500, 40, 11)}
 MODELS = ("residual-gcn", "exphormer", "attn-residual-gcn")
+GRID_DATASET = ("feature_only", 80, 20, 5)
+GRIDS = ("variants", "dropout", "layers")
 
 
 def _run(argv: list[str]) -> bytes:
@@ -56,17 +62,27 @@ def golden(work: Path) -> list[tuple[str, str]]:
         "drop_probabilities": [0.0, 0.5, 1.0]}),
         encoding="utf-8")
     digests = []
-    for name, (mode, graphs, nodes, seed) in DATASETS.items():
+
+    def gen(name: str, mode: str, graphs: int, nodes: int, seed: int) -> str:
         data = f"{name}.jsonl"
         _run(["gen-data", "--graphs", str(graphs), "--nodes", str(nodes),
               "--classes", "2", "--label-mode", mode, "--seed", str(seed),
               "--out", data])
+        return data
+
+    def sweep(grid: str, data: str, out: str, *flags: str) -> None:
+        stdout = _run([f"sweep-{grid}", "--dataset", data, "--out", out,
+                       "--config", "config.json", *flags])
+        digests.append((hashlib.sha256(stdout).hexdigest(), f"{out}/<stdout>"))
+
+    for name, spec in DATASETS.items():
+        data = gen(name, *spec)
         for model in MODELS:
-            out = f"{name}-{model}"
-            stdout = _run(["sweep-dropedge", "--dataset", data, "--out", out,
-                           "--config", "config.json", "--model", model,
-                           "--seeds", "0"])
-            digests.append((hashlib.sha256(stdout).hexdigest(), f"{out}/<stdout>"))
+            sweep("dropedge", data, f"{name}-{model}", "--model", model,
+                  "--seeds", "0")
+    data = gen("grids", *GRID_DATASET)
+    for grid in GRIDS:
+        sweep(grid, data, f"grids-{grid}", "--seeds", "0,1")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), str(path)))
     return digests
