@@ -1,10 +1,11 @@
 """Command-line front end: dataset generation, experiment sweeps, curve export.
 
-Subcommands: gen-data, sweep-dropedge, sweep-dropout, sweep-layers,
-sweep-variants, curves. Flag values override config-file entries, which
-override built-in defaults. Exit codes: 0 success, 2 config error, 3 run
-divergence, 4 I/O or dataset error or a broken contract (such as p=1 leaving
-an edge), 130 interrupted (Ctrl-C).
+Subcommands: gen-data, sweep-dropedge (the one sweep with --model),
+sweep-dropout, sweep-layers, sweep-variants, curves. Flag values override
+config-file entries, which override built-in defaults. A config file holds
+only dataset, dataset_spec, train and the _GRIDS keys. Exit codes: 0 success,
+2 config error, 3 run divergence, 4 I/O or dataset error or a broken contract
+(such as p=1 leaving an edge), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -17,26 +18,28 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import _same_json_type
+from .config import _same_json_type, from_json
 from .data import (
     Dataset,
     SyntheticSpec,
     dataset_bytes,
     deserialize_dataset,
-    drop_edges,
     generate_synthetic,
     serialize_dataset,
 )
 from .errors import ConfigError, ContractError, DatasetError, DivergenceError
-from .rng import seeded_rng
-from .training import TrainConfig, run_experiment
+from .models import MODEL_KINDS
+from .training import TrainConfig, corrupt, run_experiment
 
-_MODEL_FLAGS = {"residual-gcn": "residual_gcn", "exphormer": "exphormer",
-                "attn-residual-gcn": "attn_residual_gcn"}
+_MODEL_FLAGS = {k.replace("_", "-"): k for k in MODEL_KINDS}
 
-_DEFAULT_VARIANTS = [("after_each_gcn", 1.0), ("after_each_gcn", 0.8),
-                     ("after_each_gcn", 0.3), ("after_concat", 1.0),
-                     ("after_concat", 0.6)]
+# Every grid key a config file may hold, by sweep, with its default grid.
+_GRIDS = {
+    "models": ["residual_gcn", "exphormer"], "drop_probabilities": [0.0, 0.5, 1.0],
+    "dropout_grid": [0.1, 0.3], "attention_dropout_grid": [0.1, 0.3, 0.5],
+    "layer_counts": [2, 3],
+    "variants": [("after_each_gcn", 1.0), ("after_each_gcn", 0.8),
+                 ("after_each_gcn", 0.3), ("after_concat", 1.0), ("after_concat", 0.6)]}
 
 
 def git_blob_sha1(data: bytes) -> str:
@@ -47,7 +50,7 @@ def git_blob_sha1(data: bytes) -> str:
 
 
 def config_hash(cfg: TrainConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True)
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -62,6 +65,10 @@ def _file_config(args) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object, "
                           f"got {type(config).__name__}")
+    unknown = sorted(set(config) - {"dataset", "dataset_spec", "train", *_GRIDS})
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config file {args.config}: "
+                          f"{', '.join(unknown)}")
     return config
 
 
@@ -75,13 +82,13 @@ def _resolve_dataset(args, config) -> tuple[Dataset, str, str]:
         return deserialize_dataset(path, raw), git_blob_sha1(raw), Path(path).stem
     spec_dict = config.get("dataset_spec")
     if spec_dict:
-        ds = generate_synthetic(SyntheticSpec.from_dict(spec_dict))
+        ds = generate_synthetic(from_json(SyntheticSpec, spec_dict, "dataset_spec"))
         return ds, git_blob_sha1(dataset_bytes(ds)), "synthetic"
     raise ConfigError("no dataset: pass --dataset or a config dataset_spec")
 
 
 def _train_config(args, config, model_kind: str) -> TrainConfig:
-    cfg = TrainConfig.from_dict(config.get("train", {}))
+    cfg = from_json(TrainConfig, config.get("train", {}), "train")
     cfg.model_kind = model_kind
     if getattr(args, "epochs", None) is not None:
         cfg.total_epochs = args.epochs
@@ -104,11 +111,11 @@ def _typed(default):
     return convert
 
 
-def _grid(config, key: str, convert, default) -> list:
-    """The config's `key` grid, or `default`, with each value passed through
+def _grid(config, key: str, convert) -> list:
+    """The config's `key` grid, or _GRIDS[key], each value passed through
     convert. A value convert rejects, or an empty grid, is a ConfigError."""
     values = config.get(key)
-    values = default if values is None else values
+    values = _GRIDS[key] if values is None else values
     try:
         values = [convert(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -135,9 +142,8 @@ def _variant(value) -> tuple[str, float]:
 
 def _dropedge_grid(args, config):
     models = [_MODEL_FLAGS[args.model]] if args.model else _grid(
-        config, "models", lambda m: _MODEL_FLAGS.get(m, m),
-        ["residual_gcn", "exphormer"])
-    probs = _grid(config, "drop_probabilities", _typed(0.0), [0.0, 0.5, 1.0])
+        config, "models", lambda m: _MODEL_FLAGS.get(m, m))
+    probs = _grid(config, "drop_probabilities", _typed(0.0))
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise ConfigError("drop probabilities must lie in [0, 1]")
     key = "dropedge_{}_p{:.2f}".format
@@ -157,8 +163,8 @@ def _dropedge_grid(args, config):
 
 def _dropout_grid(args, config):
     base = _train_config(args, config, "exphormer")
-    drops = _grid(config, "dropout_grid", _typed(0.0), [0.1, 0.3])
-    attns = _grid(config, "attention_dropout_grid", _typed(0.0), [0.1, 0.3, 0.5])
+    drops = _grid(config, "dropout_grid", _typed(0.0))
+    attns = _grid(config, "attention_dropout_grid", _typed(0.0))
     key = "dropout_d{:.2f}_a{:.2f}".format
     cells = [(key(d, a), _with(base, "exphormer", dropout=d, attention_dropout=a),
               0.0) for d in drops for a in attns]
@@ -178,7 +184,7 @@ def _dropout_grid(args, config):
 
 def _layers_grid(args, config):
     base = _train_config(args, config, "exphormer")
-    counts = _grid(config, "layer_counts", _typed(0), [2, 3])
+    counts = _grid(config, "layer_counts", _typed(0))
     cells = [(f"layers_{n}", _with(base, "exphormer", num_layers=n), 0.0)
              for n in counts]
 
@@ -192,7 +198,7 @@ def _layers_grid(args, config):
 
 def _variants_grid(args, config):
     base = _train_config(args, config, "attn_residual_gcn")
-    variants = _grid(config, "variants", _variant, _DEFAULT_VARIANTS)
+    variants = _grid(config, "variants", _variant)
     key = "variant_{}_p{:.2f}".format
     cells = [(key(place, prob), _with(base, "variant", placement=place,
                                       apply_probability=prob), 0.0)
@@ -215,9 +221,8 @@ _SWEEPS = {"dropedge": _dropedge_grid, "dropout": _dropout_grid,
 
 
 def _execute_cell(dataset: Dataset, payload: dict) -> dict:
-    cfg = TrainConfig.from_dict(payload["train_config"])
     try:
-        result = run_experiment(cfg, dataset, payload["drop_p"])
+        result = run_experiment(payload["cfg"], dataset, payload["drop_p"])
     except DivergenceError as exc:
         exc.cell = payload["key"]
         raise
@@ -262,7 +267,7 @@ def _write_csv_lines(path, lines: list[str]) -> None:
 
 def cmd_gen_data(args) -> None:
     config = _file_config(args)
-    spec = SyntheticSpec.from_dict(config.get("dataset_spec", {}))
+    spec = from_json(SyntheticSpec, config.get("dataset_spec", {}), "dataset_spec")
     overrides = {
         "num_graphs": args.graphs, "n": args.nodes, "d": args.dim,
         "num_classes": args.classes, "threshold": args.threshold,
@@ -298,13 +303,13 @@ def cmd_sweep(args) -> None:
     runs_dir.mkdir(parents=True, exist_ok=True)
     emptied = [cfg.seeds[0] for _, cfg, p in cells if p == 1.0]
     if emptied:  # the p=1 contract: the edge-drop stream empties every graph
-        kept = [i for i, g in enumerate(dataset.graphs) if drop_edges(
-            g, 1.0, seeded_rng(emptied[0], "edge-drop", i)).num_edges]
+        kept = [i for i, g in enumerate(corrupt(dataset.graphs, 1.0, emptied[0]))
+                if g.num_edges]
         if kept:
             raise ContractError(f"p=1.00 left edges in corrupted graph {kept[0]}")
         print(f"p=1.00: all {len(dataset)} corrupted graphs have empty edge sets")
     results = _run_cells(dataset, [
-        {"key": key, "train_config": cfg.to_dict(), "drop_p": p}
+        {"key": key, "cfg": cfg, "drop_p": p}
         for key, cfg, p in cells], args.workers)
     for key, cfg, p in cells:
         payload = dict(results[key], kind=args.sweep, dataset=ds_name,
@@ -353,8 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--dataset", help="path to a JSON-Lines dataset")
-    shared.add_argument("--model", choices=sorted(_MODEL_FLAGS),
-                        help="restrict the sweep to one model")
     shared.add_argument("--seeds", help="comma-separated seeds, e.g. 0,1,2")
     shared.add_argument("--epochs", type=int, help="override total epochs")
     shared.add_argument("--out", required=True, help="output directory")
@@ -380,6 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"sweep-{name}", parents=[shared],
                            help=f"run the {name} grid")
         p.set_defaults(func=cmd_sweep, sweep=name)
+        if name == "dropedge":
+            p.add_argument("--model", choices=sorted(_MODEL_FLAGS),
+                           help="restrict the sweep to one model")
 
     curves = sub.add_parser("curves", help="export per-epoch curves from a run")
     curves.add_argument("--run", required=True, help="run JSON emitted by a sweep")

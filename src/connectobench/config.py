@@ -1,4 +1,4 @@
-"""Checks of JSON config blocks against the dataclasses they fill."""
+"""Builds config dataclasses from JSON blocks, checking keys and types."""
 
 from __future__ import annotations
 
@@ -7,23 +7,30 @@ import dataclasses
 from .errors import ConfigError
 
 
-def _known_keys(cls, d, where: str) -> dict:
-    """d itself, after checking it is a dict whose keys are all fields of cls
-    and whose values have the JSON type of the field's default."""
+def from_json(cls, d, where: str):
+    """The config dataclass cls built from the JSON object d, whose keys must
+    be fields of cls with values of their defaults' JSON type. Nested configs
+    recurse, so messages name train.gcn.hidden_dim. A list for a tuple field
+    becomes a tuple; other values are kept as given (an int in a float field
+    stays an int, as config_hash sees it)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
     defaults = cls()
+    values = {}
     for key, value in d.items():
         default = getattr(defaults, key)
         if dataclasses.is_dataclass(default):
-            continue  # a nested config, checked on its own
-        if not _same_json_type(value, default):
+            value = from_json(type(default), value, f"{where}.{key}")
+        elif not _same_json_type(value, default):
             raise ConfigError(f"{where}.{key} must be of the type of its default "
                               f"{default!r}, got {value!r}")
-    return d
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        values[key] = value
+    return cls(**values)
 
 
 def _same_json_type(value, default) -> bool:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .config import _known_keys
 from .errors import ConfigError, DatasetParseError, DegenerateSeriesError
 from .rng import as_generator, seeded_rng
 
@@ -163,13 +162,6 @@ class SyntheticSpec:
     def feature_dim(self) -> int:
         return self.n if self.d is None else self.d
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**_known_keys(cls, d, "dataset_spec"))
-
 
 class Dataset:
     """A list of graphs plus the class count and the generating spec, if any."""
@@ -269,7 +261,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             x += spec.noise_scale * rng.standard_normal((spec.n, d))
         g.x = x
         graphs.append(g)
-    return Dataset(graphs, spec.num_classes, spec.to_dict())
+    return Dataset(graphs, spec.num_classes, dataclasses.asdict(spec))
 
 
 @dataclass

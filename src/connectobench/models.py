@@ -604,6 +604,9 @@ class AttnResidualGCN(ResidualGCN):
                             after_concat=lambda h: attend("cat", h))
 
 
+MODEL_KINDS = tuple(cls.kind for cls in (ResidualGCN, Exphormer, AttnResidualGCN))
+
+
 def build_model(kind: str, in_dim: int, num_classes: int, seed: int = 0,
                 gcn_cfg: ResidualGCNConfig | None = None,
                 exphormer_cfg: ExphormerConfig | None = None,

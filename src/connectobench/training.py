@@ -8,17 +8,16 @@ given the config: repeated runs produce bit-identical curves.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, backward, cross_entropy
-from .config import _known_keys
-from .data import Dataset, DatasetSplits, drop_edges, split_dataset
+from .data import ConnectomeGraph, Dataset, DatasetSplits, drop_edges, split_dataset
 from .errors import ConfigError, ContractError, DivergenceError, EmptySplitError
 from .models import (
+    MODEL_KINDS,
     AttnVariantConfig,
     ExphormerConfig,
     ResidualGCNConfig,
@@ -27,7 +26,6 @@ from .models import (
 from .optim import AdamState, adam_step, zero_grads
 from .rng import seeded_rng
 
-MODEL_KINDS = ("residual_gcn", "exphormer", "attn_residual_gcn")
 LR_FLOOR = 1e-6
 # Graphs per evaluation forward for models that batch. Chunks of 64 measured
 # slower at both GCN benchmark shapes, and a whole split in one forward would
@@ -68,20 +66,6 @@ class TrainConfig:
             block.validate()
         if self.model_kind == "attn_residual_gcn":
             self.variant.width(self.gcn)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(_known_keys(cls, d, "train"))
-        for key, sub in (("gcn", ResidualGCNConfig), ("exphormer", ExphormerConfig),
-                         ("variant", AttnVariantConfig)):
-            if key in d:
-                d[key] = sub(**_known_keys(sub, d[key], f"train.{key}"))
-        if "seeds" in d:
-            d["seeds"] = tuple(d["seeds"])
-        return cls(**d)
 
 
 @dataclass
@@ -237,11 +221,17 @@ def train_epoch(model, prepared, splits: DatasetSplits, cfg: TrainConfig,
     )
 
 
+def corrupt(graphs: list[ConnectomeGraph], p: float, seed: int
+            ) -> list[ConnectomeGraph]:
+    """graphs with edges dropped at p, graph i by the seed's edge-drop stream i."""
+    return [drop_edges(g, p, seeded_rng(seed, "edge-drop", i))
+            for i, g in enumerate(graphs)]
+
+
 def run_single_seed(cfg: TrainConfig, dataset: Dataset, drop_p: float,
                     splits: DatasetSplits, seed: int) -> RunResult:
     """Corrupt the dataset with one edge-drop stream, train the full schedule."""
-    corrupted = [drop_edges(g, drop_p, seeded_rng(seed, "edge-drop", i))
-                 for i, g in enumerate(dataset.graphs)]
+    corrupted = corrupt(dataset.graphs, drop_p, seed)
     model = build_model(cfg.model_kind, dataset.feature_dim, dataset.num_classes,
                         seed, gcn_cfg=cfg.gcn, exphormer_cfg=cfg.exphormer,
                         variant=cfg.variant)

@@ -14,7 +14,7 @@ from connectobench import (
     run_experiment,
     serialize_dataset,
 )
-from connectobench import cli
+from connectobench import cli, training
 from connectobench.cli import git_blob_sha1, main
 
 
@@ -158,7 +158,7 @@ class TestSweepDropedge:
     def test_surviving_edge_at_p_one_is_an_error(self, tiny_dataset,
                                                  sweep_config, tmp_path,
                                                  monkeypatch, capsys):
-        real = cli.drop_edges
+        real = training.drop_edges
 
         def keep_one_edge(g, p, seed=0):
             out = real(g, p, seed)
@@ -176,7 +176,7 @@ class TestSweepDropedge:
             trained.append(drop_p)
             return run_experiment(cfg, dataset, drop_p)
 
-        monkeypatch.setattr(cli, "drop_edges", keep_one_edge)
+        monkeypatch.setattr(training, "drop_edges", keep_one_edge)
         monkeypatch.setattr(cli, "run_experiment", record)
         rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
                    str(tmp_path / "sweep"), "--config", str(cfg_path),
@@ -233,6 +233,21 @@ class TestSweepLayers:
         assert len(lines) == 3
         assert lines[1].startswith("2,")
         assert lines[2].startswith("3,")
+
+    def test_cells_hand_their_train_config_to_the_runner(
+            self, tiny_dataset, sweep_config, tmp_path, monkeypatch):
+        real, seen = cli._execute_cell, []
+
+        def record(dataset, payload):
+            seen.append(payload)
+            return real(dataset, payload)
+
+        monkeypatch.setattr(cli, "_execute_cell", record)
+        assert main(["sweep-layers", "--dataset", str(tiny_dataset), "--out",
+                     str(tmp_path / "layers"), "--config", str(sweep_config)]) == 0
+        assert [p["key"] for p in seen] == ["layers_2", "layers_3"]
+        assert all(isinstance(p["cfg"], TrainConfig) for p in seen)
+        assert [p["cfg"].exphormer.num_layers for p in seen] == [2, 3]
 
 
 class TestSweepVariants:
@@ -528,6 +543,43 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert err == [f"config error: two grid cells share the key {key}"]
+        assert trained == [] and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "sweep-dropedge",
+                                         "sweep-dropout", "sweep-layers",
+                                         "sweep-variants"])
+    def test_unknown_config_key_fails_before_reading_the_dataset(
+            self, tmp_path, monkeypatch, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"drop_probabilites": [0.0],
+                                   "trian": {"total_epochs": 1}}))
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command != "gen-data":
+            # the dataset does not exist: reading it would exit 4, not 2
+            argv += ["--dataset", str(tmp_path / "absent.jsonl")]
+        rc = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert err == [f"config error: unknown key(s) in config file {cfg}: "
+                       "drop_probabilites, trian"]
+        assert trained == [] and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-dropout", "sweep-layers",
+                                         "sweep-variants"])
+    def test_model_flag_exists_only_on_sweep_dropedge(
+            self, tiny_dataset, tmp_path, monkeypatch, capsys, command):
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(tiny_dataset), "--out",
+                  str(tmp_path / "o"), "--model", "residual-gcn"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --model residual-gcn" \
+            in capsys.readouterr().err
         assert trained == [] and not (tmp_path / "o").exists()
 
     def test_non_utf8_dataset_is_dataset_error(self, tiny_dataset, tmp_path,

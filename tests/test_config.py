@@ -1,0 +1,64 @@
+"""config.from_json: JSON blocks into config dataclasses, keys and types checked."""
+
+import pytest
+
+from connectobench import (
+    ConfigError,
+    ExphormerConfig,
+    ResidualGCNConfig,
+    SyntheticSpec,
+    TrainConfig,
+)
+from connectobench.cli import config_hash
+from connectobench.config import from_json
+
+
+class TestFromJson:
+    def test_nested_blocks_become_configs(self):
+        cfg = from_json(TrainConfig, {"total_epochs": 7, "gcn": {"hidden_dim": 8},
+                                      "exphormer": {"num_layers": 1}}, "train")
+        assert cfg.total_epochs == 7
+        assert cfg.gcn == ResidualGCNConfig(hidden_dim=8)
+        assert cfg.exphormer == ExphormerConfig(num_layers=1)
+
+    def test_unknown_nested_key_names_its_path(self):
+        with pytest.raises(ConfigError, match=r"^unknown train\.gcn key\(s\): bogus$"):
+            from_json(TrainConfig, {"gcn": {"hidden_dim": 8, "bogus": 1}}, "train")
+
+    def test_wrongly_typed_nested_value_names_its_path(self):
+        message = (r"^train\.exphormer\.num_heads must be of the type of its "
+                   r"default 4, got '4'$")
+        with pytest.raises(ConfigError, match=message):
+            from_json(TrainConfig, {"exphormer": {"num_heads": "4"}}, "train")
+
+    @pytest.mark.parametrize("block,name", [([1], "list"), (3, "int"),
+                                            (None, "NoneType"), ("gcn", "str")])
+    def test_non_object_block_is_refused(self, block, name):
+        with pytest.raises(ConfigError,
+                           match=rf"^train\.gcn must be an object, got {name}$"):
+            from_json(TrainConfig, {"gcn": block}, "train")
+
+    def test_seeds_list_becomes_a_tuple(self):
+        assert from_json(TrainConfig, {"seeds": [3, 1]}, "train").seeds == (3, 1)
+
+    def test_int_in_a_float_field_stays_an_int(self):
+        cfg = from_json(TrainConfig, {"base_lr": 1, "exphormer": {"dropout": 0}},
+                        "train")
+        assert type(cfg.base_lr) is int and type(cfg.exphormer.dropout) is int
+
+    def test_optional_field_takes_null_or_an_int(self):
+        assert from_json(SyntheticSpec, {"d": None}, "dataset_spec").d is None
+        assert from_json(SyntheticSpec, {"d": 5}, "dataset_spec").d == 5
+        with pytest.raises(ConfigError, match=r"^dataset_spec\.d must be"):
+            from_json(SyntheticSpec, {"d": 2.5}, "dataset_spec")
+
+
+def test_config_hash_of_a_fixed_train_block():
+    """Every run JSON carries this hash; an int in a float field must hash
+    as the int the file wrote, not as a float."""
+    cfg = from_json(TrainConfig, {
+        "base_lr": 1, "total_epochs": 3, "warmup_epochs": 1, "seeds": [0, 2],
+        "model_kind": "exphormer", "exphormer": {"dropout": 0, "num_layers": 1}},
+        "train")
+    assert config_hash(cfg) == (
+        "c71749a27be02c44fbd5a8c23effcee1bb0f7ea060d9ac69d20f331a52c0c519")

@@ -1,4 +1,4 @@
-"""Golden run: hash every output of nine small sweeps.
+"""Golden run: hash every output of ten small sweeps.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -9,9 +9,13 @@ seed 7; 500 structure_only graphs with n=40 and seed 11) and runs
 graphs with n=20 and seed 5) and runs `sweep-variants`, `sweep-dropout` and
 `sweep-layers` on it with their default grids and training seeds 0 and 1,
 which reaches attention after every GCN layer, attention inserted with
-probability below 1, and the dropout and layer-count grids. Every sweep
-trains 2 epochs with 1 warmup epoch. Prints one `sha256  relative/path`
-line per file written, plus one per sweep's standard output. Run it on two
+probability below 1, and the dropout and layer-count grids. Last, it
+builds a fourth dataset from a config file's `dataset_spec` with
+`gen-data --config`, and runs a `sweep-dropedge` whose dataset comes from
+that `dataset_spec` alone; that config holds ints in float fields and
+spells its `models` grid both ways. Every sweep trains 2 epochs with 1
+warmup epoch. Prints one `sha256  relative/path` line per file written,
+plus one per command's standard output. Run it on two
 checkouts and diff the printouts: equal printouts mean the outputs are
 byte-identical. It imports the package from this checkout's `src/` and runs
 with one BLAS thread. It takes about 100 s on a 2-vCPU machine.
@@ -41,6 +45,14 @@ DATASETS = {"feature": ("feature_only", 300, 50, 7),
 MODELS = ("residual-gcn", "exphormer", "attn-residual-gcn")
 GRID_DATASET = ("feature_only", 80, 20, 5)
 GRIDS = ("variants", "dropout", "layers")
+SPEC_CONFIG = {
+    "dataset_spec": {"num_graphs": 40, "n": 12, "d": 8, "num_classes": 2,
+                     "label_mode": "mixed", "threshold": 0.4, "noise_scale": 1,
+                     "seed": 3},
+    "train": {"total_epochs": 2, "warmup_epochs": 1, "seeds": [0],
+              "decay_per_epoch": 0, "gcn": {"hidden_dim": 16}},
+    "models": ["residual-gcn", "attn_residual_gcn"],
+    "drop_probabilities": [0.0, 1.0]}
 
 
 def _run(argv: list[str]) -> bytes:
@@ -70,10 +82,13 @@ def golden(work: Path) -> list[tuple[str, str]]:
               "--out", data])
         return data
 
-    def sweep(grid: str, data: str, out: str, *flags: str) -> None:
-        stdout = _run([f"sweep-{grid}", "--dataset", data, "--out", out,
-                       "--config", "config.json", *flags])
+    def record(out: str, argv: list[str]) -> None:
+        stdout = _run(argv + ["--out", out])
         digests.append((hashlib.sha256(stdout).hexdigest(), f"{out}/<stdout>"))
+
+    def sweep(grid: str, data: str, out: str, *flags: str) -> None:
+        record(out, [f"sweep-{grid}", "--dataset", data, "--config", "config.json",
+                     *flags])
 
     for name, spec in DATASETS.items():
         data = gen(name, *spec)
@@ -83,6 +98,9 @@ def golden(work: Path) -> list[tuple[str, str]]:
     data = gen("grids", *GRID_DATASET)
     for grid in GRIDS:
         sweep(grid, data, f"grids-{grid}", "--seeds", "0,1")
+    Path("spec.json").write_text(json.dumps(SPEC_CONFIG), encoding="utf-8")
+    record("spec.jsonl", ["gen-data", "--config", "spec.json"])
+    record("spec", ["sweep-dropedge", "--config", "spec.json"])
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), str(path)))
     return digests
