@@ -118,13 +118,15 @@ def build_graph(corr: np.ndarray, threshold: float, label: int) -> ConnectomeGra
 def drop_edges(g: ConnectomeGraph, p: float, seed=0) -> ConnectomeGraph:
     """Remove each edge independently with probability p; features untouched.
 
-    p=0 returns an identical edge set, p=1 an empty one. The input graph is
-    never modified.
+    p=0 returns an identical edge set, p=1 an empty one, and neither draws
+    from seed. The input graph is never modified.
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge-drop probability must be in [0, 1], got {p}")
-    rng = as_generator(seed)
-    keep = rng.random(g.num_edges) >= p
+    if 0.0 < p < 1.0:
+        keep = as_generator(seed).random(g.num_edges) >= p
+    else:  # every uniform draw lies in [0, 1): keep all at p=0, none at p=1
+        keep = np.full(g.num_edges, p == 0.0)
     return ConnectomeGraph(n=g.n, x=g.x, edges=g.edges[keep].copy(),
                            weights=g.weights[keep].copy(), label=g.label)
 
@@ -361,7 +363,10 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
         pairs = obj["edges"]
         if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
             raise TypeError("edge endpoints must be JSON integers")
-        edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(pairs, dtype=np.int64)
+        if pairs and edges.shape[1:] != (2,):
+            raise ValueError("every edges entry must be a pair [u, v]")
+        edges = edges.reshape(-1, 2)
         weights = np.asarray(obj["w"], dtype=np.float64)
         label = _json_int(obj, "y")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -383,6 +388,12 @@ _BRACKET_STEP[[ord("]"), ord("}")]] = -1
 _JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 
 
+def _opening_brackets(raw: bytes) -> int:
+    """How many "[" and "{" bytes raw holds, inside strings too. "[" is 0x5B
+    and "{" is 0x7B: setting bit 5 maps both, and no other byte, to 0x7B."""
+    return int(np.count_nonzero(np.frombuffer(raw, dtype=np.uint8) | 32 == 0x7B))
+
+
 def _nested_too_deeply(raw: bytes) -> bool:
     """Whether raw may nest deeper than _MAX_NESTING.
 
@@ -390,7 +401,7 @@ def _nested_too_deeply(raw: bytes) -> bool:
     cancel a real one. On invalid JSON the depth is still exact up to the
     point where a parser stops.
     """
-    if raw.count(b"[") + raw.count(b"{") <= _MAX_NESTING:
+    if _opening_brackets(raw) <= _MAX_NESTING:
         return False
     blanked = np.frombuffer(_JSON_STRING.sub(b'""', raw), dtype=np.uint8)
     depth = np.cumsum(_BRACKET_STEP[blanked],

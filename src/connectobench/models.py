@@ -216,8 +216,10 @@ def build_expander(n: int, degree: int, seed=0) -> np.ndarray:
         perm = rng.permutation(n)
         nxt = np.concatenate((perm[1:], perm[:1]))
         keys.append(np.minimum(perm, nxt) * n + np.maximum(perm, nxt))
-    # one int key per (u, v) pair sorts and deduplicates like the rows would
-    keys = np.unique(np.concatenate(keys)).astype(np.int64)
+    # one int key per (u, v) pair sorts and deduplicates like the rows would;
+    # keeping each sorted key that differs from its neighbour is np.unique
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return np.stack([keys // n, keys % n], axis=1)
 
 
@@ -438,8 +440,11 @@ class ResidualGCN(_Model):
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         edges, weights = normalized_adjacency(graph, self.cfg.use_edge_weights)
-        return PreparedGCN(x=Tensor(graph.x),
-                           adj=BlockAdjacency.from_edges(edges, weights, graph.n),
+        # a validated graph's (dst, src) pairs are unique, so adding in edge
+        # order gives the block from_edges would, without its sort
+        block = np.zeros((graph.n, graph.n))
+        np.add.at(block, (edges[:, 1], edges[:, 0]), weights)
+        return PreparedGCN(x=Tensor(graph.x), adj=BlockAdjacency([block]),
                            adj_edges=edges, label=graph.label, n=graph.n)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedGCN]:
@@ -502,19 +507,25 @@ class Exphormer(_Model):
                         for l in range(cfg.num_layers)]
         b.mlp("head", cfg.hidden_dim, cfg.hidden_dim, num_classes)
 
-    def prepare(self, graph: ConnectomeGraph, ig_seed=0) -> PreparedExphormer:
+    def prepare(self, graph: ConnectomeGraph, ig_seed=0,
+                real_rows: IndexPlan | None = None) -> PreparedExphormer:
+        """real_rows, when given, is the plan of np.arange(graph.n)."""
         ig = build_interaction_graph(graph, self.cfg, ig_seed)
         x = graph.x
         if self.cfg.structural_encoding == "degree":
             enc = np.log1p(node_degrees(graph)).reshape(-1, 1)
             x = np.concatenate([x, enc], axis=1)
+        if real_rows is None:
+            real_rows = IndexPlan(np.arange(graph.n))
         return PreparedExphormer(x=Tensor(x), ig=ig, label=graph.label, n=graph.n,
-                                 real_rows=IndexPlan(np.arange(graph.n)))
+                                 real_rows=real_rows)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedExphormer]:
         # Expander/global edges are fixed per (run seed, graph index), not
-        # resampled per epoch, so evaluation stays deterministic.
-        return [self.prepare(g, seeded_rng(run_seed, "interaction", i))
+        # resampled per epoch, so evaluation stays deterministic. Graphs of
+        # one size share one real_rows plan: no op writes to a plan.
+        plans = {n: IndexPlan(np.arange(n)) for n in {g.n for g in graphs}}
+        return [self.prepare(g, seeded_rng(run_seed, "interaction", i), plans[g.n])
                 for i, g in enumerate(graphs)]
 
     def forward(self, prep: PreparedExphormer, mode: str = "eval",

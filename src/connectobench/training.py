@@ -224,7 +224,8 @@ def train_epoch(model, prepared, splits: DatasetSplits, cfg: TrainConfig,
 def corrupt(graphs: list[ConnectomeGraph], p: float, seed: int
             ) -> list[ConnectomeGraph]:
     """graphs with edges dropped at p, graph i by the seed's edge-drop stream i."""
-    return [drop_edges(g, p, seeded_rng(seed, "edge-drop", i))
+    draws = 0.0 < p < 1.0  # drop_edges draws nothing at p=0 or p=1
+    return [drop_edges(g, p, seeded_rng(seed, "edge-drop", i) if draws else None)
             for i, g in enumerate(graphs)]
 
 

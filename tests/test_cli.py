@@ -359,6 +359,28 @@ class TestExitCodes:
         assert rc == 4
         assert "line 6" in capsys.readouterr().err
 
+    # each weight list fits the edges a re-pairing loader would read:
+    # (0, 1) and (2, 3), or (0, 1)
+    @pytest.mark.parametrize("edges,weights", [([[0, 1, 2, 3]], [0.9, 0.8]),
+                                               ([[0], [1]], [0.9])])
+    def test_edge_entry_that_is_not_a_pair_is_dataset_error(
+            self, tiny_dataset, tmp_path, monkeypatch, capsys, edges, weights):
+        lines = tiny_dataset.read_text().splitlines()
+        record = json.loads(lines[2])
+        record.update(edges=edges, w=weights)
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropedge", "--dataset", str(bad), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 3" in err[0] and "must be a pair" in err[0]
+        assert trained == []
+
     def test_graph_with_no_nodes_is_dataset_error(self, tiny_dataset, tmp_path,
                                                   monkeypatch, capsys):
         lines = tiny_dataset.read_text().splitlines()

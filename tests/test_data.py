@@ -30,7 +30,7 @@ from connectobench import (
     serialize_dataset,
     split_dataset,
 )
-from connectobench.data import dataset_bytes
+from connectobench.data import _opening_brackets, dataset_bytes
 
 from helpers import pooled_feature_probe
 
@@ -147,6 +147,21 @@ class TestDropEdges:
         b = drop_edges(g, 0.4, seed=21)
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("n_edges", [0, 1, 45])
+    def test_p_zero_and_one_match_the_drawing_rule_and_draw_nothing(self, p, n_edges):
+        g = complete_graph(n_edges)
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        out = drop_edges(g, p, rng)
+        assert rng.bit_generator.state == before
+        keep = np.random.default_rng(8).random(n_edges) >= p
+        assert graphs_equal(out, ConnectomeGraph(n=g.n, x=g.x, edges=g.edges[keep],
+                                                 weights=g.weights[keep], label=g.label))
+        assert out.edges.dtype == np.int64 and out.edges.shape == (keep.sum(), 2)
+        assert not np.shares_memory(out.edges, g.edges)
+        assert not np.shares_memory(out.weights, g.weights)
 
 
 class TestSyntheticGeneration:
@@ -363,6 +378,10 @@ class TestSerialization:
         ("edges", [[0, True]], "edge endpoints must be JSON integers"),
         ("edges", [[0, 2 ** 64]], "edge endpoints must be JSON integers"),
         ("edges", [[0, 2 ** 63]], "too large"),
+        # entries that are not pairs used to be re-paired: (0,1) and (2,3), or (0,1)
+        ("edges", [[0, 1, 2, 3]], "every edges entry must be a pair"),
+        ("edges", [[0], [1]], "every edges entry must be a pair"),
+        ("edges", [[]], "every edges entry must be a pair"),
     ])
     def test_non_integer_field_reports_line(self, tmp_path, field, value, message):
         def edit(lines):
@@ -438,6 +457,19 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="NaN or infinity"):
             serialize_dataset(Dataset([complete_graph(3)], num_classes=2, spec={"s": value}),
                               tmp_path / "ds.jsonl")
+
+    @pytest.mark.parametrize("raw", [
+        b"", b"\n", b'{"a":[1,[2]]}\n', b'{"s":"[{[{","t":"\\"{["}\n',
+        bytes(range(256)) * 3, b"[" * 2000 + b"{" * 30 + b"]" * 9,
+    ], ids=["empty", "newline", "nested", "in-strings", "every-byte", "long"])
+    def test_opening_bracket_count_is_bytes_count(self, raw):
+        assert _opening_brackets(raw) == raw.count(b"[") + raw.count(b"{")
+
+    def test_opening_bracket_count_on_a_record(self, tmp_path):
+        serialize_dataset(Dataset([complete_graph(300)], num_classes=2),
+                          tmp_path / "ds.jsonl")
+        for raw in (tmp_path / "ds.jsonl").read_bytes().splitlines(keepends=True):
+            assert _opening_brackets(raw) == raw.count(b"[") + raw.count(b"{")
 
     def test_record_with_many_brackets_loads(self, tmp_path):
         # 1500 edges put 1502 brackets on the line, but it nests only 3 deep

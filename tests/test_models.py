@@ -152,6 +152,26 @@ class TestResidualGCN:
         with pytest.raises(ShapeError):
             m.forward(m.prepare(g), mode="eval")
 
+    @pytest.mark.parametrize("use_edge_weights", [True, False])
+    def test_prepared_block_is_from_edges_bit_for_bit(self, use_edge_weights):
+        rng = np.random.default_rng(11)
+        cfg = ResidualGCNConfig(use_edge_weights=use_edge_weights)
+        m = ResidualGCN(cfg, in_dim=4, num_classes=2)
+        graphs = [random_graph(rng, n, density) for n, density in
+                  ((1, 0.5), (2, 1.0), (7, 0.0), (12, 0.3), (30, 0.9), (50, 0.1))]
+        graphs += [drop_edges(g, 0.5, seed=i) for i, g in enumerate(graphs)]
+        # not a valid graph: a repeated edge adds up, as in from_edges
+        graphs.append(graph_from_edges(3, [[0, 1], [0, 1], [1, 2]], [0.5, 0.25, 1.0]))
+        for g in graphs:
+            edges, weights = normalized_adjacency(g, use_edge_weights)
+            ref = BlockAdjacency.from_edges(edges, weights, g.n).stacks[0]
+            prep = m.prepare(g)
+            assert len(prep.adj.stacks) == 1
+            block = prep.adj.stacks[0]
+            assert block.shape == ref.shape == (1, g.n, g.n)
+            assert block.dtype == ref.dtype and block.tobytes() == ref.tobytes()
+            assert np.array_equal(prep.adj_edges, edges)
+
     def mixed_batch(self, rng, d=10):
         """Graphs of different sizes sharing feature dim d; the last has no edges."""
         graphs = []
@@ -234,6 +254,21 @@ class TestBuildExpander:
     def test_deterministic(self):
         assert np.array_equal(build_expander(30, 4, seed=9),
                               build_expander(30, 4, seed=9))
+
+    @pytest.mark.parametrize("n,degree", [(3, 2), (3, 8), (4, 6), (10, 4), (50, 4),
+                                          (51, 10)])
+    def test_sorted_dedupe_is_np_unique(self, n, degree):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            keys = []
+            for _ in range(degree // 2):
+                perm = rng.permutation(n)
+                nxt = np.concatenate((perm[1:], perm[:1]))
+                keys.append(np.minimum(perm, nxt) * n + np.maximum(perm, nxt))
+            keys = np.unique(np.concatenate(keys)).astype(np.int64)
+            ref = np.stack([keys // n, keys % n], axis=1)
+            out = build_expander(n, degree, np.random.default_rng(seed))
+            assert out.dtype == ref.dtype and np.array_equal(out, ref)
 
 
 class TestInteractionGraph:
@@ -428,6 +463,20 @@ class TestExphormer:
             train = [m.forward(p, mode="train", rng=seeded_rng(1, "t")).data
                      for p in (prep, raw)]
             assert train[0].tobytes() == train[1].tobytes()
+
+    def test_prepare_dataset_shares_one_real_rows_plan_per_size(self):
+        rng = np.random.default_rng(37)
+        m = self.make()
+        graphs = [random_graph(rng, n) for n in (8, 5, 8, 1, 5)]
+        for g in graphs:
+            g.x = rng.standard_normal((g.n, 8))
+        preps = m.prepare_dataset(graphs, run_seed=4)
+        for i, (g, prep) in enumerate(zip(graphs, preps)):
+            assert np.array_equal(prep.real_rows.ids, np.arange(g.n))
+            assert all((prep.real_rows is other.real_rows) == (g.n == other.n)
+                       for other in preps)
+            alone = m.prepare(g, seeded_rng(4, "interaction", i))
+            assert m.forward(prep).data.tobytes() == m.forward(alone).data.tobytes()
 
     def test_cached_blocks_follow_load_params(self, tmp_path):
         saved = self.make()

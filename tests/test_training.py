@@ -26,7 +26,8 @@ from connectobench import (
     split_dataset,
     train_epoch,
 )
-from connectobench.data import dataset_bytes
+from connectobench import training
+from connectobench.data import dataset_bytes, drop_edges, graphs_equal
 from connectobench.models import build_model
 from connectobench.optim import AdamState, adam_step, zero_grads
 from connectobench.rng import seeded_rng
@@ -338,3 +339,21 @@ class TestRunExperiment:
     def test_invalid_drop_p(self):
         with pytest.raises(ConfigError):
             run_experiment(small_config(), small_dataset(), 1.2)
+
+
+class TestCorrupt:
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_graph_i_uses_edge_drop_stream_i(self, p):
+        graphs = small_dataset(num_graphs=12).graphs
+        out = training.corrupt(graphs, p, 3)
+        for i, (g, got) in enumerate(zip(graphs, out)):
+            assert graphs_equal(got, drop_edges(g, p, seeded_rng(3, "edge-drop", i)))
+
+    @pytest.mark.parametrize("p,streams", [(0.0, 0), (1.0, 0), (0.5, 12)])
+    def test_streams_built_only_where_drop_edges_draws(self, monkeypatch, p, streams):
+        built = []
+        monkeypatch.setattr(training, "seeded_rng",
+                            lambda *keys: built.append(keys) or seeded_rng(*keys))
+        graphs = small_dataset(num_graphs=12).graphs
+        assert len(training.corrupt(graphs, p, 3)) == 12
+        assert len(built) == streams

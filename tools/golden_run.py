@@ -1,4 +1,4 @@
-"""Golden run: hash every output of ten small sweeps.
+"""Golden run: hash every output of twelve small sweeps.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -9,16 +9,21 @@ seed 7; 500 structure_only graphs with n=40 and seed 11) and runs
 graphs with n=20 and seed 5) and runs `sweep-variants`, `sweep-dropout` and
 `sweep-layers` on it with their default grids and training seeds 0 and 1,
 which reaches attention after every GCN layer, attention inserted with
-probability below 1, and the dropout and layer-count grids. Last, it
+probability below 1, and the dropout and layer-count grids. Next, it
 builds a fourth dataset from a config file's `dataset_spec` with
 `gen-data --config`, and runs a `sweep-dropedge` whose dataset comes from
 that `dataset_spec` alone; that config holds ints in float fields and
-spells its `models` grid both ways. Every sweep trains 2 epochs with 1
-warmup epoch. Prints one `sha256  relative/path` line per file written,
-plus one per command's standard output. Run it on two
-checkouts and diff the printouts: equal printouts mean the outputs are
-byte-identical. It imports the package from this checkout's `src/` and runs
-with one BLAS thread. It takes about 100 s on a 2-vCPU machine.
+spells its `models` grid both ways. Last, it merges two feature_only
+datasets of 40 graphs each, one with n=16 and one with n=24, both with 12
+features, under one header, alternating three small graphs with two large
+ones, and runs `sweep-dropedge` for residual-gcn and exphormer on it, so
+batches hold unequal block sizes and interaction graphs differ in size.
+Every sweep trains 2 epochs with 1 warmup epoch. Prints one
+`sha256  relative/path` line per file written, plus one per command's
+standard output. Run it on two checkouts and diff the printouts: equal
+printouts mean the outputs are byte-identical. It imports the package from
+this checkout's `src/` and runs with one BLAS thread. It takes about 95 s
+on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ DATASETS = {"feature": ("feature_only", 300, 50, 7),
 MODELS = ("residual-gcn", "exphormer", "attn-residual-gcn")
 GRID_DATASET = ("feature_only", 80, 20, 5)
 GRIDS = ("variants", "dropout", "layers")
+MIXED_DATASETS = (("feature_only", 40, 16, 21), ("feature_only", 40, 24, 22))
+MIXED_DIM = 12
+MIXED_MODELS = ("residual-gcn", "exphormer")
 SPEC_CONFIG = {
     "dataset_spec": {"num_graphs": 40, "n": 12, "d": 8, "num_classes": 2,
                      "label_mode": "mixed", "threshold": 0.4, "noise_scale": 1,
@@ -75,11 +83,12 @@ def golden(work: Path) -> list[tuple[str, str]]:
         encoding="utf-8")
     digests = []
 
-    def gen(name: str, mode: str, graphs: int, nodes: int, seed: int) -> str:
+    def gen(name: str, mode: str, graphs: int, nodes: int, seed: int,
+            *flags: str) -> str:
         data = f"{name}.jsonl"
         _run(["gen-data", "--graphs", str(graphs), "--nodes", str(nodes),
               "--classes", "2", "--label-mode", mode, "--seed", str(seed),
-              "--out", data])
+              "--out", data, *flags])
         return data
 
     def record(out: str, argv: list[str]) -> None:
@@ -101,6 +110,18 @@ def golden(work: Path) -> list[tuple[str, str]]:
     Path("spec.json").write_text(json.dumps(SPEC_CONFIG), encoding="utf-8")
     record("spec.jsonl", ["gen-data", "--config", "spec.json"])
     record("spec", ["sweep-dropedge", "--config", "spec.json"])
+    small, large = (
+        Path(gen(f"mixed-n{spec[2]}", *spec, "--dim", str(MIXED_DIM)))
+        .read_bytes().splitlines(keepends=True)[1:] for spec in MIXED_DATASETS)
+    merged = [json.dumps({"version": 1, "num_classes": 2, "spec": None}).encode()
+              + b"\n"]
+    while small or large:
+        merged += small[:3] + large[:2]
+        small, large = small[3:], large[2:]
+    Path("mixed.jsonl").write_bytes(b"".join(merged))
+    for model in MIXED_MODELS:
+        sweep("dropedge", "mixed.jsonl", f"mixed-{model}", "--model", model,
+              "--seeds", "0")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), str(path)))
     return digests
