@@ -59,9 +59,6 @@ from .models import (
     build_expander,
     build_interaction_graph,
     build_model,
-    load_checkpoint,
-    load_params,
-    save_checkpoint,
 )
 from .optim import AdamState, adam_step, zero_grads
 from .rng import seeded_rng

@@ -19,6 +19,7 @@ from .errors import ConfigError, ContractError, ShapeError
 from .rng import as_generator
 
 _FLOAT64 = np.dtype(np.float64)
+_LAYER_NORM_EPS = 1e-5  # added to each row's variance before the square root
 
 __all__ = [
     "Tensor",
@@ -499,11 +500,9 @@ class BlockAdjacency:
 
     @classmethod
     def from_edges(cls, edges, weights, n: int) -> "BlockAdjacency":
-        """One n x n block with entry [v, u] = summed weight of edges (u -> v).
-
-        Repeated edges add up in a fixed order whatever the order of the edge
-        list, so the block is bit-stable.
-        """
+        """One n x n block with entry [v, u] = summed weight of edges (u -> v),
+        added in edge order. With unique pairs, as in a validated graph, the
+        block does not depend on the order of the edge list."""
         edges = np.asarray(edges, dtype=np.int64)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
@@ -515,11 +514,9 @@ class BlockAdjacency:
                 f"weights must match edge count {edges.shape[0]}, got {weights.shape}")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise IndexError(f"edge endpoint out of range for {n} nodes")
-        order = np.lexsort((weights, edges[:, 0], edges[:, 1]))
-        # bincount sums in the lexsorted order, which keeps the block bit-stable
-        block = np.bincount(edges[order, 1] * n + edges[order, 0],
-                            weights=weights[order], minlength=n * n)
-        return cls([block.reshape(n, n)])
+        block = np.zeros((n, n))
+        np.add.at(block, (edges[:, 1], edges[:, 0]), weights)
+        return cls([block])
 
     @classmethod
     def union(cls, ops) -> "BlockAdjacency":
@@ -647,7 +644,7 @@ def expand_col_blocks(a: Tensor, width: int, tape: Tape | None = None) -> Tensor
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
-               tape: Tape | None = None, eps: float = 1e-5) -> Tensor:
+               tape: Tape | None = None) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and shift."""
     if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
         raise ShapeError(
@@ -657,7 +654,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     centred = a.data - np.add.reduce(a.data, axis=1, keepdims=True) / cols
     y = np.square(centred)
     var = np.add.reduce(y, axis=1, keepdims=True) / cols
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = np.multiply(centred, inv, out=centred)
     np.multiply(xhat, gain.data, out=y)
     y += bias.data

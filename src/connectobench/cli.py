@@ -244,11 +244,13 @@ def _pool_worker(payload: dict) -> dict:
 def _run_cells(dataset: Dataset, cells: list[dict], workers: int
                ) -> dict[str, dict]:
     """Run independent grid cells, optionally on a process pool whose workers
-    each receive the parsed dataset once."""
+    each receive the parsed dataset once. The pool starts all its processes
+    up front, so it gets no more of them than there are cells."""
     if workers <= 1 or len(cells) <= 1:
         results = [_execute_cell(dataset, c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells)),
+                                 initializer=_init_worker,
                                  initargs=(dataset,)) as pool:
             results = list(pool.map(_pool_worker, cells))
     return {c["key"]: r for c, r in zip(cells, results)}
@@ -289,6 +291,8 @@ def cmd_sweep(args) -> None:
     """Run one sweep grid: check every cell's key and config and the p=1
     contract, train its cells, then write one run JSON per cell and the
     grid's CSV tables."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = _file_config(args)
     cells, report = _SWEEPS[args.sweep](args, config)
     keys = set()

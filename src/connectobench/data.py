@@ -40,7 +40,7 @@ class ConnectomeGraph:
     n: int
     x: np.ndarray        # (n, d) float64 node features
     edges: np.ndarray    # (m, 2) int64, each row (u, v) with u < v
-    weights: np.ndarray  # (m,) float64 edge weights
+    weights: np.ndarray  # (m,) float64 edge weights, each >= 0
     label: int
 
     @property
@@ -66,9 +66,13 @@ class ConnectomeGraph:
                 raise ConfigError("edge endpoint out of range")
             if not np.all(u < v):
                 raise ConfigError("edges must be stored with u < v")
-            keys = u * self.n + v
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(u * self.n + v)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ConfigError("duplicate edges")
+            # a negative weight can make a degree sum negative, and GCN
+            # normalization takes its square root
+            if self.weights.min() < 0:
+                raise ConfigError(f"negative edge weight {self.weights.min()}")
 
 
 def graphs_equal(a: ConnectomeGraph, b: ConnectomeGraph) -> bool:

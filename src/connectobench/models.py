@@ -14,8 +14,6 @@ Three models share the autodiff core:
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -395,20 +393,13 @@ class PreparedExphormer:
 
 
 class _Model:
-    """A model's checked config, sizes, seed, params and config_dict."""
+    """A model's checked config, seed and params."""
 
-    def __init__(self, cfg, in_dim: int, num_classes: int, seed: int):
+    def __init__(self, cfg, seed: int):
         cfg.validate()
         self.cfg = cfg
-        self.in_dim = in_dim
-        self.num_classes = num_classes
         self.seed = seed
         self.params: dict[str, Tensor] = {}
-
-    def config_dict(self) -> dict:
-        return {"kind": self.kind, "in_dim": self.in_dim,
-                "num_classes": self.num_classes,
-                "config": dataclasses.asdict(self.cfg)}
 
     def _train_rng(self, mode: str, rng):
         """rng, or in train mode without one the model's own forward stream."""
@@ -429,7 +420,7 @@ class ResidualGCN(_Model):
 
     def __init__(self, cfg: ResidualGCNConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
-        super().__init__(cfg, in_dim, num_classes, seed)
+        super().__init__(cfg, seed)
         b = _ParamBuilder(seed, self.params)
         prev = in_dim
         for i in range(cfg.num_gcn_layers):
@@ -440,11 +431,8 @@ class ResidualGCN(_Model):
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         edges, weights = normalized_adjacency(graph, self.cfg.use_edge_weights)
-        # a validated graph's (dst, src) pairs are unique, so adding in edge
-        # order gives the block from_edges would, without its sort
-        block = np.zeros((graph.n, graph.n))
-        np.add.at(block, (edges[:, 1], edges[:, 0]), weights)
-        return PreparedGCN(x=Tensor(graph.x), adj=BlockAdjacency([block]),
+        return PreparedGCN(x=Tensor(graph.x),
+                           adj=BlockAdjacency.from_edges(edges, weights, graph.n),
                            adj_edges=edges, label=graph.label, n=graph.n)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedGCN]:
@@ -494,15 +482,13 @@ class Exphormer(_Model):
 
     def __init__(self, cfg: ExphormerConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
-        super().__init__(cfg, in_dim, num_classes, seed)
+        super().__init__(cfg, seed)
         b = _ParamBuilder(seed, self.params)
         in_total = in_dim + (1 if cfg.structural_encoding == "degree" else 0)
         b.weight("input.w", in_total, cfg.hidden_dim)
         b.zeros("input.b", cfg.hidden_dim)
         if cfg.num_global_nodes:
             b.weight("global.emb", cfg.num_global_nodes, cfg.hidden_dim)
-        # load_params replaces each tensor's .data in place, so these views
-        # of self.params stay current
         self._layers = [b.attention_block(f"layer{l}", cfg.hidden_dim)
                         for l in range(cfg.num_layers)]
         b.mlp("head", cfg.hidden_dim, cfg.hidden_dim, num_classes)
@@ -566,8 +552,7 @@ class AttnResidualGCN(ResidualGCN):
             names = {i: f"attn{i}" for i in range(cfg.num_gcn_layers)}
         else:
             names = {"cat": "attn_cat"}
-        # keyed by GCN layer index or "cat". load_params replaces each
-        # tensor's .data in place, so these views of self.params stay current
+        # keyed by GCN layer index or "cat"
         self._attn = {key: b.attention_block(name, width)
                       for key, name in names.items()}
 
@@ -576,11 +561,6 @@ class AttnResidualGCN(ResidualGCN):
         """Attention runs on one graph's local_ig per forward. With probability
         0 it never runs, so the model is a plain ResidualGCN and batches like one."""
         return self.variant.apply_probability <= 0.0
-
-    def config_dict(self) -> dict:
-        d = super().config_dict()
-        d["variant"] = dataclasses.asdict(self.variant)
-        return d
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         prep = super().prepare(graph)
@@ -632,60 +612,3 @@ def build_model(kind: str, in_dim: int, num_classes: int, seed: int = 0,
                                variant or AttnVariantConfig(), in_dim,
                                num_classes, seed)
     raise ConfigError(f"unknown model kind {kind!r}")
-
-
-_CHECKPOINT_MAGIC = b"CBCK1\n"
-
-
-def save_checkpoint(path, params: dict[str, Tensor], config: dict) -> None:
-    """Single-file container: JSON header plus little-endian float64 buffers."""
-    names = sorted(params)
-    header = {
-        "config": config,
-        "tensors": [{"name": n, "rows": params[n].rows, "cols": params[n].cols}
-                    for n in names],
-    }
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for n in names:
-            fh.write(np.ascontiguousarray(params[n].data, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CHECKPOINT_MAGIC))
-        if magic != _CHECKPOINT_MAGIC:
-            raise ConfigError(f"not a checkpoint file: {path}")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-            config = header["config"]
-            shapes = [(e["name"], int(e["rows"]), int(e["cols"]))
-                      for e in header["tensors"]]
-            if not all(isinstance(name, str) and min(rows, cols) >= 0
-                       for name, rows, cols in shapes):
-                raise ValueError("tensor names must be strings, shapes >= 0")
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"corrupt checkpoint header in {path}: {exc!r}") from None
-        params = {}
-        for name, rows, cols in shapes:
-            buf = fh.read(rows * cols * 8)
-            if len(buf) != rows * cols * 8:
-                raise ConfigError(f"truncated checkpoint {path}: tensor {name} needs "
-                                  f"{rows * cols * 8} bytes, {len(buf)} left")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-            params[name] = Tensor(arr, requires_grad=True)
-    return params, config
-
-
-def load_params(model, params: dict[str, Tensor]) -> None:
-    """Replace a model's parameter values with checkpointed ones, bit-exact."""
-    if set(params) != set(model.params):
-        missing = set(model.params) ^ set(params)
-        raise ConfigError(f"checkpoint parameter names differ: {sorted(missing)}")
-    for name, t in params.items():
-        if t.shape != model.params[name].shape:
-            raise ShapeError(
-                f"checkpoint shape {t.shape} != model shape "
-                f"{model.params[name].shape} for {name}")
-        model.params[name].data = t.data.copy()

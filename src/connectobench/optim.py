@@ -6,14 +6,13 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 class AdamState:
     """First/second moment buffers plus the shared step counter."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -27,9 +26,8 @@ def adam_step(params: dict[str, Tensor], lr: float, state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name in sorted(params):
         p = params[name]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -38,11 +36,11 @@ def adam_step(params: dict[str, Tensor], lr: float, state: AdamState) -> None:
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

@@ -139,14 +139,18 @@ class TestSparseAggregate:
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(9)
-        edges = np.array([[2, 0], [0, 1], [1, 0], [3, 0]])
-        w = rng.standard_normal(4)
-        h = Tensor(rng.standard_normal((4, 2)))
-        shuffled = np.array([3, 0, 2, 1])
-        a = sparse_aggregate(BlockAdjacency.from_edges(edges, w, 4), h).data
-        b = sparse_aggregate(
-            BlockAdjacency.from_edges(edges[shuffled], w[shuffled], 4), h).data
-        assert np.array_equal(a, b)
+        graphs = [(4, np.array([[2, 0], [0, 1], [1, 0], [3, 0]]))]
+        for n in (2, 7, 15, 30):  # unique pairs, self-loops included
+            pairs = np.argwhere(rng.random((n, n)) < 0.4)
+            graphs.append((n, pairs[rng.permutation(len(pairs))]))
+        for n, edges in graphs:
+            w = rng.standard_normal(len(edges))
+            h = Tensor(rng.standard_normal((n, 3)))
+            shuffled = rng.permutation(len(edges))
+            a = sparse_aggregate(BlockAdjacency.from_edges(edges, w, n), h).data
+            b = sparse_aggregate(
+                BlockAdjacency.from_edges(edges[shuffled], w[shuffled], n), h).data
+            assert a.tobytes() == b.tobytes()
 
 
 def _loop_apply(blocks, x, transpose=False):

@@ -117,6 +117,32 @@ class TestSweepDropedge:
                 twin = pooled / path.relative_to(serial)
                 assert twin.read_bytes() == path.read_bytes()
 
+    def test_worker_pool_is_no_larger_than_the_cell_count(
+            self, tiny_dataset, sweep_config, tmp_path, monkeypatch):
+        pools = []
+
+        class InlinePool:  # records its size and runs the cells in this process
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_worker_dataset", None)
+        assert main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--config",
+                     str(sweep_config), "--model", "residual-gcn", "--out",
+                     str(tmp_path / "o"), "--workers", "8"]) == 0
+        assert pools == [3]  # three drop probabilities, one cell each
+        assert len(list((tmp_path / "o" / "runs").iterdir())) == 3
+
     def test_dataset_hash_is_the_files_blob_sha1(self, tiny_dataset,
                                                  sweep_config, tmp_path):
         out = tmp_path / "sweep"
@@ -398,6 +424,40 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "line 4" in err[0] and "n=0" in err[0]
         assert trained == []
+
+    def test_negative_edge_weight_is_dataset_error_in_any_split(
+            self, tiny_dataset, tmp_path, monkeypatch, capsys):
+        # unrefused, the GCN normalization takes the square root of a negative
+        # degree product: a NaN loss in the train split, a NaN row scored as
+        # class 0 in the test split
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        lines = tiny_dataset.read_text().splitlines()
+        for at in range(1, len(lines)):  # every graph, so every split
+            record = json.loads(lines[at])
+            record.update(edges=[[0, 1], [1, 2]], w=[-2.0, 0.5])
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text("\n".join(lines[:at] + [json.dumps(record)]
+                                     + lines[at + 1:]) + "\n")
+            rc = main(["sweep-dropedge", "--dataset", str(bad), "--out",
+                       str(tmp_path / "o")])
+            assert rc == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and f"line {at + 1}" in err[0]
+            assert "negative edge weight -2.0" in err[0]
+        assert trained == []
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_config_error(self, tmp_path, monkeypatch,
+                                               capsys, workers):
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: pytest.fail("a cell trained"))
+        # the dataset does not exist: reading it would exit 4, not 2
+        rc = main(["sweep-dropedge", "--dataset", str(tmp_path / "no.jsonl"),
+                   "--out", str(tmp_path / "o"), "--workers", workers])
+        assert rc == 2
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         rc = main(["sweep-dropedge", "--dataset", str(tmp_path / "no.jsonl"),

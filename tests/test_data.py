@@ -394,6 +394,24 @@ class TestSerialization:
         with pytest.raises(DatasetParseError, match=rf"line 3: bad graph record: .*{message}"):
             deserialize_dataset(self._rewrite(tmp_path, edit))
 
+    @pytest.mark.parametrize("edges,weights,message", [
+        ([[0, 1], [1, 2]], [-2.0, 0.5], "negative edge weight -2.0"),
+        ([[0, 1]], [-5e-324], "negative edge weight"),
+        ([[0, 1], [0, 1]], [0.5, 0.5], "duplicate edges"),
+        ([[0, 1], [1, 2], [0, 1]], [0.5, 0.5, 0.5], "duplicate edges"),
+        ([[1, 0]], [0.5], "u < v"),
+        ([[0, 6]], [0.5], "out of range"),
+    ])
+    def test_invalid_graph_record_reports_line(self, tmp_path, edges, weights,
+                                               message):
+        def edit(lines):
+            record = json.loads(lines[2])
+            record.update(edges=edges, w=weights)
+            lines[2] = json.dumps(record)
+
+        with pytest.raises(DatasetParseError, match=rf"line 3: .*{message}"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
     def test_boolean_num_classes_reports_line(self, tmp_path):
         def edit(lines):
             lines[0] = json.dumps({"version": 1, "num_classes": True, "spec": None})
@@ -485,7 +503,8 @@ _FINITE = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_FINITE, min_size=4, max_size=12), st.lists(_FINITE, max_size=6))
+@given(st.lists(_FINITE, min_size=4, max_size=12),
+       st.lists(_FINITE.filter(lambda w: not w < 0), max_size=6))  # loadable weights
 def test_finite_floats_roundtrip_bit_exact(xs, ws):
     n = len(xs)
     iu, iv = np.triu_indices(n, k=1)

@@ -1,7 +1,5 @@
 """Models: GCN propagation, expander/interaction graphs, attention, variants."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -24,9 +22,6 @@ from connectobench import (
     build_interaction_graph,
     cross_entropy,
     drop_edges,
-    load_checkpoint,
-    load_params,
-    save_checkpoint,
 )
 from connectobench import models
 from connectobench.models import (
@@ -478,16 +473,12 @@ class TestExphormer:
             alone = m.prepare(g, seeded_rng(4, "interaction", i))
             assert m.forward(prep).data.tobytes() == m.forward(alone).data.tobytes()
 
-    def test_cached_blocks_follow_load_params(self, tmp_path):
-        saved = self.make()
-        loaded = Exphormer(saved.cfg, in_dim=8, num_classes=3, seed=9)
-        prep = loaded.prepare(random_graph(np.random.default_rng(36), 8), 1)
-        before = loaded.forward(prep).data
-        save_checkpoint(tmp_path / "m.ckpt", saved.params, saved.config_dict())
-        load_params(loaded, load_checkpoint(tmp_path / "m.ckpt")[0])
-        after = loaded.forward(prep).data
-        assert not np.array_equal(before, after)
-        assert after.tobytes() == saved.forward(prep).data.tobytes()
+    def test_cached_blocks_are_the_params_tensors(self):
+        m = self.make()
+        for l, block in enumerate(m._layers):
+            assert all(t is m.params[f"layer{l}.{name}"] for name, t in block.items())
+        assert sum(map(len, m._layers)) == sum(
+            name.startswith("layer") for name in m.params)
 
 
 @pytest.fixture
@@ -571,64 +562,20 @@ class TestAttnVariant:
                                for _ in range(2)])
         assert plain.forward(batch, mode="train", rng=seeded_rng(2)).shape == (2, 2)
 
+    @pytest.mark.parametrize("placement", ["after_each_gcn", "after_concat"])
+    def test_cached_blocks_are_the_params_tensors(self, placement):
+        m = self.make(placement, 1.0)
+        for key, block in m._attn.items():
+            prefix = "attn_cat" if key == "cat" else f"attn{key}"
+            assert all(t is m.params[f"{prefix}.{name}"] for name, t in block.items())
+        assert sum(map(len, m._attn.values())) == sum(
+            name.startswith("attn") for name in m.params)
+
     def test_width_must_divide_heads(self):
         cfg = ResidualGCNConfig(num_gcn_layers=3, hidden_dim=5, mlp_hidden=4)
         variant = AttnVariantConfig(placement="after_concat", num_heads=4)
         with pytest.raises(ConfigError):
             AttnResidualGCN(cfg, variant, in_dim=6, num_classes=2)
-
-
-class TestCheckpoint:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        m = build_model("exphormer", in_dim=7, num_classes=3, seed=3,
-                        exphormer_cfg=ExphormerConfig(num_layers=1, num_heads=2,
-                                                      hidden_dim=6))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, m.params, m.config_dict())
-        params, config = load_checkpoint(path)
-        assert config == m.config_dict()
-        assert set(params) == set(m.params)
-        for name in m.params:
-            assert np.array_equal(params[name].data, m.params[name].data)
-
-    def test_load_into_model(self, tmp_path):
-        m1 = build_model("residual_gcn", in_dim=5, num_classes=2, seed=1)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, m1.params, m1.config_dict())
-        m2 = build_model("residual_gcn", in_dim=5, num_classes=2, seed=9)
-        params, _ = load_checkpoint(path)
-        load_params(m2, params)
-        for name in m1.params:
-            assert np.array_equal(m1.params[name].data, m2.params[name].data)
-
-    def test_rejects_name_mismatch(self, tmp_path):
-        m1 = build_model("residual_gcn", in_dim=5, num_classes=2, seed=1)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, m1.params, m1.config_dict())
-        m2 = build_model("exphormer", in_dim=5, num_classes=2, seed=1)
-        params, _ = load_checkpoint(path)
-        with pytest.raises(ConfigError):
-            load_params(m2, params)
-
-    def test_truncated_buffer_names_file_and_tensor(self, tmp_path):
-        m = build_model("residual_gcn", in_dim=5, num_classes=2, seed=1)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, m.params, m.config_dict())
-        path.write_bytes(path.read_bytes()[:-8])
-        last = sorted(m.params)[-1]
-        with pytest.raises(ConfigError, match=re.escape(
-                f"truncated checkpoint {path}: tensor {last} needs")):
-            load_checkpoint(path)
-
-    def test_corrupt_header_names_file(self, tmp_path):
-        m = build_model("residual_gcn", in_dim=5, num_classes=2, seed=1)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, m.params, m.config_dict())
-        magic, _, rest = path.read_bytes().partition(b"\n")
-        path.write_bytes(magic + b"\n{not json\n" + rest.partition(b"\n")[2])
-        with pytest.raises(ConfigError,
-                           match=re.escape(f"corrupt checkpoint header in {path}")):
-            load_checkpoint(path)
 
 
 class TestConfigValidation:
