@@ -3,9 +3,9 @@
 Subcommands: gen-data, sweep-dropedge (the one sweep with --model),
 sweep-dropout, sweep-layers, sweep-variants, curves. Flag values override
 config-file entries, which override built-in defaults. A config file holds
-only dataset, dataset_spec, train and the _GRIDS keys. Exit codes: 0 success,
-2 config error, 3 run divergence, 4 I/O or dataset error or a broken contract
-(such as p=1 leaving an edge), 130 interrupted (Ctrl-C).
+only dataset, dataset_spec, train (without model_kind) and the _GRIDS keys.
+Exit codes: 0 success, 2 config error, 3 run divergence, 4 I/O or dataset
+error or a broken contract (such as p=1 leaving an edge), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -54,13 +55,22 @@ def config_hash(cfg: TrainConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _finite_number(text: str, parse=float):
+    """A JSON number read by parse; NaN, Infinity and 1e400 raise ValueError."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"not a finite float64: {text}")
+    return parse(text)
+
+
 def _file_config(args) -> dict:
     if not args.config:
         return {}
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            config = json.load(fh, parse_float=_finite_number,
+                               parse_constant=_finite_number,
+                               parse_int=lambda text: _finite_number(text, int))
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors too
         raise ConfigError(f"invalid config JSON in {args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object, "
@@ -88,17 +98,21 @@ def _resolve_dataset(args, config) -> tuple[Dataset, str, str]:
 
 
 def _train_config(args, config, model_kind: str) -> TrainConfig:
-    cfg = from_json(TrainConfig, config.get("train", {}), "train")
-    cfg.model_kind = model_kind
+    """The file's train block with the sweep's model kind, --epochs and --seeds."""
+    train = config.get("train", {})
+    if isinstance(train, dict) and "model_kind" in train:
+        raise ConfigError("train.model_kind cannot be set in a config file: "
+                          "each sweep picks its models")
+    overrides = {"model_kind": model_kind}
     if getattr(args, "epochs", None) is not None:
-        cfg.total_epochs = args.epochs
+        overrides["total_epochs"] = args.epochs
     if getattr(args, "seeds", None) is not None:
         try:
-            cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
+            overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers, "
                               f"got {args.seeds!r}") from None
-    return cfg
+    return from_json(TrainConfig, train, "train", **overrides)
 
 
 def _typed(default):
@@ -269,15 +283,9 @@ def _write_csv_lines(path, lines: list[str]) -> None:
 
 def cmd_gen_data(args) -> None:
     config = _file_config(args)
-    spec = from_json(SyntheticSpec, config.get("dataset_spec", {}), "dataset_spec")
-    overrides = {
-        "num_graphs": args.graphs, "n": args.nodes, "d": args.dim,
-        "num_classes": args.classes, "threshold": args.threshold,
-        "label_mode": args.label_mode, "noise_scale": args.noise,
-        "seed": args.seed,
-    }
-    spec = dataclasses.replace(
-        spec, **{k: v for k, v in overrides.items() if v is not None})
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)}
+    spec = from_json(SyntheticSpec, config.get("dataset_spec", {}), "dataset_spec",
+                     **{k: v for k, v in flags.items() if v is not None})
     ds = generate_synthetic(spec)
     out = Path(args.out)
     if out.parent != Path(""):
@@ -288,19 +296,17 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    """Run one sweep grid: check every cell's key and config and the p=1
+    """Run one sweep grid: check that no two cells share a key and the p=1
     contract, train its cells, then write one run JSON per cell and the
-    grid's CSV tables."""
+    grid's CSV tables. Each cell's config checked itself when it was built."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = _file_config(args)
     cells, report = _SWEEPS[args.sweep](args, config)
-    keys = set()
-    for key, cfg, _ in cells:
-        if key in keys:  # the two cells would write one run JSON and CSV row
+    keys = [key for key, _, _ in cells]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:  # the two cells would write one run JSON and CSV row
             raise ConfigError(f"two grid cells share the key {key}")
-        keys.add(key)
-        cfg.validate()
     dataset, ds_hash, ds_name = _resolve_dataset(args, config)
     out_dir = Path(args.out)
     runs_dir = out_dir / "runs"
@@ -370,14 +376,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="parallel grid cells (default 1)")
 
     gen = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    gen.add_argument("--graphs", type=int)
-    gen.add_argument("--nodes", type=int)
-    gen.add_argument("--dim", type=int)
-    gen.add_argument("--classes", type=int)
+    # each dest is a SyntheticSpec field, which the flag overrides
+    gen.add_argument("--graphs", type=int, dest="num_graphs", metavar="GRAPHS")
+    gen.add_argument("--nodes", type=int, dest="n", metavar="NODES")
+    gen.add_argument("--dim", type=int, dest="d", metavar="DIM")
+    gen.add_argument("--classes", type=int, dest="num_classes", metavar="CLASSES")
     gen.add_argument("--label-mode", choices=["feature_only", "structure_only",
                                               "mixed"])
     gen.add_argument("--threshold", type=float)
-    gen.add_argument("--noise", type=float)
+    gen.add_argument("--noise", type=float, dest="noise_scale", metavar="NOISE")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True, help="output dataset file")
     gen.add_argument("--config", help="JSON config file")

@@ -7,12 +7,13 @@ import dataclasses
 from .errors import ConfigError
 
 
-def from_json(cls, d, where: str):
+def from_json(cls, d, where: str, /, **overrides):
     """The config dataclass cls built from the JSON object d, whose keys must
-    be fields of cls with values of their defaults' JSON type. Nested configs
-    recurse, so messages name train.gcn.hidden_dim. A list for a tuple field
-    becomes a tuple; other values are kept as given (an int in a float field
-    stays an int, as config_hash sees it)."""
+    be fields of cls with values of their defaults' JSON type, and from the
+    overrides (the program's own values, such as --epochs), which replace d's
+    before cls checks itself. Nested configs recurse, so messages name
+    train.gcn.hidden_dim. A list for a tuple field becomes a tuple; other
+    values are kept as given (an int in a float field stays an int)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
@@ -30,7 +31,7 @@ def from_json(cls, d, where: str):
         elif isinstance(default, tuple):
             value = tuple(value)
         values[key] = value
-    return cls(**values)
+    return cls(**{**values, **overrides})
 
 
 def _same_json_type(value, default) -> bool:

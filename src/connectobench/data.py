@@ -135,7 +135,7 @@ def drop_edges(g: ConnectomeGraph, p: float, seed=0) -> ConnectomeGraph:
                            weights=g.weights[keep].copy(), label=g.label)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Shape and label-provenance parameters for a generated dataset."""
 
@@ -148,7 +148,7 @@ class SyntheticSpec:
     noise_scale: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_graphs < 1:
             raise ConfigError("num_graphs must be >= 1")
         if self.n < 4:
@@ -241,7 +241,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     Labels are assigned round-robin, so classes are balanced within one graph.
     Each graph draws from its own RNG stream split off (spec.seed, index).
     """
-    spec.validate()
     d = spec.feature_dim
     patterns = seeded_rng(spec.seed, "class-patterns").standard_normal(
         (spec.num_classes, d))

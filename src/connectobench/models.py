@@ -50,7 +50,7 @@ _TAG_NAMES = {TAG_LOCAL: "local", TAG_EXPANDER: "expander",
               TAG_GLOBAL: "global", TAG_SELF: "self"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidualGCNConfig:
     num_gcn_layers: int = 3
     hidden_dim: int = 64
@@ -58,7 +58,7 @@ class ResidualGCNConfig:
     dropout: float = 0.1
     use_edge_weights: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_gcn_layers < 1:
             raise ConfigError("num_gcn_layers must be >= 1")
         if self.hidden_dim < 1 or self.mlp_hidden < 1:
@@ -67,7 +67,7 @@ class ResidualGCNConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExphormerConfig:
     num_layers: int = 2
     num_heads: int = 4
@@ -78,7 +78,7 @@ class ExphormerConfig:
     num_global_nodes: int = 1
     structural_encoding: str = "degree"  # "none" or "degree"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_layers < 1:
             raise ConfigError("num_layers must be >= 1")
         if self.num_heads < 1 or self.hidden_dim % self.num_heads != 0:
@@ -97,14 +97,14 @@ class ExphormerConfig:
             raise ConfigError("structural_encoding must be 'none' or 'degree'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttnVariantConfig:
     placement: str = "after_concat"  # or "after_each_gcn"
     apply_probability: float = 1.0
     num_heads: int = 4
     attention_dropout: float = 0.3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.placement not in ("after_each_gcn", "after_concat"):
             raise ConfigError(
                 "placement must be 'after_each_gcn' or 'after_concat'")
@@ -193,8 +193,6 @@ def normalized_adjacency(g: ConnectomeGraph, use_edge_weights: bool = True):
 def gcn_layer(adj: BlockAdjacency, h: Tensor, weight: Tensor,
               tape: Tape | None = None) -> Tensor:
     """One graph convolution: ReLU of the normalized-adjacency propagation."""
-    if h.cols != weight.rows:
-        raise ShapeError(f"gcn_layer: feature dim {h.cols} vs weight {weight.shape}")
     return relu(sparse_aggregate(adj, matmul(h, weight, tape), tape), tape)
 
 
@@ -252,7 +250,6 @@ def build_interaction_graph(g: ConnectomeGraph, cfg: ExphormerConfig,
     from build_expander over the real nodes (skipped for n < 3); each global
     virtual node connects to and from every real node.
     """
-    cfg.validate()
     n, gl = g.n, cfg.num_global_nodes
     srcs, dsts, tags = [], [], []
     if n >= 3:
@@ -283,8 +280,6 @@ def sparse_attention(ig: InteractionGraph, h: Tensor, p: dict[str, Tensor],
     When capture is a list, the post-softmax weights (E x heads) are appended
     to it before attention dropout.
     """
-    if h.cols % num_heads != 0:
-        raise ShapeError(f"{h.cols} features not divisible by {num_heads} heads")
     head_dim = h.cols // num_heads
     q = matmul(h, p["q"], tape)
     k = matmul(h, p["k"], tape)
@@ -396,7 +391,6 @@ class _Model:
     """A model's checked config, seed and params."""
 
     def __init__(self, cfg, seed: int):
-        cfg.validate()
         self.cfg = cfg
         self.seed = seed
         self.params: dict[str, Tensor] = {}
@@ -544,7 +538,6 @@ class AttnResidualGCN(ResidualGCN):
     def __init__(self, cfg: ResidualGCNConfig, variant: AttnVariantConfig,
                  in_dim: int, num_classes: int, seed: int = 0):
         super().__init__(cfg, in_dim, num_classes, seed)
-        variant.validate()
         self.variant = variant
         width = variant.width(cfg)
         b = _ParamBuilder(seed, self.params)

@@ -33,7 +33,7 @@ LR_FLOOR = 1e-6
 EVAL_CHUNK = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     base_lr: float = 0.001
     decay_per_epoch: float = 1e-5
@@ -47,7 +47,7 @@ class TrainConfig:
     exphormer: ExphormerConfig = field(default_factory=ExphormerConfig)
     variant: AttnVariantConfig = field(default_factory=AttnVariantConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.base_lr <= 0:
             raise ConfigError("base_lr must be > 0")
         if self.decay_per_epoch < 0:
@@ -56,14 +56,12 @@ class TrainConfig:
             raise ConfigError("need 0 <= warmup_epochs < total_epochs")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be non-empty and distinct, got {self.seeds}")
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"model_kind must be one of {MODEL_KINDS}")
         if self.decay_rule not in ("linear", "exponential"):
             raise ConfigError("decay_rule must be 'linear' or 'exponential'")
-        for block in (self.gcn, self.exphormer, self.variant):
-            block.validate()
         if self.model_kind == "attn_residual_gcn":
             self.variant.width(self.gcn)
 
@@ -264,7 +262,6 @@ def aggregate_accuracy(values) -> tuple[float, float]:
 def run_experiment(cfg: TrainConfig, dataset: Dataset, drop_p: float,
                    splits: DatasetSplits | None = None) -> ExperimentResult:
     """Train one config across all seeds and aggregate test-at-best-val."""
-    cfg.validate()
     if not 0.0 <= drop_p <= 1.0:
         raise ConfigError(f"drop_p must be in [0, 1], got {drop_p}")
     if splits is None:

@@ -355,7 +355,6 @@ def test_criterion_7_schedule_conformance():
             total_epochs=total,
             warmup_epochs=int(rng.integers(0, total)),
         )
-        cfg.validate()
         lrs = [lr_at(e, cfg) for e in range(cfg.total_epochs)]
         warm = lrs[:cfg.warmup_epochs]
         rest = lrs[cfg.warmup_epochs:]

@@ -664,6 +664,87 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert trained == [] and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("train", [
+        '"base_lr": NaN', '"base_lr": Infinity', '"base_lr": -Infinity',
+        '"base_lr": 1e400', '"decay_per_epoch": NaN',
+        pytest.param('"base_lr": 1' + "0" * 400, id="base_lr-int-above-float64")])
+    def test_non_finite_number_in_config_file_is_config_error(
+            self, tmp_path, monkeypatch, capsys, train):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"train": {%s}}' % train)
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        # the dataset does not exist: reading it would exit 4, not 2
+        rc = main(["sweep-dropedge", "--dataset", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        err = capsys.readouterr().err.splitlines()
+        number = train.split(": ")[1]
+        assert rc == 2
+        assert err == [f"config error: invalid config JSON in {cfg}: "
+                       f"not a finite float64: {number}"]
+        assert trained == [] and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-dropedge", "sweep-dropout",
+                                         "sweep-layers", "sweep-variants"])
+    def test_model_kind_in_config_file_is_config_error(
+            self, tmp_path, monkeypatch, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"model_kind": "exphormer"}}))
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        argv = [command, "--dataset", str(tmp_path / "absent.jsonl"), "--out",
+                str(tmp_path / "o"), "--config", str(cfg)]
+        if command == "sweep-dropedge":
+            argv += ["--model", "residual-gcn"]
+        rc = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and "train.model_kind" in err[0]
+        assert trained == [] and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags,train", [(["--seeds", "0,0"], {}),
+                                             ([], {"seeds": [1, 2, 1]})])
+    def test_repeated_seed_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                           flags, train):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": train}))
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropedge", "--dataset", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg), *flags])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and "seeds must be non-empty and distinct" in err[0]
+        assert trained == [] and not (tmp_path / "o").exists()
+
+    def test_file_value_made_valid_by_a_flag_trains(self, tiny_dataset,
+                                                    sweep_config, tmp_path):
+        # warmup_epochs 150 is invalid with the file's 3 epochs, valid with 200
+        cfg = json.loads(sweep_config.read_text())
+        cfg["train"]["warmup_epochs"] = 150
+        cfg["drop_probabilities"] = [0.0]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                str(tmp_path / "o"), "--config", str(cfg_path), "--model",
+                "residual-gcn"]
+        assert main(argv) == 2
+        assert main(argv + ["--epochs", "200"]) == 0
+        run = json.loads((tmp_path / "o" / "runs" /
+                          "dropedge_residual_gcn_p0.00.json").read_text())
+        assert len(run["runs"][0]["curves"]["epoch"]) == 200
+        # gen-data: a dataset_spec with d above n, made valid by --nodes
+        cfg_path.write_text(json.dumps({"dataset_spec": {"num_graphs": 4, "n": 6,
+                                                         "d": 8}}))
+        argv = ["gen-data", "--config", str(cfg_path), "--out",
+                str(tmp_path / "ds.jsonl")]
+        assert main(argv) == 2
+        assert main(argv + ["--nodes", "10"]) == 0
+        assert json.loads((tmp_path / "ds.jsonl").read_text().splitlines()[1])["d"] == 8
+
     def test_non_utf8_dataset_is_dataset_error(self, tiny_dataset, tmp_path,
                                                capsys):
         bad = tmp_path / "bad.jsonl"

@@ -1,8 +1,11 @@
 """config.from_json: JSON blocks into config dataclasses, keys and types checked."""
 
+import dataclasses
+
 import pytest
 
 from connectobench import (
+    AttnVariantConfig,
     ConfigError,
     ExphormerConfig,
     ResidualGCNConfig,
@@ -51,6 +54,40 @@ class TestFromJson:
         assert from_json(SyntheticSpec, {"d": 5}, "dataset_spec").d == 5
         with pytest.raises(ConfigError, match=r"^dataset_spec\.d must be"):
             from_json(SyntheticSpec, {"d": 2.5}, "dataset_spec")
+
+    def test_overrides_replace_values_before_the_config_checks_itself(self):
+        # from_json's own parameters are positional-only, so SyntheticSpec's
+        # field d can be an override
+        assert from_json(SyntheticSpec, {}, "dataset_spec", d=5).d == 5
+        assert from_json(SyntheticSpec, {"n": 4, "d": 6}, "dataset_spec",
+                         n=8).feature_dim == 6
+        with pytest.raises(ConfigError, match="warmup_epochs < total_epochs"):
+            from_json(TrainConfig, {"warmup_epochs": 150}, "train")
+        cfg = from_json(TrainConfig, {"warmup_epochs": 150, "total_epochs": 7},
+                        "train", total_epochs=200, seeds=(4,))
+        assert (cfg.warmup_epochs, cfg.total_epochs, cfg.seeds) == (150, 200, (4,))
+        with pytest.raises(ConfigError, match="seeds must be non-empty and distinct"):
+            from_json(TrainConfig, {}, "train", seeds=(0, 0))
+
+
+@pytest.mark.parametrize("cfg,name", [
+    (ResidualGCNConfig(), "hidden_dim"), (ExphormerConfig(), "num_heads"),
+    (AttnVariantConfig(), "placement"), (TrainConfig(), "seeds"),
+    (SyntheticSpec(), "d")])
+def test_configs_are_frozen(cfg, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TrainConfig(seeds=(1, 2, 1)),
+    lambda: dataclasses.replace(TrainConfig(), seeds=(0, 0)),
+    lambda: dataclasses.replace(SyntheticSpec(), n=3),
+    lambda: dataclasses.replace(TrainConfig(), exphormer=dataclasses.replace(
+        ExphormerConfig(), num_heads=3))])
+def test_a_config_checks_itself_however_it_is_built(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_config_hash_of_a_fixed_train_block():

@@ -581,28 +581,28 @@ class TestAttnVariant:
 class TestConfigValidation:
     def test_gcn_config(self):
         with pytest.raises(ConfigError):
-            ResidualGCNConfig(num_gcn_layers=0).validate()
+            ResidualGCNConfig(num_gcn_layers=0)
         with pytest.raises(ConfigError):
-            ResidualGCNConfig(dropout=1.0).validate()
+            ResidualGCNConfig(dropout=1.0)
 
     def test_exphormer_config(self):
         with pytest.raises(ConfigError):
-            ExphormerConfig(hidden_dim=10, num_heads=4).validate()
+            ExphormerConfig(hidden_dim=10, num_heads=4)
         with pytest.raises(ConfigError):
-            ExphormerConfig(expander_degree=3).validate()
+            ExphormerConfig(expander_degree=3)
         with pytest.raises(ConfigError):
-            ExphormerConfig(num_global_nodes=-1).validate()
+            ExphormerConfig(num_global_nodes=-1)
         with pytest.raises(ConfigError):
-            ExphormerConfig(structural_encoding="laplacian").validate()
+            ExphormerConfig(structural_encoding="laplacian")
 
     def test_variant_config(self):
         with pytest.raises(ConfigError):
-            AttnVariantConfig(placement="before").validate()
+            AttnVariantConfig(placement="before")
         with pytest.raises(ConfigError):
-            AttnVariantConfig(apply_probability=1.5).validate()
+            AttnVariantConfig(apply_probability=1.5)
         for bad in (-0.1, 1.0):
             with pytest.raises(ConfigError, match="attention_dropout"):
-                AttnVariantConfig(attention_dropout=bad).validate()
+                AttnVariantConfig(attention_dropout=bad)
 
     def test_unknown_model_kind(self):
         with pytest.raises(ConfigError):

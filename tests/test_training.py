@@ -1,5 +1,6 @@
 """Schedule, epoch training, evaluation, and multi-seed experiments."""
 
+import dataclasses
 import hashlib
 import pickle
 
@@ -90,24 +91,23 @@ class TestLrSchedule:
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
-            TrainConfig(base_lr=0.0).validate()
+            TrainConfig(base_lr=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(warmup_epochs=100, total_epochs=100).validate()
+            TrainConfig(warmup_epochs=100, total_epochs=100)
         with pytest.raises(ConfigError):
-            TrainConfig(seeds=()).validate()
+            TrainConfig(seeds=())
         with pytest.raises(ConfigError):
-            TrainConfig(model_kind="mlp").validate()
+            TrainConfig(model_kind="mlp")
 
     @pytest.mark.parametrize("block,field", [("gcn", "dropout"),
                                              ("exphormer", "dropout"),
                                              ("variant", "attention_dropout")])
     def test_every_nested_block_is_validated(self, block, field):
-        # each block is checked whatever the model kind, so a sweep can check
-        # every cell's config before any cell trains
+        # each block checks itself when it is built, whatever the model kind,
+        # so a sweep's cell configs are all checked before any cell trains
         cfg = TrainConfig(model_kind="residual_gcn")
-        setattr(getattr(cfg, block), field, 1.5)
         with pytest.raises(ConfigError, match=field):
-            cfg.validate()
+            dataclasses.replace(getattr(cfg, block), **{field: 1.5})
 
 
 class TestTrainEpoch:

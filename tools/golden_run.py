@@ -11,13 +11,15 @@ graphs with n=20 and seed 5) and runs `sweep-variants`, `sweep-dropout` and
 which reaches attention after every GCN layer, attention inserted with
 probability below 1, and the dropout and layer-count grids. Next, it
 builds a fourth dataset from a config file's `dataset_spec` with
-`gen-data --config`, and runs a `sweep-dropedge` whose dataset comes from
-that `dataset_spec` alone; that config holds ints in float fields and
-spells its `models` grid both ways. Last, it merges two feature_only
-datasets of 40 graphs each, one with n=16 and one with n=24, both with 12
-features, under one header, alternating three small graphs with two large
-ones, and runs `sweep-dropedge` for residual-gcn and exphormer on it, so
-batches hold unequal block sizes and interaction graphs differ in size.
+`gen-data --config`, runs a `sweep-dropedge` whose dataset comes from
+that `dataset_spec` alone, and builds a fifth dataset from the same
+`dataset_spec` with `--graphs 30` overriding its graph count; that config
+holds ints in float fields and spells its `models` grid both ways. Last,
+it merges two feature_only datasets of 40 graphs each, one with n=16 and
+one with n=24, both with 12 features, under one header, alternating three
+small graphs with two large ones, and runs `sweep-dropedge` for residual-gcn
+and exphormer on it, so batches hold unequal block sizes and interaction
+graphs differ in size.
 Every sweep trains 2 epochs with 1 warmup epoch. Prints one
 `sha256  relative/path` line per file written, plus one per command's
 standard output. Run it on two checkouts and diff the printouts: equal
@@ -110,6 +112,7 @@ def golden(work: Path) -> list[tuple[str, str]]:
     Path("spec.json").write_text(json.dumps(SPEC_CONFIG), encoding="utf-8")
     record("spec.jsonl", ["gen-data", "--config", "spec.json"])
     record("spec", ["sweep-dropedge", "--config", "spec.json"])
+    record("spec30.jsonl", ["gen-data", "--config", "spec.json", "--graphs", "30"])
     small, large = (
         Path(gen(f"mixed-n{spec[2]}", *spec, "--dim", str(MIXED_DIM)))
         .read_bytes().splitlines(keepends=True)[1:] for spec in MIXED_DATASETS)
