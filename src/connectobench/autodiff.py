@@ -462,33 +462,59 @@ def _sum_rows_by_id(plan: IndexPlan, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _eye_stack(m: int, k: int) -> np.ndarray:
+    """k stacked m x m identities: a read-only view of an np.eye(m) that every
+    k shares."""
+    eye = _eye_stack(m, 1)[0] if k > 1 else np.eye(m)
+    return np.broadcast_to(eye, (k, m, m))
+
+
 class BlockAdjacency:
     """Block-diagonal linear operator over the rows of a stacked node matrix.
 
     Block b is a dense (n_b, n_b) matrix acting on the n_b rows that follow
     the rows of blocks 0..b-1. One block is one graph's adjacency; a batch of
     graphs is the union of their blocks, so graphs never exchange messages.
-    Each run of consecutive equal-size blocks is kept as one (k, m, m) stack,
-    and apply makes one batched product per run, not one per block: a batch
-    of graphs that share a parcellation is a single run. Blocks are plain
-    data: sparse_aggregate differentiates only its input rows.
+    Each run of consecutive blocks of one size that are all the identity, or
+    all not, is kept as one (k, m, m) stack, and apply makes one batched
+    product per run, not one per block: a batch of graphs that share a
+    parcellation is a single run. An identity run (identity[r], the block of
+    a graph with no edges) is a read-only view of one cached np.eye(m), so it
+    holds no array of its own, and apply copies its rows instead of
+    multiplying. Blocks are plain data: sparse_aggregate differentiates only
+    its input rows.
     """
 
-    __slots__ = ("stacks", "bounds")
+    __slots__ = ("stacks", "identity", "bounds")
 
     def __init__(self, blocks):
-        stacks = []
+        stacks, identity = [], []
         for b in blocks:
             b = np.asarray(b, dtype=np.float64)
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ShapeError(f"adjacency blocks must be square, got {b.shape}")
-            stacks.append(b[np.newaxis])
-        self._set_runs(stacks)
+            # the identity: ones on the diagonal and no other nonzero entry
+            eye = bool(np.count_nonzero(b) == len(b) and (b.diagonal() == 1.0).all())
+            stacks.append(_eye_stack(len(b), 1) if eye else b[np.newaxis])
+            identity.append(eye)
+        self._set_runs(stacks, identity)
 
-    def _set_runs(self, stacks) -> None:
-        """Keep the (k, m, m) stacks, merging neighbours of equal m."""
-        self.stacks = [stacks[lo] if hi - lo == 1 else np.concatenate(stacks[lo:hi])
-                       for lo, hi in _equal_runs([s.shape[1] for s in stacks])]
+    def _set_runs(self, stacks, identity) -> None:
+        """Keep the (k, m, m) stacks, merging neighbours of equal m and kind.
+        An identity stack must come from _eye_stack."""
+        keys = [(s.shape[1], i) for s, i in zip(stacks, identity)]
+        self.stacks, self.identity = [], []
+        for lo, hi in _equal_runs(keys):
+            m, eye = keys[lo]
+            if hi - lo == 1:
+                self.stacks.append(stacks[lo])
+            elif eye:
+                k = sum(s.shape[0] for s in stacks[lo:hi])
+                self.stacks.append(_eye_stack(m, k))
+            else:
+                self.stacks.append(np.concatenate(stacks[lo:hi]))
+            self.identity.append(eye)
         # run r acts on rows bounds[r]:bounds[r + 1]
         self.bounds = [0]
         for s in self.stacks:
@@ -521,19 +547,28 @@ class BlockAdjacency:
     @classmethod
     def union(cls, ops) -> "BlockAdjacency":
         """Disjoint union: the blocks of every operator, in order."""
+        stacks, identity = [], []
+        for op in ops:
+            stacks += op.stacks
+            identity += op.identity
         out = cls.__new__(cls)
-        out._set_runs([s for op in ops for s in op.stacks])
+        out._set_runs(stacks, identity)
         return out
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """A_b @ x_b (or A_b^T @ x_b) for every block b of the stacked rows x.
 
         Each block's product is the same gemm a 2-D A_b @ x_b makes, so the
-        result is bit-equal to a loop over the blocks.
+        result is bit-equal to a loop over the blocks. An identity run's rows
+        are copied, which gives the product's bits up to the sign of a zero.
         """
         out = np.empty(x.shape)
         cols = x.shape[1]
-        for s, lo, hi in zip(self.stacks, self.bounds, self.bounds[1:]):
+        for s, eye, lo, hi in zip(self.stacks, self.identity, self.bounds,
+                                  self.bounds[1:]):
+            if eye:
+                out[lo:hi] = x[lo:hi]
+                continue
             k, m = s.shape[:2]
             np.matmul(s.transpose(0, 2, 1) if transpose else s,
                       x[lo:hi].reshape(k, m, cols), out=out[lo:hi].reshape(k, m, cols))

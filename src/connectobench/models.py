@@ -3,7 +3,7 @@
 Three models share the autodiff core:
 
 * ResidualGCN: a stack of graph convolutions whose per-layer outputs are
-  concatenated, mean-pooled over nodes, and classified by a small MLP.
+  mean-pooled over nodes, concatenated, and classified by a small MLP.
 * Exphormer: a sparse graph transformer attending over an interaction graph
   made of local edges, random-expander edges, and global virtual nodes, so
   the attention edge budget stays O(|V| + |E|).
@@ -453,10 +453,17 @@ class ResidualGCN(_Model):
             if after_layer is not None:
                 h = after_layer(i, h)
             outs.append(h)
-        hcat = concat_cols(outs, tape)
-        if after_concat is not None:
-            hcat = after_concat(hcat)
-        pooled = mean_pool_rows(hcat, tape, counts=batch.counts)
+        if after_concat is None and self.cfg.hidden_dim > 1:
+            # pooling each layer and concatenating the (B, hidden) rows gives
+            # the bits of pooling the (N, layers * hidden) concat. Not for one
+            # column: numpy sums a lone column pairwise, not row by row.
+            pooled = concat_cols([mean_pool_rows(o, tape, counts=batch.counts)
+                                  for o in outs], tape)
+        else:
+            hcat = concat_cols(outs, tape)
+            if after_concat is not None:
+                hcat = after_concat(hcat)
+            pooled = mean_pool_rows(hcat, tape, counts=batch.counts)
         return _mlp_head(self.params, "mlp", pooled, self.cfg.dropout, mode,
                          tape, rng)
 
@@ -471,7 +478,8 @@ class Exphormer(_Model):
 
     kind = "exphormer"
     # One graph per forward: batching the per-edge attention pipeline measured
-    # slower and several times larger in memory than running graphs one by one.
+    # slower and several times larger in memory than running graphs one by
+    # one. README's "How a mini-batch runs" gives the numbers.
     batches_graphs = False
 
     def __init__(self, cfg: ExphormerConfig, in_dim: int, num_classes: int,

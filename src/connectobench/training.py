@@ -156,18 +156,41 @@ def _forward_inputs(model, prepared, indices: list[int], size: int):
         yield chunk, model.collate([prepared[i] for i in chunk])
 
 
+class _RunGraphs(list):
+    """One run's prepared graphs, with the eval batches collated from them.
+
+    evaluate keeps each index list's (forward input, labels) pairs here on
+    first use, so every epoch scores a split without collating it again. The
+    batches go when the run drops its prepared graphs.
+    """
+
+    __slots__ = ("eval_batches",)
+
+    def __init__(self, prepared):
+        super().__init__(prepared)
+        self.eval_batches: dict[tuple[int, ...], list] = {}
+
+
 def evaluate(model, prepared, indices) -> float:
     """Accuracy percent over the indexed graphs, eval mode.
 
-    Argmax ties resolve to the lowest class index.
+    Argmax ties resolve to the lowest class index. On a run's prepared graphs
+    (see _RunGraphs) the batches of an index list are collated once.
     """
     indices = list(indices)
     if not indices:
         raise ContractError("evaluate called with an empty index list")
+    chunks = _forward_inputs(model, prepared, indices, EVAL_CHUNK)
+    batches = ((inputs, np.array([prepared[i].label for i in chunk]))
+               for chunk, inputs in chunks)
+    if isinstance(prepared, _RunGraphs):
+        key = tuple(indices)
+        if key not in prepared.eval_batches:
+            prepared.eval_batches[key] = list(batches)
+        batches = prepared.eval_batches[key]
     correct = 0
-    for chunk, inputs in _forward_inputs(model, prepared, indices, EVAL_CHUNK):
+    for inputs, labels in batches:
         logits = model.forward(inputs, mode="eval")
-        labels = [prepared[i].label for i in chunk]
         correct += int(np.count_nonzero(np.argmax(logits.data, axis=1) == labels))
     return 100.0 * correct / len(indices)
 
@@ -235,6 +258,8 @@ def run_single_seed(cfg: TrainConfig, dataset: Dataset, drop_p: float,
                         seed, gcn_cfg=cfg.gcn, exphormer_cfg=cfg.exphormer,
                         variant=cfg.variant)
     prepared = model.prepare_dataset(corrupted, run_seed=seed)
+    if model.batches_graphs:  # a per-graph input needs no collating
+        prepared = _RunGraphs(prepared)
     opt = AdamState()
     metrics = []
     try:

@@ -169,17 +169,23 @@ class TestBlockAdjacency:
     @pytest.mark.parametrize("cols", [1, 3, 64])
     def test_stacked_apply_matches_per_block_loop(self, sizes, cols):
         rng = np.random.default_rng(len(sizes) * 100 + cols)
-        blocks = [rng.standard_normal((n, n)) for n in sizes]
         x = rng.standard_normal((sum(sizes), cols))
-        union = BlockAdjacency.union(BlockAdjacency([b]) for b in blocks)
-        direct = BlockAdjacency(blocks)
-        runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
-        assert len(union.stacks) == len(direct.stacks) == runs
-        assert union.rows == direct.rows == sum(sizes)
-        for transpose in (False, True):
-            expected = _loop_apply(blocks, x, transpose)
-            assert np.array_equal(union.apply(x, transpose), expected)
-            assert np.array_equal(direct.apply(x, transpose), expected)
+        # no identity block, then two identity blocks in every four
+        for eyes in ([False] * len(sizes), [i % 4 < 2 for i in range(len(sizes))]):
+            blocks = [np.eye(n) if eye else rng.standard_normal((n, n))
+                      for n, eye in zip(sizes, eyes)]
+            union = BlockAdjacency.union(BlockAdjacency([b]) for b in blocks)
+            direct = BlockAdjacency(blocks)
+            # a run is equal sizes, all identity or all not
+            keys = list(zip(sizes, eyes))
+            runs = [keys[0]] + [b for a, b in zip(keys, keys[1:]) if a != b]
+            for adj in (union, direct):
+                assert [(s.shape[1], e) for s, e in zip(adj.stacks, adj.identity)] \
+                    == runs
+                assert adj.rows == sum(sizes)
+                for transpose in (False, True):
+                    expected = _loop_apply(blocks, x, transpose)
+                    assert adj.apply(x, transpose).tobytes() == expected.tobytes()
 
     def test_union_of_unions_keeps_block_order(self):
         rng = np.random.default_rng(4)
@@ -189,6 +195,37 @@ class TestBlockAdjacency:
                                        BlockAdjacency(blocks[3:])])
         assert [s.shape for s in nested.stacks] == [(2, 2, 2), (2, 3, 3), (1, 2, 2)]
         assert np.array_equal(nested.apply(x), _loop_apply(blocks, x))
+
+    def test_identity_runs_hold_no_array_and_nest_in_order(self):
+        rng = np.random.default_rng(5)
+        blocks = [np.eye(3), np.eye(3), rng.standard_normal((3, 3)), np.eye(2),
+                  np.eye(2), rng.standard_normal((2, 2)), np.eye(2)]
+        x = rng.standard_normal((17, 4))
+        nested = BlockAdjacency.union([BlockAdjacency(blocks[:4]),
+                                       BlockAdjacency([]),
+                                       BlockAdjacency.union(
+                                           [BlockAdjacency(blocks[4:6])]),
+                                       BlockAdjacency(blocks[6:])])
+        assert [s.shape for s in nested.stacks] \
+            == [(2, 3, 3), (1, 3, 3), (2, 2, 2), (1, 2, 2), (1, 2, 2)]
+        assert nested.identity == [True, False, True, False, True]
+        for s, eye in zip(nested.stacks, nested.identity):
+            if eye:  # a read-only view of one m x m array, with np.eye's bytes
+                assert s.strides[0] == 0 and not s.flags.writeable
+                assert s.tobytes() == np.stack([np.eye(s.shape[1])] * len(s)).tobytes()
+        for transpose in (False, True):
+            assert nested.apply(x, transpose).tobytes() \
+                == _loop_apply(blocks, x, transpose).tobytes()
+
+    def test_only_the_exact_identity_is_an_identity_block(self):
+        near = [np.eye(3), np.eye(3) + 1e-300, np.eye(3)[::-1], 2 * np.eye(3),
+                np.zeros((3, 3))]
+        near[0][1, 1] = 1 + 2.0 ** -52
+        loops = BlockAdjacency.from_edges([[0, 0], [1, 1], [2, 2]], [1.0] * 3, 3)
+        zero_edge = BlockAdjacency.from_edges([[0, 1], [0, 0], [1, 1], [2, 2]],
+                                              [0.0, 1.0, 1.0, 1.0], 3)
+        assert BlockAdjacency(near).identity == [False]
+        assert loops.identity == zero_edge.identity == [True]
 
     @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
     def test_non_square_block_raises(self, bad):

@@ -211,6 +211,64 @@ class TestResidualGCN:
             mean = sum(s[name] for s in singles) / len(singles)
             assert np.max(np.abs(g - mean)) < 1e-12, name
 
+    @staticmethod
+    def eval_and_grads(m, inputs, labels, **logits_kw):
+        """Eval-mode logits and parameter gradients of m._logits on inputs."""
+        for p in m.params.values():
+            p.grad = None
+        tape = Tape()
+        logits = m._logits(inputs, "eval", tape, None, **logits_kw)
+        backward(tape, cross_entropy(logits, labels, tape=tape))
+        return logits.data, {k: p.grad for k, p in m.params.items()}
+
+    def test_identity_blocks_match_their_products(self):
+        """A graph with no edges, or whose edges all weigh 0, has the identity
+        as its block: apply copies its rows, and the logits and gradients are
+        the bits the block products give."""
+        rng = np.random.default_rng(12)
+        m = self.make()
+        graphs = self.mixed_batch(rng)
+        zero = graph_from_edges(6, [[0, 1], [2, 5], [3, 4]], [0.0, 0.0, 0.0],
+                                x=rng.standard_normal((6, 10)), label=1)
+        bare = graph_from_edges(6, np.zeros((0, 2)), x=zero.x, label=1)
+        graphs[1:1] = [zero, bare]
+        preps = [m.prepare(g) for g in graphs]
+        assert [p.adj.identity for p in preps] == [[False], [True], [True], [False],
+                                                   [False], [True]]
+        batch = m.collate(preps)
+        assert batch.adj.identity == [False, True, False, False, True]
+        products = BlockAdjacency.__new__(BlockAdjacency)
+        products._set_runs([np.array(s) for s in batch.adj.stacks],
+                           [False] * len(batch.adj.stacks))
+        product_batch = models.GCNBatch(x=batch.x, adj=products, counts=batch.counts)
+        labels = [p.label for p in preps]
+        logits, grads = self.eval_and_grads(m, batch, labels)
+        ref_logits, ref_grads = self.eval_and_grads(m, product_batch, labels)
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert logits[1].tobytes() == logits[2].tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("hidden", [1, 3, 64])
+    def test_pooling_each_layer_matches_pooling_the_concat(self, hidden):
+        rng = np.random.default_rng(hidden)
+        cfg = ResidualGCNConfig(num_gcn_layers=3, hidden_dim=hidden, mlp_hidden=5)
+        m = ResidualGCN(cfg, in_dim=4, num_classes=3, seed=1)
+        # mixed counts, runs of equal sizes, and graphs of 8 rows or more
+        sizes = [5, 12, 12, 8, 40, 1, 3, 3]
+        preps = [m.prepare(graph_from_edges(n, random_graph(rng, n, 0.4).edges,
+                                            x=rng.standard_normal((n, 4)), label=i % 3))
+                 for i, n in enumerate(sizes)]
+        batch = m.collate(preps)
+        labels = [p.label for p in preps]
+        logits, grads = self.eval_and_grads(m, batch, labels)
+        # after_concat keeps the node-level (N, 3 * hidden) concat
+        ref_logits, ref_grads = self.eval_and_grads(m, batch, labels,
+                                                    after_concat=lambda h: h)
+        assert logits.tobytes() == ref_logits.tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
 
 class TestBuildExpander:
     def test_single_cycle(self):
@@ -644,7 +702,7 @@ class TestModelStructure:
 
     EXPECTED = {
         "residual_gcn": (
-            _GCN_OPS * 3 + ["concat_cols", "mean_pool_rows"] + _HEAD_OPS,
+            _GCN_OPS * 3 + ["mean_pool_rows"] * 3 + ["concat_cols"] + _HEAD_OPS,
             _GCN_SHAPES),
         "exphormer": (
             ["matmul", "concat_rows"] + _ATTENTION_OPS * 2
@@ -658,7 +716,7 @@ class TestModelStructure:
     }
 
     @pytest.mark.parametrize("kind,forward_ops", [
-        ("residual_gcn", 16), ("exphormer", 57), ("attn_residual_gcn", 40)])
+        ("residual_gcn", 18), ("exphormer", 57), ("attn_residual_gcn", 40)])
     def test_tape_ops_and_params(self, kind, forward_ops):
         g = random_graph(np.random.default_rng(50), 6, density=0.5)
         m = build_model(kind, in_dim=6, num_classes=2, seed=0)

@@ -1,8 +1,12 @@
 """Schedule, epoch training, evaluation, and multi-seed experiments."""
 
+import collections
 import dataclasses
+import gc
 import hashlib
+import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from connectobench import (
     split_dataset,
     train_epoch,
 )
-from connectobench import training
+from connectobench import models, training
 from connectobench.data import dataset_bytes, drop_edges, graphs_equal
 from connectobench.models import build_model
 from connectobench.optim import AdamState, adam_step, zero_grads
@@ -282,6 +286,61 @@ class TestEvaluate:
     def test_empty_indices(self):
         with pytest.raises(ContractError):
             evaluate(_FixedLogitModel(np.zeros((1, 2))), [], [])
+
+
+class TestEvalBatches:
+    """A run collates each eval chunk once, not once per epoch, and keeps the
+    batches on its own prepared graphs only while it runs."""
+
+    def test_each_eval_chunk_is_collated_once_per_run(self, monkeypatch):
+        ds = small_dataset()
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(total_epochs=3, warmup_epochs=1)
+        model_cls = models.ResidualGCN
+        runs, calls, batches = [], [], []
+        prepare_dataset, collate = model_cls.prepare_dataset, model_cls.collate
+
+        def prepare_spy(self, graphs, run_seed=0):
+            runs.append(prepare_dataset(self, graphs, run_seed))
+            return runs[-1]
+
+        def collate_spy(preps):
+            index = {id(p): i for i, p in enumerate(runs[-1])}
+            calls.append(tuple(index[id(p)] for p in preps))
+            batch = collate(preps)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(model_cls, "prepare_dataset", prepare_spy)
+        monkeypatch.setattr(model_cls, "collate", staticmethod(collate_spy))
+        run = run_single_seed(cfg, ds, 0.0, splits, 0)
+        eval_chunks = [tuple(split[i:i + training.EVAL_CHUNK])
+                       for split in (splits.train, splits.val, splits.test)
+                       for i in range(0, len(split), training.EVAL_CHUNK)]
+        train_batches = math.ceil(len(splits.train) / cfg.batch_size)
+        assert len(runs) == 1 and len(run.metrics) == 3
+        assert len(calls) == len(eval_chunks) + 3 * train_batches
+        counts = collections.Counter(calls)
+        assert all(counts[chunk] == 1 for chunk in eval_chunks)
+        gc.collect()
+        assert all(ref() is None for ref in batches)  # no batch outlives the run
+
+    def test_each_prepared_list_gets_its_own_accuracy(self):
+        ds = small_dataset(num_graphs=24)
+        model = build_model("residual_gcn", ds.feature_dim, ds.num_classes, 0)
+        # the same graphs, labelled as the model predicts them and the other way
+        right = model.prepare_dataset(ds.graphs)
+        wrong = model.prepare_dataset(ds.graphs)
+        for r, w in zip(right, wrong):
+            r.label = int(np.argmax(model.forward(r).data))
+            w.label = 1 - r.label
+        indices = list(range(20))
+        assert [evaluate(model, wrong, indices), evaluate(model, right, indices)] \
+            == [0.0, 100.0]
+        cached = [training._RunGraphs(wrong), training._RunGraphs(right)]
+        for _ in range(2):  # the second pass reads the cached batches
+            assert [evaluate(model, c, indices) for c in cached] == [0.0, 100.0]
+        assert all(list(c.eval_batches) == [tuple(indices)] for c in cached)
 
 
 class TestRunExperiment:
