@@ -65,6 +65,7 @@ from .rng import seeded_rng
 from .training import (
     EpochMetrics,
     ExperimentResult,
+    Run,
     RunResult,
     TrainConfig,
     aggregate_accuracy,

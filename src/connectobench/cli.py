@@ -126,17 +126,17 @@ def _typed(default):
 
 
 def _grid(config, key: str, convert) -> list:
-    """The config's `key` grid, or _GRIDS[key], each value passed through
-    convert. A value convert rejects, or an empty grid, is a ConfigError."""
+    """The config's `key` list, or _GRIDS[key], each value passed through
+    convert. Another value, a rejected entry or an empty list is a ConfigError."""
     values = config.get(key)
     values = _GRIDS[key] if values is None else values
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"the {key} grid must be a non-empty JSON list, "
+                          f"got {values!r}")
     try:
-        values = [convert(v) for v in values]
+        return [convert(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {key} grid {values!r}: {exc}") from None
-    if not values:
-        raise ConfigError(f"the {key} grid must be non-empty")
-    return values
 
 
 def _stats(res: dict, *names: str) -> str:

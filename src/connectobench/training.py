@@ -8,6 +8,7 @@ given the config: repeated runs produce bit-identical curves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,7 +54,8 @@ class TrainConfig:
         if self.decay_per_epoch < 0:
             raise ConfigError("decay_per_epoch must be >= 0")
         if not 0 <= self.warmup_epochs < self.total_epochs:
-            raise ConfigError("need 0 <= warmup_epochs < total_epochs")
+            raise ConfigError(f"need 0 <= warmup_epochs < total_epochs, got "
+                              f"{self.warmup_epochs} and {self.total_epochs}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -156,58 +158,35 @@ def _forward_inputs(model, prepared, indices: list[int], size: int):
         yield chunk, model.collate([prepared[i] for i in chunk])
 
 
-class _RunGraphs(list):
-    """One run's prepared graphs, with the eval batches collated from them.
+def evaluate(model, inputs, labels) -> float:
+    """Accuracy percent of the eval-mode forwards over inputs.
 
-    evaluate keeps each index list's (forward input, labels) pairs here on
-    first use, so every epoch scores a split without collating it again. The
-    batches go when the run drops its prepared graphs.
+    labels holds one label per graph the inputs carry, in the inputs' order.
+    Argmax ties resolve to the lowest class index.
     """
-
-    __slots__ = ("eval_batches",)
-
-    def __init__(self, prepared):
-        super().__init__(prepared)
-        self.eval_batches: dict[tuple[int, ...], list] = {}
-
-
-def evaluate(model, prepared, indices) -> float:
-    """Accuracy percent over the indexed graphs, eval mode.
-
-    Argmax ties resolve to the lowest class index. On a run's prepared graphs
-    (see _RunGraphs) the batches of an index list are collated once.
-    """
-    indices = list(indices)
-    if not indices:
-        raise ContractError("evaluate called with an empty index list")
-    chunks = _forward_inputs(model, prepared, indices, EVAL_CHUNK)
-    batches = ((inputs, np.array([prepared[i].label for i in chunk]))
-               for chunk, inputs in chunks)
-    if isinstance(prepared, _RunGraphs):
-        key = tuple(indices)
-        if key not in prepared.eval_batches:
-            prepared.eval_batches[key] = list(batches)
-        batches = prepared.eval_batches[key]
-    correct = 0
-    for inputs, labels in batches:
-        logits = model.forward(inputs, mode="eval")
-        correct += int(np.count_nonzero(np.argmax(logits.data, axis=1) == labels))
-    return 100.0 * correct / len(indices)
+    if not len(labels):
+        raise ContractError("evaluate called with no graphs to score")
+    preds = np.concatenate([np.argmax(model.forward(x, mode="eval").data, axis=1)
+                            for x in inputs])
+    if preds.size != len(labels):
+        raise ContractError(f"{preds.size} predictions for {len(labels)} labels")
+    return 100.0 * int(np.count_nonzero(preds == labels)) / len(labels)
 
 
-def train_epoch(model, prepared, splits: DatasetSplits, cfg: TrainConfig,
-                epoch: int, opt: AdamState, rng, lr: float | None = None
+def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
                 ) -> EpochMetrics:
-    """One pass over shuffled train graphs with mini-batch Adam updates.
+    """One pass over the run's shuffled train graphs with mini-batch Adam
+    updates, then the accuracy on every split.
 
     A model that batches graphs runs each mini-batch as one forward and one
     backward of the batch-mean loss. Other models run one forward and
     backward per graph, and their summed gradients are averaged before the
     step. Raises DivergenceError on the first non-finite loss. Deterministic
-    given (model state, rng).
+    given (run state, rng).
     """
+    model, prepared, cfg = run.model, run.prepared, run.cfg
     lr_value = lr_at(epoch, cfg) if lr is None else lr
-    order = [splits.train[i] for i in rng.permutation(len(splits.train))]
+    order = [run.splits.train[i] for i in rng.permutation(len(run.splits.train))]
     total_loss = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
@@ -231,15 +210,9 @@ def train_epoch(model, prepared, splits: DatasetSplits, cfg: TrainConfig,
         for p in model.params.values():
             if p.grad is not None:
                 p.grad *= inv
-        adam_step(model.params, lr_value, opt)
-    return EpochMetrics(
-        epoch=epoch,
-        train_acc=evaluate(model, prepared, splits.train),
-        val_acc=evaluate(model, prepared, splits.val),
-        test_acc=evaluate(model, prepared, splits.test),
-        loss=total_loss / max(len(order), 1),
-        lr=lr_value,
-    )
+        adam_step(model.params, lr_value, run.opt)
+    accs = [evaluate(model, inputs, labels) for inputs, labels in run.eval_sets]
+    return EpochMetrics(epoch, *accs, total_loss / max(len(order), 1), lr_value)
 
 
 def corrupt(graphs: list[ConnectomeGraph], p: float, seed: int
@@ -250,30 +223,48 @@ def corrupt(graphs: list[ConnectomeGraph], p: float, seed: int
             for i, g in enumerate(graphs)]
 
 
-def run_single_seed(cfg: TrainConfig, dataset: Dataset, drop_p: float,
-                    splits: DatasetSplits, seed: int) -> RunResult:
-    """Corrupt the dataset with one edge-drop stream, train the full schedule."""
-    corrupted = corrupt(dataset.graphs, drop_p, seed)
-    model = build_model(cfg.model_kind, dataset.feature_dim, dataset.num_classes,
-                        seed, gcn_cfg=cfg.gcn, exphormer_cfg=cfg.exphormer,
-                        variant=cfg.variant)
-    prepared = model.prepare_dataset(corrupted, run_seed=seed)
-    if model.batches_graphs:  # a per-graph input needs no collating
-        prepared = _RunGraphs(prepared)
-    opt = AdamState()
-    metrics = []
-    try:
-        for epoch in range(cfg.total_epochs):
-            rng = seeded_rng(seed, "epoch", epoch)
-            metrics.append(train_epoch(model, prepared, splits, cfg, epoch, opt, rng))
-    except DivergenceError as exc:
-        exc.seed = seed
-        raise
-    vals = [m.val_acc for m in metrics]
-    best = int(np.argmax(vals))  # earliest epoch wins ties
-    return RunResult(seed=seed, metrics=metrics, best_val_epoch=best,
-                     val_at_best=metrics[best].val_acc,
-                     test_at_best_val=metrics[best].test_acc)
+class Run:
+    """One seed's training of cfg's model on the dataset corrupted at drop_p:
+    epoch() trains the next epoch, result() reads test-at-best-val so far."""
+
+    def __init__(self, cfg: TrainConfig, dataset: Dataset, drop_p: float,
+                 splits: DatasetSplits, seed: int):
+        self.cfg, self.splits, self.seed = cfg, splits, seed
+        corrupted = corrupt(dataset.graphs, drop_p, seed)
+        self.model = build_model(cfg.model_kind, dataset.feature_dim,
+                                 dataset.num_classes, seed, gcn_cfg=cfg.gcn,
+                                 exphormer_cfg=cfg.exphormer, variant=cfg.variant)
+        self.prepared = self.model.prepare_dataset(corrupted, run_seed=seed)
+        self.opt = AdamState()
+        self.metrics: list[EpochMetrics] = []
+
+    @functools.cached_property
+    def eval_sets(self) -> list[tuple[list, np.ndarray]]:
+        """(forward inputs, labels) of the train, val and test splits, built
+        on first use, in epoch 0's evaluation, and kept for the run."""
+        return [([inputs for _, inputs in _forward_inputs(
+                    self.model, self.prepared, indices, EVAL_CHUNK)],
+                 np.array([self.prepared[i].label for i in indices]))
+                for indices in (self.splits.train, self.splits.val,
+                                self.splits.test)]
+
+    def epoch(self) -> EpochMetrics:
+        """Train the next epoch; a DivergenceError carries this run's seed."""
+        epoch = len(self.metrics)
+        try:
+            metrics = train_epoch(self, epoch, seeded_rng(self.seed, "epoch", epoch))
+        except DivergenceError as exc:
+            exc.seed = self.seed
+            raise
+        self.metrics.append(metrics)
+        return metrics
+
+    def result(self) -> RunResult:
+        best = int(np.argmax([m.val_acc for m in self.metrics]))  # earliest wins ties
+        return RunResult(seed=self.seed, metrics=list(self.metrics),
+                         best_val_epoch=best,
+                         val_at_best=self.metrics[best].val_acc,
+                         test_at_best_val=self.metrics[best].test_acc)
 
 
 def aggregate_accuracy(values) -> tuple[float, float]:
@@ -294,8 +285,13 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset, drop_p: float,
     for name in ("train", "val", "test"):
         if not getattr(splits, name):
             raise EmptySplitError(name, len(dataset))
-    runs = [run_single_seed(cfg, dataset, drop_p, splits, seed)
-            for seed in cfg.seeds]
+    runs = []
+    for seed in cfg.seeds:
+        run = Run(cfg, dataset, drop_p, splits, seed)
+        for _ in range(cfg.total_epochs):
+            run.epoch()
+        runs.append(run.result())
+        del run  # the next seed's run is built without this one's graphs
     mean_test, std_test = aggregate_accuracy(r.test_at_best_val for r in runs)
     mean_val, std_val = aggregate_accuracy(r.val_at_best for r in runs)
     return ExperimentResult(model_kind=cfg.model_kind, drop_p=drop_p,

@@ -561,6 +561,22 @@ class TestExitCodes:
         assert rc == 2
         assert next(iter(grid)) in capsys.readouterr().err
 
+    # a string would be split into characters and a dict read as its keys
+    @pytest.mark.parametrize("models", ["exphormer", {"residual-gcn": 1}])
+    def test_models_grid_that_is_not_a_list_is_config_error(
+            self, tiny_dataset, tmp_path, monkeypatch, capsys, models):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": models}))
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1
+        assert "models" in err[0] and repr(models) in err[0]
+        assert trained == []
+
     @pytest.mark.parametrize("spec,word", [({"bogus": 1}, "bogus"),
                                            ({"n": "x"}, "dataset_spec.n"),
                                            ({"d": 2.5}, "dataset_spec.d")])

@@ -61,8 +61,9 @@ class TestFromJson:
         assert from_json(SyntheticSpec, {}, "dataset_spec", d=5).d == 5
         assert from_json(SyntheticSpec, {"n": 4, "d": 6}, "dataset_spec",
                          n=8).feature_dim == 6
-        with pytest.raises(ConfigError, match="warmup_epochs < total_epochs"):
+        with pytest.raises(ConfigError, match="warmup_epochs < total_epochs") as info:
             from_json(TrainConfig, {"warmup_epochs": 150}, "train")
+        assert str(info.value).endswith("got 150 and 100")
         cfg = from_json(TrainConfig, {"warmup_epochs": 150, "total_epochs": 7},
                         "train", total_epochs=200, seeds=(4,))
         assert (cfg.warmup_epochs, cfg.total_epochs, cfg.seeds) == (150, 200, (4,))

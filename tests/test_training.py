@@ -18,6 +18,7 @@ from connectobench import (
     EmptySplitError,
     ExphormerConfig,
     ResidualGCNConfig,
+    Run,
     SyntheticSpec,
     Tape,
     TrainConfig,
@@ -33,10 +34,8 @@ from connectobench import (
 )
 from connectobench import models, training
 from connectobench.data import dataset_bytes, drop_edges, graphs_equal
-from connectobench.models import build_model
 from connectobench.optim import AdamState, adam_step, zero_grads
 from connectobench.rng import seeded_rng
-from connectobench.training import run_single_seed
 
 from helpers import raw_index_prep
 
@@ -117,61 +116,37 @@ class TestLrSchedule:
 class TestTrainEpoch:
     def test_zero_lr_leaves_params_bit_identical(self):
         ds = small_dataset()
-        splits = split_dataset(ds.graphs, seed=0)
-        cfg = small_config()
-        model = build_model("residual_gcn", ds.feature_dim, ds.num_classes,
-                            seed=0, gcn_cfg=cfg.gcn)
-        prepared = model.prepare_dataset(ds.graphs)
-        before = {k: p.data.copy() for k, p in model.params.items()}
-        train_epoch(model, prepared, splits, cfg, 0, AdamState(),
-                    seeded_rng(0, "epoch", 0), lr=0.0)
-        for k, p in model.params.items():
+        run = Run(small_config(), ds, 0.0, split_dataset(ds.graphs, seed=0), 0)
+        before = {k: p.data.copy() for k, p in run.model.params.items()}
+        train_epoch(run, 0, seeded_rng(0, "epoch", 0), lr=0.0)
+        for k, p in run.model.params.items():
             assert np.array_equal(p.data, before[k])
 
     def test_same_seed_identical_metrics(self):
         ds = small_dataset()
         splits = split_dataset(ds.graphs, seed=0)
         cfg = small_config()
-
-        def run():
-            model = build_model("residual_gcn", ds.feature_dim, ds.num_classes,
-                                seed=3, gcn_cfg=cfg.gcn)
-            prepared = model.prepare_dataset(ds.graphs)
-            return train_epoch(model, prepared, splits, cfg, 0, AdamState(),
-                               seeded_rng(3, "epoch", 0))
-
-        assert run() == run()
+        assert Run(cfg, ds, 0.0, splits, 3).epoch() == Run(cfg, ds, 0.0, splits, 3).epoch()
 
     def test_feature_task_learnable(self):
         ds = generate_synthetic(SyntheticSpec(num_graphs=300, n=30,
                                               num_classes=2,
                                               label_mode="feature_only",
                                               seed=12))
-        splits = split_dataset(ds.graphs, seed=0)
         cfg = small_config(total_epochs=20, warmup_epochs=2)
-        model = build_model("residual_gcn", ds.feature_dim, ds.num_classes,
-                            seed=0, gcn_cfg=cfg.gcn)
-        prepared = model.prepare_dataset(ds.graphs)
-        opt = AdamState()
-        metrics = None
-        for epoch in range(cfg.total_epochs):
-            metrics = train_epoch(model, prepared, splits, cfg, epoch, opt,
-                                  seeded_rng(0, "epoch", epoch))
+        run = Run(cfg, ds, 0.0, split_dataset(ds.graphs, seed=0), 0)
+        for _ in range(cfg.total_epochs):
+            metrics = run.epoch()
         assert metrics.train_acc >= 90.0
 
     def test_divergence_reports_epoch_and_batch(self):
         ds = small_dataset()
-        splits = split_dataset(ds.graphs, seed=0)
         cfg = small_config(batch_size=4)
-        model = build_model("residual_gcn", ds.feature_dim, ds.num_classes,
-                            seed=0, gcn_cfg=cfg.gcn)
-        prepared = model.prepare_dataset(ds.graphs)
-        opt = AdamState()
+        run = Run(cfg, ds, 0.0, split_dataset(ds.graphs, seed=0), 0)
         with pytest.raises(DivergenceError, match="epoch"), \
                 np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(cfg.total_epochs):
-                train_epoch(model, prepared, splits, cfg, epoch, opt,
-                            seeded_rng(0, "epoch", epoch), lr=1e120)
+                train_epoch(run, epoch, seeded_rng(0, "epoch", epoch), lr=1e120)
 
 
 def _per_graph_epoch(model, prepared, splits, cfg, opt, rng, lr):
@@ -204,21 +179,15 @@ class TestExphormerEpoch:
                            exphormer=ExphormerConfig(num_layers=1, num_heads=2,
                                                      hidden_dim=8,
                                                      expander_degree=2))
-
-        def fresh():
-            model = build_model("exphormer", ds.feature_dim, ds.num_classes,
-                                seed=4, exphormer_cfg=cfg.exphormer)
-            return model, model.prepare_dataset(ds.graphs, run_seed=4)
-
-        model, prepared = fresh()
-        metrics = train_epoch(model, prepared, splits, cfg, 2, AdamState(),
-                              seeded_rng(4, "epoch", 2))
-        ref, ref_prepared = fresh()
-        ref_loss = _per_graph_epoch(ref, ref_prepared, splits, cfg, AdamState(),
-                                    seeded_rng(4, "epoch", 2), lr_at(2, cfg))
+        run = Run(cfg, ds, 0.0, splits, 4)
+        metrics = train_epoch(run, 2, seeded_rng(4, "epoch", 2))
+        ref = Run(cfg, ds, 0.0, splits, 4)
+        ref_loss = _per_graph_epoch(ref.model, ref.prepared, splits, cfg,
+                                    AdamState(), seeded_rng(4, "epoch", 2),
+                                    lr_at(2, cfg))
         assert metrics.loss == ref_loss
-        for name, p in model.params.items():
-            assert np.array_equal(p.data, ref.params[name].data), name
+        for name, p in run.model.params.items():
+            assert np.array_equal(p.data, ref.model.params[name].data), name
 
     def test_prebuilt_plans_match_raw_ids_bit_exact(self):
         ds = small_dataset(num_graphs=30, n=8)
@@ -229,14 +198,11 @@ class TestExphormerEpoch:
                                                      expander_degree=2))
         runs = []
         for rebuild in (False, True):
-            model = build_model("exphormer", ds.feature_dim, ds.num_classes,
-                                seed=4, exphormer_cfg=cfg.exphormer)
-            prepared = model.prepare_dataset(ds.graphs, run_seed=4)
+            run = Run(cfg, ds, 0.0, splits, 4)
             if rebuild:
-                prepared = [raw_index_prep(p) for p in prepared]
-            metrics = train_epoch(model, prepared, splits, cfg, 2, AdamState(),
-                                  seeded_rng(4, "epoch", 2))
-            runs.append((metrics, model.params))
+                run.prepared = [raw_index_prep(p) for p in run.prepared]
+            metrics = train_epoch(run, 2, seeded_rng(4, "epoch", 2))
+            runs.append((metrics, run.model.params))
         (m0, p0), (m1, p1) = runs
         assert m0 == m1
         for name in p0:
@@ -244,53 +210,49 @@ class TestExphormerEpoch:
 
 
 class _FixedLogitModel:
-    """Stub emitting pre-chosen logits per graph index (via prep = index)."""
-
-    batches_graphs = False
+    """Stub whose forward input is a graph index, or a list of them for a
+    batch, and whose output is those graphs' pre-chosen logits."""
 
     def __init__(self, logits):
         self.logits = logits
 
-    def forward(self, prep, mode="eval", tape=None, rng=None):
+    def forward(self, graphs, mode="eval", tape=None, rng=None):
         from connectobench import Tensor
-        return Tensor(self.logits[prep.index])
-
-
-class _Item:
-    def __init__(self, index, label):
-        self.index = index
-        self.label = label
+        return Tensor(self.logits[np.atleast_1d(graphs)])
 
 
 class TestEvaluate:
     def test_all_correct(self):
         logits = np.array([[2.0, 0.0], [0.0, 2.0]])
         model = _FixedLogitModel(logits)
-        prepared = [_Item(0, 0), _Item(1, 1)]
-        assert evaluate(model, prepared, [0, 1]) == 100.0
+        assert evaluate(model, [0, 1], [0, 1]) == 100.0
 
     def test_constant_logits_hit_chance_on_balanced_split(self):
         # constant logits predict class 0 everywhere (argmax tie -> lowest)
         logits = np.zeros((10, 2))
         model = _FixedLogitModel(logits)
-        prepared = [_Item(i, i % 2) for i in range(10)]
-        assert evaluate(model, prepared, list(range(10))) == 50.0
+        labels = [i % 2 for i in range(10)]
+        assert evaluate(model, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]], labels) == 50.0
 
     def test_two_of_three(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         model = _FixedLogitModel(logits)
-        prepared = [_Item(0, 0), _Item(1, 1), _Item(2, 1)]
-        acc = evaluate(model, prepared, [0, 1, 2])
+        acc = evaluate(model, [[0, 1], 2], [0, 1, 1])
         assert abs(acc - 66.67) < 0.01
 
     def test_empty_indices(self):
         with pytest.raises(ContractError):
             evaluate(_FixedLogitModel(np.zeros((1, 2))), [], [])
 
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 1]])
+    def test_one_label_per_scored_graph(self, labels):
+        with pytest.raises(ContractError, match="predictions for"):
+            evaluate(_FixedLogitModel(np.zeros((2, 2))), [[0, 1]], labels)
+
 
 class TestEvalBatches:
     """A run collates each eval chunk once, not once per epoch, and keeps the
-    batches on its own prepared graphs only while it runs."""
+    batches only while it runs."""
 
     def test_each_eval_chunk_is_collated_once_per_run(self, monkeypatch):
         ds = small_dataset()
@@ -313,12 +275,12 @@ class TestEvalBatches:
 
         monkeypatch.setattr(model_cls, "prepare_dataset", prepare_spy)
         monkeypatch.setattr(model_cls, "collate", staticmethod(collate_spy))
-        run = run_single_seed(cfg, ds, 0.0, splits, 0)
+        res = run_experiment(cfg, ds, 0.0, splits)
         eval_chunks = [tuple(split[i:i + training.EVAL_CHUNK])
                        for split in (splits.train, splits.val, splits.test)
                        for i in range(0, len(split), training.EVAL_CHUNK)]
         train_batches = math.ceil(len(splits.train) / cfg.batch_size)
-        assert len(runs) == 1 and len(run.metrics) == 3
+        assert len(runs) == 1 and len(res.runs[0].metrics) == 3
         assert len(calls) == len(eval_chunks) + 3 * train_batches
         counts = collections.Counter(calls)
         assert all(counts[chunk] == 1 for chunk in eval_chunks)
@@ -327,20 +289,39 @@ class TestEvalBatches:
 
     def test_each_prepared_list_gets_its_own_accuracy(self):
         ds = small_dataset(num_graphs=24)
-        model = build_model("residual_gcn", ds.feature_dim, ds.num_classes, 0)
-        # the same graphs, labelled as the model predicts them and the other way
-        right = model.prepare_dataset(ds.graphs)
-        wrong = model.prepare_dataset(ds.graphs)
-        for r, w in zip(right, wrong):
-            r.label = int(np.argmax(model.forward(r).data))
+        splits = split_dataset(ds.graphs, seed=0)
+        # two runs of one model on the same graphs, labelled as the model
+        # predicts them in one and the other way in the other
+        right, wrong = (Run(small_config(), ds, 0.0, splits, 0) for _ in range(2))
+        for r, w in zip(right.prepared, wrong.prepared):
+            r.label = int(np.argmax(right.model.forward(r).data))
             w.label = 1 - r.label
-        indices = list(range(20))
-        assert [evaluate(model, wrong, indices), evaluate(model, right, indices)] \
-            == [0.0, 100.0]
-        cached = [training._RunGraphs(wrong), training._RunGraphs(right)]
-        for _ in range(2):  # the second pass reads the cached batches
-            assert [evaluate(model, c, indices) for c in cached] == [0.0, 100.0]
-        assert all(list(c.eval_batches) == [tuple(indices)] for c in cached)
+        sets = [wrong.eval_sets, right.eval_sets]
+        for _ in range(2):  # the second pass reads the collated batches
+            assert [[evaluate(run.model, *s) for s in run.eval_sets]
+                    for run in (wrong, right)] == [[0.0] * 3, [100.0] * 3]
+        assert wrong.eval_sets is sets[0] and right.eval_sets is sets[1]
+
+    @pytest.mark.parametrize("kind", ["residual_gcn", "exphormer"])
+    def test_eval_graphs_are_the_third_argument(self, monkeypatch, kind):
+        # a profiler that wraps evaluate counts the graphs an epoch scores as
+        # the length of its third argument
+        ds = small_dataset(num_graphs=30, n=8)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind=kind, total_epochs=1, warmup_epochs=0,
+                           exphormer=ExphormerConfig(num_layers=1, num_heads=2,
+                                                     hidden_dim=8,
+                                                     expander_degree=2))
+        scored, inner = [], training.evaluate
+
+        def counting(model, inputs, labels):
+            labels = list(labels)
+            scored.append(len(labels))
+            return inner(model, inputs, labels)
+
+        monkeypatch.setattr(training, "evaluate", counting)
+        run_experiment(cfg, ds, 0.5, splits)
+        assert scored == [len(splits.train), len(splits.val), len(splits.test)]
 
 
 class TestRunExperiment:
@@ -390,10 +371,37 @@ class TestRunExperiment:
     def test_best_val_selection(self):
         ds = small_dataset()
         cfg = small_config(total_epochs=5, warmup_epochs=1)
-        run = run_single_seed(cfg, ds, 0.0, split_dataset(ds.graphs, seed=0), 0)
-        vals = [m.val_acc for m in run.metrics]
-        assert run.best_val_epoch == int(np.argmax(vals))
-        assert run.test_at_best_val == run.metrics[run.best_val_epoch].test_acc
+        run = Run(cfg, ds, 0.0, split_dataset(ds.graphs, seed=0), 0)
+        for _ in range(cfg.total_epochs):
+            run.epoch()
+        res = run.result()
+        vals = [m.val_acc for m in res.metrics]
+        assert res.best_val_epoch == int(np.argmax(vals))
+        assert res.test_at_best_val == res.metrics[res.best_val_epoch].test_acc
+        # the earliest of equal validation accuracies wins
+        run.metrics = [dataclasses.replace(m, val_acc=v, test_acc=t) for m, v, t
+                       in zip(res.metrics, [50, 60, 60, 55, 60], [1, 2, 3, 4, 5])]
+        assert (run.result().best_val_epoch, run.result().test_at_best_val) == (1, 2)
+
+    def test_stepping_a_run_matches_run_experiment(self):
+        ds = small_dataset()
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(seeds=(1, 2), total_epochs=3)
+        run = Run(cfg, ds, 0.5, splits, 2)
+        steps = [run.epoch() for _ in range(cfg.total_epochs)]
+        assert steps == run.metrics
+        assert run.result().to_dict() == \
+            run_experiment(cfg, ds, 0.5, splits).runs[1].to_dict()
+
+    def test_diverging_run_names_its_seed(self):
+        ds = small_dataset()
+        cfg = small_config(base_lr=1e120, warmup_epochs=0, seeds=(7,))
+        run = Run(cfg, ds, 0.0, split_dataset(ds.graphs, seed=0), 7)
+        with pytest.raises(DivergenceError, match="^seed 7: ") as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.total_epochs):
+                run.epoch()
+        assert info.value.seed == 7
 
     def test_invalid_drop_p(self):
         with pytest.raises(ConfigError):
