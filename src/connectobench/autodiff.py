@@ -300,8 +300,8 @@ def gather_rows(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
 def _equal_runs(values) -> list[tuple[int, int]]:
     """(start, stop) of each run of equal consecutive values."""
     cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
-    bounds = [0, *cuts, len(values)] if values else []
-    return list(zip(bounds, bounds[1:]))
+    marks = [0, *cuts, len(values)] if values else []
+    return list(zip(marks, marks[1:]))
 
 
 def mean_pool_rows(a: Tensor, tape: Tape | None = None, counts=None) -> Tensor:
@@ -311,7 +311,9 @@ def mean_pool_rows(a: Tensor, tape: Tape | None = None, counts=None) -> Tensor:
     counts[i] rows and pools into row i. Every graph's row is what
     rows.mean(axis=0) gives, bit for bit: each run of graphs with equal
     counts is summed as one (graphs, rows, d) reduction over its middle axis
-    and divided by the count, which is .mean's arithmetic.
+    and divided by the count, which is .mean's arithmetic. Pooled column
+    blocks match their pooled concat bit for bit only at 2 or more columns
+    a block: numpy sums a lone column pairwise.
     """
     counts = [a.rows] if counts is None else [int(c) for c in counts]
     if not counts or min(counts) < 1:
@@ -384,11 +386,11 @@ def cross_entropy(logits: Tensor, labels, tape: Tape | None = None) -> Tensor:
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
-    logsumexp = zmax + np.log(ez.sum(axis=1, keepdims=True))
-    logp = z - logsumexp
+    ez_sum = ez.sum(axis=1, keepdims=True)
+    logp = z - (zmax + np.log(ez_sum))  # z minus the row's log-sum-exp
     loss = -logp[np.arange(b), labels].mean()
     out = Tensor(np.array([[loss]]), requires_grad=logits.requires_grad)
-    softmax = ez / ez.sum(axis=1, keepdims=True)
+    softmax = ez / ez_sum
 
     def grad_fn(g):
         grad = softmax.copy()
@@ -428,9 +430,9 @@ class IndexPlan:
         # run boundaries: 0, every index where the id changes, and the end
         cut = np.ones(ids.size + 1, dtype=bool)
         np.not_equal(ids[1:], ids[:-1], out=cut[1:-1])
-        bounds = np.flatnonzero(cut)
-        self.starts = bounds[:-1]
-        self.counts = bounds[1:] - bounds[:-1]
+        marks = np.flatnonzero(cut)
+        self.starts = marks[:-1]
+        self.counts = marks[1:] - marks[:-1]
         self.keys = ids[self.starts]
         self.lo, self.hi = int(ids[0]), int(ids[-1])
 
@@ -462,67 +464,43 @@ def _sum_rows_by_id(plan: IndexPlan, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _eye_stack(m: int, k: int) -> np.ndarray:
-    """k stacked m x m identities: a read-only view of an np.eye(m) that every
-    k shares."""
-    eye = _eye_stack(m, 1)[0] if k > 1 else np.eye(m)
-    return np.broadcast_to(eye, (k, m, m))
-
-
 class BlockAdjacency:
     """Block-diagonal linear operator over the rows of a stacked node matrix.
 
     Block b is a dense (n_b, n_b) matrix acting on the n_b rows that follow
     the rows of blocks 0..b-1. One block is one graph's adjacency; a batch of
     graphs is the union of their blocks, so graphs never exchange messages.
-    Each run of consecutive blocks of one size that are all the identity, or
-    all not, is kept as one (k, m, m) stack, and apply makes one batched
-    product per run, not one per block: a batch of graphs that share a
-    parcellation is a single run. An identity run (identity[r], the block of
-    a graph with no edges) is a read-only view of one cached np.eye(m), so it
-    holds no array of its own, and apply copies its rows instead of
-    multiplying. Blocks are plain data: sparse_aggregate differentiates only
-    its input rows.
+    runs holds one (k, m, stack) entry per run of k consecutive m x m blocks
+    that are all the identity (graphs with no edges), or all not. stack is
+    their (k, m, m) array, or None for an identity run: apply copies its
+    rows and makes one batched product for each other run, so a batch of
+    graphs that share a parcellation is one product. Blocks are plain data:
+    sparse_aggregate differentiates only its input rows.
     """
 
-    __slots__ = ("stacks", "identity", "bounds")
+    __slots__ = ("runs", "rows")
 
     def __init__(self, blocks):
-        stacks, identity = [], []
+        runs = []
         for b in blocks:
             b = np.asarray(b, dtype=np.float64)
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ShapeError(f"adjacency blocks must be square, got {b.shape}")
             # the identity: ones on the diagonal and no other nonzero entry
             eye = bool(np.count_nonzero(b) == len(b) and (b.diagonal() == 1.0).all())
-            stacks.append(_eye_stack(len(b), 1) if eye else b[np.newaxis])
-            identity.append(eye)
-        self._set_runs(stacks, identity)
+            runs.append((1, len(b), None if eye else b[np.newaxis]))
+        self._set_runs(runs)
 
-    def _set_runs(self, stacks, identity) -> None:
-        """Keep the (k, m, m) stacks, merging neighbours of equal m and kind.
-        An identity stack must come from _eye_stack."""
-        keys = [(s.shape[1], i) for s, i in zip(stacks, identity)]
-        self.stacks, self.identity = [], []
+    def _set_runs(self, runs) -> None:
+        """Keep runs, merging neighbours of equal m and kind."""
+        keys = [(m, s is None) for _, m, s in runs]
+        self.runs = []
         for lo, hi in _equal_runs(keys):
-            m, eye = keys[lo]
-            if hi - lo == 1:
-                self.stacks.append(stacks[lo])
-            elif eye:
-                k = sum(s.shape[0] for s in stacks[lo:hi])
-                self.stacks.append(_eye_stack(m, k))
-            else:
-                self.stacks.append(np.concatenate(stacks[lo:hi]))
-            self.identity.append(eye)
-        # run r acts on rows bounds[r]:bounds[r + 1]
-        self.bounds = [0]
-        for s in self.stacks:
-            self.bounds.append(self.bounds[-1] + s.shape[0] * s.shape[1])
-
-    @property
-    def rows(self) -> int:
-        return self.bounds[-1]
+            _, m, stack = runs[lo]
+            if hi - lo > 1 and stack is not None:
+                stack = np.concatenate([r[2] for r in runs[lo:hi]])
+            self.runs.append((sum(r[0] for r in runs[lo:hi]), m, stack))
+        self.rows = sum(k * m for k, m, _ in self.runs)
 
     @classmethod
     def from_edges(cls, edges, weights, n: int) -> "BlockAdjacency":
@@ -547,12 +525,8 @@ class BlockAdjacency:
     @classmethod
     def union(cls, ops) -> "BlockAdjacency":
         """Disjoint union: the blocks of every operator, in order."""
-        stacks, identity = [], []
-        for op in ops:
-            stacks += op.stacks
-            identity += op.identity
         out = cls.__new__(cls)
-        out._set_runs(stacks, identity)
+        out._set_runs([r for op in ops for r in op.runs])
         return out
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -563,15 +537,14 @@ class BlockAdjacency:
         are copied, which gives the product's bits up to the sign of a zero.
         """
         out = np.empty(x.shape)
-        cols = x.shape[1]
-        for s, eye, lo, hi in zip(self.stacks, self.identity, self.bounds,
-                                  self.bounds[1:]):
-            if eye:
+        cols, hi = x.shape[1], 0
+        for k, m, s in self.runs:
+            lo, hi = hi, hi + k * m
+            if s is None:
                 out[lo:hi] = x[lo:hi]
-                continue
-            k, m = s.shape[:2]
-            np.matmul(s.transpose(0, 2, 1) if transpose else s,
-                      x[lo:hi].reshape(k, m, cols), out=out[lo:hi].reshape(k, m, cols))
+            else:
+                np.matmul(s.transpose(0, 2, 1) if transpose else s,
+                          x[lo:hi].reshape(k, m, cols), out=out[lo:hi].reshape(k, m, cols))
         return out
 
 

@@ -154,9 +154,16 @@ def _variant(value) -> tuple[str, float]:
     return _typed("")(placement), _typed(0.0)(probability)
 
 
+def _model_kind(name) -> str:
+    names = sorted({*_MODEL_FLAGS, *MODEL_KINDS})  # --model values and kinds
+    if name not in names:
+        raise ValueError(f"{name!r} is not a model; use one of {', '.join(names)}")
+    return _MODEL_FLAGS.get(name, name)
+
+
 def _dropedge_grid(args, config):
     models = [_MODEL_FLAGS[args.model]] if args.model else _grid(
-        config, "models", lambda m: _MODEL_FLAGS.get(m, m))
+        config, "models", _model_kind)
     probs = _grid(config, "drop_probabilities", _typed(0.0))
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise ConfigError("drop probabilities must lie in [0, 1]")

@@ -131,8 +131,8 @@ def drop_edges(g: ConnectomeGraph, p: float, seed=0) -> ConnectomeGraph:
         keep = as_generator(seed).random(g.num_edges) >= p
     else:  # every uniform draw lies in [0, 1): keep all at p=0, none at p=1
         keep = np.full(g.num_edges, p == 0.0)
-    return ConnectomeGraph(n=g.n, x=g.x, edges=g.edges[keep].copy(),
-                           weights=g.weights[keep].copy(), label=g.label)
+    return ConnectomeGraph(n=g.n, x=g.x, edges=g.edges[keep],
+                           weights=g.weights[keep], label=g.label)
 
 
 @dataclass(frozen=True)

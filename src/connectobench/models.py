@@ -444,8 +444,8 @@ class ResidualGCN(_Model):
     def _logits(self, prep: PreparedGCN | GCNBatch, mode: str, tape, rng,
                 after_layer=None, after_concat=None) -> Tensor:
         """The forward body. after_layer(i, h), when given, replaces GCN layer
-        i's output before the next layer reads it; after_concat(h) replaces
-        the concatenated outputs before pooling."""
+        i's output before the next layer reads it. Each layer is pooled before
+        the concat, unless after_concat(h) replaces the node-level concat."""
         batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
         h, outs = batch.x, []
         for i in range(self.cfg.num_gcn_layers):
@@ -453,17 +453,12 @@ class ResidualGCN(_Model):
             if after_layer is not None:
                 h = after_layer(i, h)
             outs.append(h)
-        if after_concat is None and self.cfg.hidden_dim > 1:
-            # pooling each layer and concatenating the (B, hidden) rows gives
-            # the bits of pooling the (N, layers * hidden) concat. Not for one
-            # column: numpy sums a lone column pairwise, not row by row.
+        if after_concat is None:
             pooled = concat_cols([mean_pool_rows(o, tape, counts=batch.counts)
                                   for o in outs], tape)
         else:
-            hcat = concat_cols(outs, tape)
-            if after_concat is not None:
-                hcat = after_concat(hcat)
-            pooled = mean_pool_rows(hcat, tape, counts=batch.counts)
+            pooled = mean_pool_rows(after_concat(concat_cols(outs, tape)), tape,
+                                    counts=batch.counts)
         return _mlp_head(self.params, "mlp", pooled, self.cfg.dropout, mode,
                          tape, rng)
 

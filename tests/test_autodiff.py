@@ -180,8 +180,7 @@ class TestBlockAdjacency:
             keys = list(zip(sizes, eyes))
             runs = [keys[0]] + [b for a, b in zip(keys, keys[1:]) if a != b]
             for adj in (union, direct):
-                assert [(s.shape[1], e) for s, e in zip(adj.stacks, adj.identity)] \
-                    == runs
+                assert [(m, s is None) for _, m, s in adj.runs] == runs
                 assert adj.rows == sum(sizes)
                 for transpose in (False, True):
                     expected = _loop_apply(blocks, x, transpose)
@@ -193,7 +192,8 @@ class TestBlockAdjacency:
         x = rng.standard_normal((12, 4))
         nested = BlockAdjacency.union([BlockAdjacency(blocks[:3]),
                                        BlockAdjacency(blocks[3:])])
-        assert [s.shape for s in nested.stacks] == [(2, 2, 2), (2, 3, 3), (1, 2, 2)]
+        assert [(k, m) for k, m, _ in nested.runs] == [(2, 2), (2, 3), (1, 2)]
+        assert [s.shape for _, _, s in nested.runs] == [(2, 2, 2), (2, 3, 3), (1, 2, 2)]
         assert np.array_equal(nested.apply(x), _loop_apply(blocks, x))
 
     def test_identity_runs_hold_no_array_and_nest_in_order(self):
@@ -206,13 +206,12 @@ class TestBlockAdjacency:
                                        BlockAdjacency.union(
                                            [BlockAdjacency(blocks[4:6])]),
                                        BlockAdjacency(blocks[6:])])
-        assert [s.shape for s in nested.stacks] \
-            == [(2, 3, 3), (1, 3, 3), (2, 2, 2), (1, 2, 2), (1, 2, 2)]
-        assert nested.identity == [True, False, True, False, True]
-        for s, eye in zip(nested.stacks, nested.identity):
-            if eye:  # a read-only view of one m x m array, with np.eye's bytes
-                assert s.strides[0] == 0 and not s.flags.writeable
-                assert s.tobytes() == np.stack([np.eye(s.shape[1])] * len(s)).tobytes()
+        # an identity run holds no array
+        assert [(k, m, s is None) for k, m, s in nested.runs] == [
+            (2, 3, True), (1, 3, False), (2, 2, True), (1, 2, False), (1, 2, True)]
+        assert nested.runs[1][2].tobytes() == blocks[2].tobytes()
+        assert nested.runs[3][2].tobytes() == blocks[5].tobytes()
+        assert nested.rows == 17
         for transpose in (False, True):
             assert nested.apply(x, transpose).tobytes() \
                 == _loop_apply(blocks, x, transpose).tobytes()
@@ -224,8 +223,9 @@ class TestBlockAdjacency:
         loops = BlockAdjacency.from_edges([[0, 0], [1, 1], [2, 2]], [1.0] * 3, 3)
         zero_edge = BlockAdjacency.from_edges([[0, 1], [0, 0], [1, 1], [2, 2]],
                                               [0.0, 1.0, 1.0, 1.0], 3)
-        assert BlockAdjacency(near).identity == [False]
-        assert loops.identity == zero_edge.identity == [True]
+        assert [(k, s is None) for k, _, s in BlockAdjacency(near).runs] \
+            == [(5, False)]
+        assert loops.runs == zero_edge.runs == [(1, 3, None)]
 
     @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
     def test_non_square_block_raises(self, bad):

@@ -577,6 +577,23 @@ class TestExitCodes:
         assert "models" in err[0] and repr(models) in err[0]
         assert trained == []
 
+    def test_unknown_model_name_is_config_error(self, tiny_dataset, tmp_path,
+                                                monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": ["bogus"]}))
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1
+        assert "models" in err[0] and "bogus" in err[0]
+        # the message names the accepted spellings
+        for name in ("residual-gcn", "residual_gcn", "attn-residual-gcn", "exphormer"):
+            assert name in err[0]
+        assert trained == []
+
     @pytest.mark.parametrize("spec,word", [({"bogus": 1}, "bogus"),
                                            ({"n": "x"}, "dataset_spec.n"),
                                            ({"d": 2.5}, "dataset_spec.d")])

@@ -1,4 +1,4 @@
-"""Golden run: hash every output of twelve small sweeps.
+"""Golden run: hash every output of thirteen small sweeps.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -9,7 +9,10 @@ seed 7; 500 structure_only graphs with n=40 and seed 11) and runs
 graphs with n=20 and seed 5) and runs `sweep-variants`, `sweep-dropout` and
 `sweep-layers` on it with their default grids and training seeds 0 and 1,
 which reaches attention after every GCN layer, attention inserted with
-probability below 1, and the dropout and layer-count grids. Next, it
+probability below 1, and the dropout and layer-count grids, plus a
+residual-gcn `sweep-dropedge` with `train.gcn.hidden_dim` 1 (p 0/0.5/1,
+seed 0), the one width whose pooled bits depend on pooling each layer
+apart or their concat. Next, it
 builds a fourth dataset from a config file's `dataset_spec` with
 `gen-data --config`, runs a `sweep-dropedge` whose dataset comes from
 that `dataset_spec` alone, and builds a fifth dataset from the same
@@ -52,6 +55,9 @@ DATASETS = {"feature": ("feature_only", 300, 50, 7),
 MODELS = ("residual-gcn", "exphormer", "attn-residual-gcn")
 GRID_DATASET = ("feature_only", 80, 20, 5)
 GRIDS = ("variants", "dropout", "layers")
+WIDTH1_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1,
+                           "gcn": {"hidden_dim": 1}},
+                 "drop_probabilities": [0.0, 0.5, 1.0]}
 MIXED_DATASETS = (("feature_only", 40, 16, 21), ("feature_only", 40, 24, 22))
 MIXED_DIM = 12
 MIXED_MODELS = ("residual-gcn", "exphormer")
@@ -109,6 +115,9 @@ def golden(work: Path) -> list[tuple[str, str]]:
     data = gen("grids", *GRID_DATASET)
     for grid in GRIDS:
         sweep(grid, data, f"grids-{grid}", "--seeds", "0,1")
+    Path("width1.json").write_text(json.dumps(WIDTH1_CONFIG), encoding="utf-8")
+    record("grids-width1", ["sweep-dropedge", "--dataset", data, "--config",
+                            "width1.json", "--model", "residual-gcn", "--seeds", "0"])
     Path("spec.json").write_text(json.dumps(SPEC_CONFIG), encoding="utf-8")
     record("spec.jsonl", ["gen-data", "--config", "spec.json"])
     record("spec", ["sweep-dropedge", "--config", "spec.json"])
