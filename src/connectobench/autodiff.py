@@ -518,6 +518,13 @@ class BlockAdjacency:
                 f"weights must match edge count {edges.shape[0]}, got {weights.shape}")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise IndexError(f"edge endpoint out of range for {n} nodes")
+        if len(edges) == n and (edges == np.arange(n)[:, None]).all() \
+                and (weights == 1.0).all():
+            # unit self-loops 0..n-1 in order, an edgeless graph's normalized
+            # adjacency: the identity run, with no block built
+            out = cls.__new__(cls)
+            out.runs, out.rows = [(1, n, None)], n
+            return out
         block = np.zeros((n, n))
         np.add.at(block, (edges[:, 1], edges[:, 0]), weights)
         return cls([block])

@@ -26,11 +26,12 @@ from .data import (
     dataset_bytes,
     deserialize_dataset,
     generate_synthetic,
+    git_blob_sha1,
     serialize_dataset,
 )
 from .errors import ConfigError, ContractError, DatasetError, DivergenceError
 from .models import MODEL_KINDS
-from .training import TrainConfig, corrupt, run_experiment
+from .training import TrainConfig, corrupt, pin_malloc_thresholds, run_experiment
 
 _MODEL_FLAGS = {k.replace("_", "-"): k for k in MODEL_KINDS}
 
@@ -41,13 +42,6 @@ _GRIDS = {
     "layer_counts": [2, 3],
     "variants": [("after_each_gcn", 1.0), ("after_each_gcn", 0.8),
                  ("after_each_gcn", 0.3), ("after_concat", 1.0), ("after_concat", 0.6)]}
-
-
-def git_blob_sha1(data: bytes) -> str:
-    h = hashlib.sha1()
-    h.update(b"blob %d\x00" % len(data))
-    h.update(data)
-    return h.hexdigest()
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -88,8 +82,9 @@ def _resolve_dataset(args, config) -> tuple[Dataset, str, str]:
     if path:
         if not isinstance(path, str):
             raise ConfigError(f"config key dataset must be a path, got {path!r}")
-        raw = Path(path).read_bytes()
-        return deserialize_dataset(path, raw), git_blob_sha1(raw), Path(path).stem
+        blob_sha1 = hashlib.sha1()
+        ds = deserialize_dataset(path, blob_sha1)
+        return ds, blob_sha1.hexdigest(), Path(path).stem
     spec_dict = config.get("dataset_spec")
     if spec_dict:
         ds = generate_synthetic(from_json(SyntheticSpec, spec_dict, "dataset_spec"))
@@ -413,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_malloc_thresholds()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):

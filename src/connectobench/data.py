@@ -10,17 +10,20 @@ and serializes datasets as JSON Lines.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
 
-from .errors import ConfigError, DatasetParseError, DegenerateSeriesError
+from .errors import ConfigError, DatasetError, DatasetParseError, DegenerateSeriesError
 from .rng import as_generator, seeded_rng
 
 LABEL_MODES = ("feature_only", "structure_only", "mixed")
@@ -329,26 +332,44 @@ def _graph_record(g: ConnectomeGraph) -> dict:
     }
 
 
-def dataset_bytes(ds: Dataset) -> bytearray:
-    """The dataset file in UTF-8: a JSON header line, then a JSON line per
-    graph, each newline-ended, built in one buffer that never holds a second
-    copy of the file. A NaN or an infinity raises ConfigError, as the loader
-    would refuse it."""
+def _dataset_lines(ds: Dataset):
+    """The dataset file in UTF-8, one newline-ended line at a time: a JSON
+    header line, then a JSON line per graph. A NaN or an infinity raises
+    ConfigError, as the loader would refuse it."""
     header = {"version": 1, "num_classes": ds.num_classes, "spec": ds.spec}
-    out = bytearray()
     try:
         for record in itertools.chain([header], map(_graph_record, ds.graphs)):
             line = json.dumps(record, separators=(",", ":"), allow_nan=False)
-            out += line.encode("utf-8") + b"\n"
+            yield line.encode("utf-8") + b"\n"
     except ValueError as exc:
         raise ConfigError(f"cannot write a dataset holding NaN or infinity: {exc}"
                           ) from exc
+
+
+def dataset_bytes(ds: Dataset) -> bytearray:
+    """The bytes serialize_dataset writes, in one buffer."""
+    out = bytearray()
+    for line in _dataset_lines(ds):
+        out += line
     return out
 
 
 def serialize_dataset(ds: Dataset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dataset_bytes(ds))
+    """Write ds one line at a time, so no copy of the whole file is held. A
+    line that cannot be written raises ConfigError and removes the file."""
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(_dataset_lines(ds))
+    except ConfigError:
+        os.unlink(path)
+        raise
+
+
+def git_blob_sha1(data: bytes) -> str:
+    """The SHA-1 git gives data as a blob."""
+    h = hashlib.sha1(b"blob %d\x00" % len(data))
+    h.update(data)
+    return h.hexdigest()
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -385,6 +406,9 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
 # orjson 3.8 has no nesting limit of its own and overflows the C stack on a
 # line nested about 100k deep. A dataset record nests 3 deep.
 _MAX_NESTING = 1024
+# The loader's read buffer: one read holds many n=50 records, so most lines
+# are split out of it without being copied together from several reads.
+_READ_BUFFER = 1 << 20
 _BRACKET_STEP = np.zeros(256, dtype=np.int8)
 _BRACKET_STEP[[ord("["), ord("{")]] = 1
 _BRACKET_STEP[[ord("]"), ord("}")]] = -1
@@ -412,18 +436,33 @@ def _nested_too_deeply(raw: bytes) -> bool:
     return int(depth.max()) > _MAX_NESTING
 
 
-def deserialize_dataset(path, content: bytes | None = None) -> Dataset:
+def deserialize_dataset(path, blob_sha1=None) -> Dataset:
     """Load a JSON-Lines dataset; parse failures name the offending line.
 
     Beyond per-record checks, every label must lie in [0, num_classes), every
     graph must share the first graph's feature dim, and the file must hold at
-    least one graph. content, when given, is the file's bytes already read,
-    and path is not opened.
+    least one graph. The file is read once: a regular file line by line
+    through a 1 MiB buffer, and it must end with the size it had when it was
+    opened; anything else, such as a pipe, has no size up front and is read
+    whole first. blob_sha1, when given a hashlib.sha1() object, is fed the
+    file as git hashes a blob, so its hexdigest() equals git_blob_sha1 of
+    the file's bytes.
     """
     graphs = []
     header = header_line = None
-    with open(path, "rb") if content is None else io.BytesIO(content) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            lines, left = fh, st.st_size
+        else:
+            whole = fh.read()
+            lines, left = io.BytesIO(whole), len(whole)
+        if blob_sha1 is not None:
+            blob_sha1.update(b"blob %d\x00" % left)
+        for lineno, raw in enumerate(lines, start=1):
+            left -= len(raw)
+            if blob_sha1 is not None:
+                blob_sha1.update(raw)
             if raw.isspace():
                 continue
             if _nested_too_deeply(raw):
@@ -453,6 +492,9 @@ def deserialize_dataset(path, content: bytes | None = None) -> Dataset:
                     f"feature dim {g.x.shape[1]} differs from the first graph's "
                     f"{graphs[0].x.shape[1]}", lineno)
             graphs.append(g)
+    if left:
+        raise DatasetError(f"dataset file {path} changed size while it was read "
+                           f"({st.st_size} bytes when opened)")
     if header is None:
         raise DatasetParseError("empty dataset file", 1)
     if not graphs:

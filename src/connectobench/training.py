@@ -8,6 +8,7 @@ given the config: repeated runs produce bit-identical curves.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +33,27 @@ LR_FLOOR = 1e-6
 # slower at both GCN benchmark shapes, and a whole split in one forward would
 # hold tens of MB of activations.
 EVAL_CHUNK = 16
+
+
+# M_TRIM_THRESHOLD and M_MMAP_THRESHOLD in glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def pin_malloc_thresholds() -> None:
+    """Fix glibc malloc's mmap threshold at 16 MiB and its trim threshold at
+    64 MiB, once, for the whole calling process. glibc starts the mmap
+    threshold at 128 KiB and raises it only when the process frees a larger
+    mmapped block, so until then every array above 128 KiB (an Exphormer
+    layer's per-edge activations) is mapped and faulted in afresh. Does
+    nothing where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 @dataclass(frozen=True)
@@ -278,6 +300,7 @@ def aggregate_accuracy(values) -> tuple[float, float]:
 def run_experiment(cfg: TrainConfig, dataset: Dataset, drop_p: float,
                    splits: DatasetSplits | None = None) -> ExperimentResult:
     """Train one config across all seeds and aggregate test-at-best-val."""
+    pin_malloc_thresholds()
     if not 0.0 <= drop_p <= 1.0:
         raise ConfigError(f"drop_p must be in [0, 1], got {drop_p}")
     if splits is None:

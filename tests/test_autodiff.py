@@ -227,6 +227,24 @@ class TestBlockAdjacency:
             == [(5, False)]
         assert loops.runs == zero_edge.runs == [(1, 3, None)]
 
+    def test_edgeless_graph_is_an_identity_run_and_keeps_the_checks(self):
+        loops = np.stack([np.arange(4)] * 2, axis=1)
+        x = np.arange(12.0).reshape(4, 3)
+        adj = BlockAdjacency.from_edges(loops, np.ones(4), 4)
+        assert adj.runs == [(1, 4, None)] and adj.rows == 4
+        assert adj.apply(x).tobytes() == x.tobytes()
+        # one self-loop off the unit weight, repeated or out of order: a block
+        for edges, weights in [(loops, [1.0, 1.0, 0.5, 1.0]),
+                               (loops[[0, 1, 1, 3]], np.ones(4))]:
+            runs = BlockAdjacency.from_edges(edges, weights, 4).runs
+            assert runs[0][2] is not None
+        assert BlockAdjacency.from_edges(loops[::-1], np.ones(4), 4).runs \
+            == [(1, 4, None)]  # found by the block's identity test
+        with pytest.raises(IndexError, match="out of range"):
+            BlockAdjacency.from_edges(loops, np.ones(4), 3)
+        with pytest.raises(ShapeError, match="weights must match"):
+            BlockAdjacency.from_edges(loops, np.ones(3), 4)
+
     @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
     def test_non_square_block_raises(self, bad):
         with pytest.raises(ShapeError, match="square"):

@@ -1,7 +1,9 @@
 """CLI subcommands: outputs, determinism, exit codes, report shapes."""
 
 import json
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from connectobench import (
     serialize_dataset,
 )
 from connectobench import cli, training
+from connectobench import data as data_module
 from connectobench.cli import git_blob_sha1, main
 
 
@@ -170,6 +173,24 @@ class TestSweepDropedge:
         run = json.loads((out / "runs" / "dropedge_residual_gcn_p0.00.json")
                          .read_text())
         assert run["dataset_hash"] == git_blob_sha1(data.read_bytes())
+
+    @pytest.mark.parametrize("source", ["crlf-file", "pipe"])
+    def test_dataset_hash_of_a_crlf_file_or_a_pipe(self, tiny_dataset,
+                                                   sweep_config, tmp_path, source):
+        lines = tiny_dataset.read_bytes().splitlines()
+        raw = b"\r\n".join(lines[:3] + [b"", b" "] + lines[3:] + [b"", b""])
+        data = tmp_path / "crlf.jsonl"
+        data.write_bytes(raw)
+        if source == "pipe":  # as --dataset <(cat crlf.jsonl) would pass it
+            data = tmp_path / "crlf.fifo"
+            os.mkfifo(data)
+            threading.Thread(target=data.write_bytes, args=(raw,),
+                             daemon=True).start()
+        out = tmp_path / "sweep"
+        assert main(["sweep-dropedge", "--dataset", str(data), "--out", str(out),
+                     "--config", str(sweep_config), "--model", "residual-gcn"]) == 0
+        for run in (out / "runs").glob("*.json"):
+            assert json.loads(run.read_text())["dataset_hash"] == git_blob_sha1(raw)
 
     def test_p_one_runs_marked(self, tiny_dataset, sweep_config, tmp_path):
         out = tmp_path / "sweep"
@@ -384,6 +405,32 @@ class TestExitCodes:
                    str(tmp_path / "o")])
         assert rc == 4
         assert "line 6" in capsys.readouterr().err
+
+    def test_dataset_file_that_grows_while_read_is_dataset_error(
+            self, tiny_dataset, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "growing.jsonl"
+        data.write_bytes(tiny_dataset.read_bytes())
+        last = data.read_bytes().splitlines(keepends=True)[-1]
+        parse = data_module._parse_graph_line
+
+        def parse_then_append(obj, line):
+            if line == 2:
+                with open(data, "ab") as fh:
+                    fh.write(last)
+            return parse(obj, line)
+
+        monkeypatch.setattr(data_module, "_parse_graph_line", parse_then_append)
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropedge", "--dataset", str(data), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"dataset error: dataset file {data} changed size while "
+                       f"it was read ({len(tiny_dataset.read_bytes())} bytes "
+                       f"when opened)"]
+        assert trained == []
 
     # each weight list fits the edges a re-pairing loader would read:
     # (0, 1) and (2, 3), or (0, 1)

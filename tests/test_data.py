@@ -1,11 +1,13 @@
 """Graph construction, edge dropping, synthetic generation, splits, and I/O."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from connectobench import (
     serialize_dataset,
     split_dataset,
 )
-from connectobench.data import _opening_brackets, dataset_bytes
+from connectobench.data import _opening_brackets, dataset_bytes, git_blob_sha1
 
 from helpers import pooled_feature_probe
 
@@ -346,19 +348,22 @@ class TestSerialization:
         with pytest.raises(DatasetParseError, match=r"line 4: feature dim 3"):
             deserialize_dataset(self._rewrite(tmp_path, edit))
 
-    def test_bytes_already_read_parse_like_the_file(self, tmp_path):
+    def test_crlf_file_parses_like_the_lf_file(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(num_graphs=5, n=6, num_classes=2,
                                               seed=2))
         path = tmp_path / "ds.jsonl"
         serialize_dataset(ds, path)
         raw = path.read_bytes().replace(b"\n", b"\r\n")  # newlines as on Windows
-        back = deserialize_dataset(tmp_path / "never-opened.jsonl", raw)
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(raw)
+        back = deserialize_dataset(crlf)
         assert back.spec == ds.spec
         assert all(graphs_equal(a, b) for a, b in zip(ds, back))
         lines = raw.split(b"\r\n")
         lines[2] = b"{not json"
+        crlf.write_bytes(b"\r\n".join(lines))
         with pytest.raises(DatasetParseError, match="line 3"):
-            deserialize_dataset(path, b"\r\n".join(lines))
+            deserialize_dataset(crlf)
 
     def test_header_without_graphs_reports_line(self, tmp_path):
         def edit(lines):
@@ -471,10 +476,13 @@ class TestSerialization:
         g = complete_graph(3)
         g.weights[1] = value
         with pytest.raises(ConfigError, match="NaN or infinity"):
-            serialize_dataset(Dataset([g], num_classes=2), tmp_path / "ds.jsonl")
+            serialize_dataset(Dataset([complete_graph(3), g], num_classes=2),
+                              tmp_path / "ds.jsonl")
+        assert not (tmp_path / "ds.jsonl").exists()  # no half-written file
         with pytest.raises(ConfigError, match="NaN or infinity"):
             serialize_dataset(Dataset([complete_graph(3)], num_classes=2, spec={"s": value}),
                               tmp_path / "ds.jsonl")
+        assert not (tmp_path / "ds.jsonl").exists()
 
     @pytest.mark.parametrize("raw", [
         b"", b"\n", b'{"a":[1,[2]]}\n', b'{"s":"[{[{","t":"\\"{["}\n',
@@ -494,6 +502,44 @@ class TestSerialization:
         ds = Dataset([complete_graph(1500)], num_classes=2)
         serialize_dataset(ds, tmp_path / "ds.jsonl")
         assert graphs_equal(deserialize_dataset(tmp_path / "ds.jsonl")[0], ds[0])
+
+
+class TestStreamedRead:
+    """The loader reads the file once, hashing each line as it parses it."""
+
+    def test_hash_is_the_blob_sha1_of_a_crlf_file_with_blank_lines(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(num_graphs=6, n=7, num_classes=2,
+                                              seed=4))
+        path = tmp_path / "ds.jsonl"
+        serialize_dataset(ds, path)
+        lines = path.read_bytes().splitlines()
+        lines[2:2] = [b"", b"  \t"]
+        path.write_bytes(b"\r\n".join(lines + [b"", b""]))
+        blob_sha1 = hashlib.sha1()
+        back = deserialize_dataset(path, blob_sha1)
+        assert blob_sha1.hexdigest() == git_blob_sha1(path.read_bytes())
+        assert len(back) == len(ds)
+        assert all(graphs_equal(a, b) for a, b in zip(ds, back))
+
+    def test_write_and_read_hold_about_the_parsed_dataset(self, tmp_path):
+        # the 300-graph n=50 file is 16 MB; its parsed arrays are 6.9 MB
+        ds = generate_synthetic(SyntheticSpec(num_graphs=300, n=50, num_classes=2,
+                                              label_mode="feature_only", seed=7))
+        parsed = sum(g.x.nbytes + g.edges.nbytes + g.weights.nbytes for g in ds)
+        path = tmp_path / "ds.jsonl"
+        tracemalloc.start()
+        try:
+            serialize_dataset(ds, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = deserialize_dataset(path, hashlib.sha1())
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2 * parsed
+        assert write_peak < 3e6  # 0.5 MB measured: one record at a time
+        assert read_peak < parsed + 3e6  # parsed + 1.5 MB measured
+        assert len(back) == 300
 
 
 _FINITE = st.one_of(
@@ -525,10 +571,13 @@ _VALID_FILE = dataset_bytes(generate_synthetic(SyntheticSpec(
 
 
 def _load_or_dataset_error(raw: bytes) -> None:
-    try:
-        ds = deserialize_dataset("fuzz.jsonl", raw)
-    except DatasetError:
-        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.jsonl"
+        path.write_bytes(raw)
+        try:
+            ds = deserialize_dataset(path)
+        except DatasetError:
+            return
     assert isinstance(ds, Dataset)
 
 
