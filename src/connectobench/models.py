@@ -14,6 +14,7 @@ Three models share the autodiff core:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +49,15 @@ from .rng import as_generator, seeded_rng
 TAG_LOCAL, TAG_EXPANDER, TAG_GLOBAL, TAG_SELF = 0, 1, 2, 3
 _TAG_NAMES = {TAG_LOCAL: "local", TAG_EXPANDER: "expander",
               TAG_GLOBAL: "global", TAG_SELF: "self"}
+
+# Exphormer's eval scores a graph through dense attention blocks when its
+# N x N score plane holds at most DENSE_FILL entries per interaction edge
+# (N nodes, global ones included), and through the edge chain otherwise.
+# Each dense forward covers one score stack of at most DENSE_STACK_ENTRIES
+# entries (heads x N x N a graph), or one graph. README's "How a mini-batch
+# runs" gives the measurements behind both values.
+DENSE_FILL = 40
+DENSE_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,23 @@ class InteractionGraph:
                 for tag, name in _TAG_NAMES.items()}
 
 
+@dataclass(eq=False)
+class DenseBlocks:
+    """The interaction graphs of k stacked graphs of m rows each, laid out
+    on a dense (k, m, m) score stack.
+
+    pos is each edge's position g * m * m + dst * m + src in the stack,
+    edges in (graph, dst, src) order. dst_plan holds each edge's
+    destination as a stacked row g * m + dst: one softmax segment per
+    (graph, dst).
+    """
+
+    k: int
+    m: int
+    pos: np.ndarray
+    dst_plan: IndexPlan
+
+
 def node_degrees(g: ConnectomeGraph) -> np.ndarray:
     """Undirected degree of every node (edge weights ignored)."""
     return np.bincount(g.edges.ravel(), minlength=g.n)
@@ -266,8 +293,32 @@ def build_interaction_graph(g: ConnectomeGraph, cfg: ExphormerConfig,
     return _interaction_graph(g, gl, srcs, dsts, tags)
 
 
-def sparse_attention(ig: InteractionGraph, h: Tensor, p: dict[str, Tensor],
-                     num_heads: int, attention_dropout: float, dropout_rate: float,
+def _dense_context(blocks: DenseBlocks, q: np.ndarray, k: np.ndarray,
+                   v: np.ndarray, num_heads: int) -> np.ndarray:
+    """The attention context of every stacked row, from a dense score stack:
+    one batched Q @ K^T over (heads, k, m, m), the scores read at the edge
+    positions, softmax_segments over the (edges, heads) scores, the weights
+    scattered into a zeroed stack, then W @ V. No tape, no masking: only
+    edge entries are exponentiated."""
+    g, m, width = blocks.k, blocks.m, q.shape[1]
+    head_dim = width // num_heads
+
+    def heads(a):  # the (heads, k, m, head_dim) view of stacked rows
+        return a.reshape(g, m, num_heads, head_dim).transpose(2, 0, 1, 3)
+
+    # every edge's position in every head's (k, m, m) plane
+    flat = blocks.pos[:, np.newaxis] + np.arange(0, num_heads * g * m * m, g * m * m)
+    scores = np.take(heads(q) @ heads(k).transpose(0, 1, 3, 2), flat)
+    scores *= 1.0 / math.sqrt(head_dim)
+    weights = softmax_segments(Tensor(scores), blocks.dst_plan).data
+    stack = np.zeros((num_heads, g, m, m))
+    stack.reshape(-1)[flat] = weights
+    return (stack @ heads(v)).transpose(1, 2, 0, 3).reshape(g * m, width)
+
+
+def sparse_attention(ig: InteractionGraph | DenseBlocks, h: Tensor,
+                     p: dict[str, Tensor], num_heads: int,
+                     attention_dropout: float, dropout_rate: float,
                      mode: str, rng, tape: Tape | None,
                      capture: list | None = None) -> Tensor:
     """Multi-head attention restricted to interaction-graph edges.
@@ -278,23 +329,31 @@ def sparse_attention(ig: InteractionGraph, h: Tensor, p: dict[str, Tensor],
     layer norm, and a feed-forward block with residual + layer norm.
 
     When capture is a list, the post-softmax weights (E x heads) are appended
-    to it before attention dropout.
+    to it before attention dropout. Given DenseBlocks, the scores, softmax
+    and mixing run on dense stacks (_dense_context), in eval mode only,
+    without a tape or capture.
     """
     head_dim = h.cols // num_heads
     q = matmul(h, p["q"], tape)
     k = matmul(h, p["k"], tape)
     v = matmul(h, p["v"], tape)
-    qe = gather_rows(q, ig.dst_plan, tape)
-    ke = gather_rows(k, ig.src_plan, tape)
-    scores = scale(sum_col_blocks(mul(qe, ke, tape), num_heads, tape),
-                   1.0 / math.sqrt(head_dim), tape)
-    weights = softmax_segments(scores, ig.dst_plan, tape)
-    if capture is not None:
-        capture.append(weights.data.copy())
-    weights = dropout(weights, attention_dropout, mode, rng, tape)
-    ve = gather_rows(v, ig.src_plan, tape)
-    mixed = mul(ve, expand_col_blocks(weights, head_dim, tape), tape)
-    ctx = segment_sum_rows(mixed, ig.dst_plan, h.rows, tape)
+    if isinstance(ig, DenseBlocks):
+        if mode != "eval" or tape is not None or capture is not None:
+            raise ContractError("dense attention blocks score in eval mode only, "
+                                "without a tape or capture")
+        ctx = Tensor(_dense_context(ig, q.data, k.data, v.data, num_heads))
+    else:
+        qe = gather_rows(q, ig.dst_plan, tape)
+        ke = gather_rows(k, ig.src_plan, tape)
+        scores = scale(sum_col_blocks(mul(qe, ke, tape), num_heads, tape),
+                       1.0 / math.sqrt(head_dim), tape)
+        weights = softmax_segments(scores, ig.dst_plan, tape)
+        if capture is not None:
+            capture.append(weights.data.copy())
+        weights = dropout(weights, attention_dropout, mode, rng, tape)
+        ve = gather_rows(v, ig.src_plan, tape)
+        mixed = mul(ve, expand_col_blocks(weights, head_dim, tape), tape)
+        ctx = segment_sum_rows(mixed, ig.dst_plan, h.rows, tape)
     attn = matmul(ctx, p["out"], tape, bias=p["out_bias"])
     attn = dropout(attn, dropout_rate, mode, rng, tape)
     h1 = layer_norm(add(h, attn, tape), p["ln1_gain"], p["ln1_bias"], tape)
@@ -387,6 +446,22 @@ class PreparedExphormer:
     real_rows: IndexPlan  # rows 0..n-1: the real nodes, ahead of the global ones
 
 
+@dataclass(eq=False)
+class ExphormerBatch:
+    """Prepared graphs scored together in eval mode (see Exphormer.collate).
+
+    stacks holds the graphs whose attention runs on dense blocks, one list of
+    equal-size graphs per forward; sparse the others, each scored alone
+    through the edge chain. order is the input position of each graph of the
+    stacks, then of sparse. The batch holds no array of the graphs': each
+    forward stacks their rows and edge positions afresh.
+    """
+
+    stacks: list[list[PreparedExphormer]]
+    sparse: list[PreparedExphormer]
+    order: np.ndarray
+
+
 class _Model:
     """A model's checked config, seed and params."""
 
@@ -410,7 +485,9 @@ class ResidualGCN(_Model):
     """
 
     kind = "residual_gcn"
-    batches_graphs = True  # train_epoch and evaluate pass a GCNBatch per forward
+    # the modes whose forwards take a collated batch: train_epoch passes a
+    # GCNBatch per mini-batch, and evaluate one per chunk of eval graphs
+    batches_graphs = ("train", "eval")
 
     def __init__(self, cfg: ResidualGCNConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
@@ -472,10 +549,12 @@ class Exphormer(_Model):
     """Sparse graph transformer over a local + expander + global edge set."""
 
     kind = "exphormer"
-    # One graph per forward: batching the per-edge attention pipeline measured
-    # slower and several times larger in memory than running graphs one by
-    # one. README's "How a mini-batch runs" gives the numbers.
-    batches_graphs = False
+    # Training runs one graph per forward through the edge chain: batching the
+    # per-edge pipeline measured slower and several times larger in memory.
+    # Eval scores each chunk of graphs as one ExphormerBatch, on dense
+    # attention blocks where a graph fills its score plane densely enough.
+    # README's "How a mini-batch runs" gives the numbers.
+    batches_graphs = ("eval",)
 
     def __init__(self, cfg: ExphormerConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
@@ -511,20 +590,90 @@ class Exphormer(_Model):
         return [self.prepare(g, seeded_rng(run_seed, "interaction", i), plans[g.n])
                 for i, g in enumerate(graphs)]
 
-    def forward(self, prep: PreparedExphormer, mode: str = "eval",
-                tape: Tape | None = None, rng=None,
-                attn_capture: list | None = None) -> Tensor:
-        rng = self._train_rng(mode, rng)
+    def collate(self, preps: list[PreparedExphormer]) -> ExphormerBatch:
+        """Group prepared graphs for eval. A graph is dense when its N x N
+        score plane holds at most DENSE_FILL entries per interaction edge.
+        Dense graphs are grouped by node count, and each group is cut into
+        stacks of at most DENSE_STACK_ENTRIES score entries, or one graph."""
+        if not preps:
+            raise ShapeError("collate of an empty graph list")
+
+        dense = [p.ig.num_nodes ** 2 <= DENSE_FILL * p.ig.num_edges for p in preps]
+        dense_at = sorted((i for i, d in enumerate(dense) if d),
+                          key=lambda i: preps[i].ig.num_nodes)
+        sparse_at = [i for i, d in enumerate(dense) if not d]
+        stacks = []
+        for m, run in itertools.groupby((preps[i] for i in dense_at),
+                                        key=lambda p: p.ig.num_nodes):
+            run = list(run)
+            size = max(1, DENSE_STACK_ENTRIES // (self.cfg.num_heads * m * m))
+            stacks += [run[lo:lo + size] for lo in range(0, len(run), size)]
+        return ExphormerBatch(stacks=stacks, sparse=[preps[i] for i in sparse_at],
+                              order=np.array(dense_at + sparse_at, dtype=np.int64))
+
+    def _dense_logits(self, stack: list[PreparedExphormer]) -> Tensor:
+        """Eval logits of equal-size graphs through dense attention blocks.
+        Each graph's stacked rows are its real nodes, then its global ones."""
+        k, n, gl = len(stack), stack[0].n, self.cfg.num_global_nodes
+        m = n + gl
+        # each edge's destination as a stacked row
+        dst = np.concatenate([p.ig.dst for p in stack]) + np.repeat(
+            np.arange(0, k * m, m), [p.ig.num_edges for p in stack])
+        src = np.concatenate([p.ig.src for p in stack])
+        blocks = DenseBlocks(k, m, dst * m + src, IndexPlan(dst, "dst"))
+        x = Tensor(np.concatenate([p.x.data for p in stack]))
+        place = real = None
+        if gl:
+            real = np.arange(k * m).reshape(k, m)[:, :n].ravel()
+            # the concat_rows([real rows, global.emb]) row of each stacked row
+            place = np.empty((k, m), dtype=np.int64)
+            place[:, :n] = np.arange(k * n).reshape(k, n)
+            place[:, n:] = np.arange(k * n, k * n + gl)
+            place = place.ravel()
+        return self._logits(x, blocks, "eval", None, None, real, place=place,
+                            counts=[n] * k)
+
+    def _logits(self, x: Tensor, ig, mode: str, tape, rng, real_rows,
+                place=None, counts=None, capture=None) -> Tensor:
+        """The forward body over one graph (ig an InteractionGraph) or the
+        dense graphs of a batch (ig their DenseBlocks): x holds the real
+        rows, place (when given) lays them out with the global rows, and
+        real_rows (when given) picks the real rows to pool, counts[i] of
+        graph i."""
         cfg = self.cfg
-        h = matmul(prep.x, self.params["input.w"], tape, bias=self.params["input.b"])
+        h = matmul(x, self.params["input.w"], tape, bias=self.params["input.b"])
         if cfg.num_global_nodes:
             h = concat_rows([h, self.params["global.emb"]], tape)
+            if place is not None:
+                h = gather_rows(h, place, tape)
         for block in self._layers:
-            h = sparse_attention(prep.ig, h, block, cfg.num_heads,
+            h = sparse_attention(ig, h, block, cfg.num_heads,
                                  cfg.attention_dropout, cfg.dropout, mode, rng,
-                                 tape, capture=attn_capture)
-        pooled = mean_pool_rows(gather_rows(h, prep.real_rows, tape), tape)
+                                 tape, capture=capture)
+        if real_rows is not None:
+            h = gather_rows(h, real_rows, tape)
+        pooled = mean_pool_rows(h, tape, counts=counts)
         return _mlp_head(self.params, "head", pooled, cfg.dropout, mode, tape, rng)
+
+    def forward(self, prep: PreparedExphormer | ExphormerBatch, mode: str = "eval",
+                tape: Tape | None = None, rng=None,
+                attn_capture: list | None = None) -> Tensor:
+        """Logits of one graph, or one row per graph of an ExphormerBatch in
+        its input order. A batch is scored in eval mode only, without a tape
+        or attn_capture."""
+        if not isinstance(prep, ExphormerBatch):
+            return self._logits(prep.x, prep.ig, mode, tape,
+                                self._train_rng(mode, rng), prep.real_rows,
+                                capture=attn_capture)
+        if mode != "eval" or tape is not None or attn_capture is not None:
+            raise ContractError("an ExphormerBatch is scored in eval mode only, "
+                                "without a tape or attn_capture")
+        logits = [self._dense_logits(stack).data for stack in prep.stacks]
+        logits += [self._logits(p.x, p.ig, mode, None, None, p.real_rows).data
+                   for p in prep.sparse]
+        out = np.empty((prep.order.size, logits[0].shape[1]))
+        out[prep.order] = np.concatenate(logits)
+        return Tensor(out)
 
 
 class AttnResidualGCN(ResidualGCN):
@@ -553,10 +702,10 @@ class AttnResidualGCN(ResidualGCN):
                       for key, name in names.items()}
 
     @property
-    def batches_graphs(self) -> bool:
+    def batches_graphs(self) -> tuple[str, ...]:
         """Attention runs on one graph's local_ig per forward. With probability
         0 it never runs, so the model is a plain ResidualGCN and batches like one."""
-        return self.variant.apply_probability <= 0.0
+        return ResidualGCN.batches_graphs if self.variant.apply_probability <= 0.0 else ()
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         prep = super().prepare(graph)

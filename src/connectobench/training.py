@@ -29,9 +29,10 @@ from .optim import AdamState, adam_step, zero_grads
 from .rng import seeded_rng
 
 LR_FLOOR = 1e-6
-# Graphs per evaluation forward for models that batch. Chunks of 64 measured
-# slower at both GCN benchmark shapes, and a whole split in one forward would
-# hold tens of MB of activations.
+# Graphs per evaluation batch for models that batch in eval. Chunks of 64
+# measured slower at both GCN benchmark shapes, and a whole split in one
+# forward would hold tens of MB of activations. Exphormer cuts a chunk into
+# smaller dense forwards (models.DENSE_STACK_ENTRIES).
 EVAL_CHUNK = 16
 
 
@@ -165,13 +166,13 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return max(lr, min(LR_FLOOR, cfg.base_lr))
 
 
-def _forward_inputs(model, prepared, indices: list[int], size: int):
+def _forward_inputs(model, prepared, indices: list[int], size: int, mode: str):
     """Yield (graph indices, forward input) for each forward over indices.
 
-    A model that batches graphs gets `size` graphs collated into one input;
-    any other model gets one prepared graph per forward.
+    A model that batches graphs in this mode gets `size` graphs collated
+    into one input; any other model gets one prepared graph per forward.
     """
-    if not model.batches_graphs:
+    if mode not in model.batches_graphs:
         for i in indices:
             yield [i], prepared[i]
         return
@@ -200,8 +201,8 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
     """One pass over the run's shuffled train graphs with mini-batch Adam
     updates, then the accuracy on every split.
 
-    A model that batches graphs runs each mini-batch as one forward and one
-    backward of the batch-mean loss. Other models run one forward and
+    A model that batches graphs in training runs each mini-batch as one
+    forward and one backward of the batch-mean loss. Other models run one forward and
     backward per graph, and their summed gradients are averaged before the
     step. Raises DivergenceError on the first non-finite loss. Deterministic
     given (run state, rng).
@@ -214,7 +215,8 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
         batch = order[start:start + cfg.batch_size]
         zero_grads(model.params)
         forwards = 0
-        for chunk, inputs in _forward_inputs(model, prepared, batch, cfg.batch_size):
+        for chunk, inputs in _forward_inputs(model, prepared, batch,
+                                             cfg.batch_size, "train"):
             tape = Tape()
             logits = model.forward(inputs, mode="train", tape=tape, rng=rng)
             loss = cross_entropy(logits, [prepared[i].label for i in chunk],
@@ -265,7 +267,7 @@ class Run:
         """(forward inputs, labels) of the train, val and test splits, built
         on first use, in epoch 0's evaluation, and kept for the run."""
         return [([inputs for _, inputs in _forward_inputs(
-                    self.model, self.prepared, indices, EVAL_CHUNK)],
+                    self.model, self.prepared, indices, EVAL_CHUNK, "eval")],
                  np.array([self.prepared[i].label for i in indices]))
                 for indices in (self.splits.train, self.splits.val,
                                 self.splits.test)]

@@ -12,6 +12,7 @@ from connectobench import (
     ContractError,
     Exphormer,
     ExphormerConfig,
+    IndexPlan,
     ResidualGCN,
     ResidualGCNConfig,
     ShapeError,
@@ -551,6 +552,109 @@ class TestExphormer:
             assert all(t is m.params[f"layer{l}.{name}"] for name, t in block.items())
         assert sum(map(len, m._layers)) == sum(
             name.startswith("layer") for name in m.params)
+
+
+class TestExphormerBatch:
+    """An eval chunk collated into an ExphormerBatch scores its dense graphs
+    on dense attention blocks and its sparse ones through the edge chain:
+    the logits match one forward per graph within 1e-12, in input order."""
+
+    @staticmethod
+    def make(num_global_nodes=1, num_heads=2, structural_encoding="degree",
+             hidden_dim=8, in_dim=6):
+        cfg = ExphormerConfig(num_layers=2, num_heads=num_heads,
+                              hidden_dim=hidden_dim, expander_degree=4,
+                              num_global_nodes=num_global_nodes,
+                              structural_encoding=structural_encoding)
+        return Exphormer(cfg, in_dim=in_dim, num_classes=3, seed=6)
+
+    @staticmethod
+    def graphs(rng, sizes, d=6, p=0.0):
+        out = []
+        for i, n in enumerate(sizes):
+            g = drop_edges(random_graph(rng, n, density=0.4), p, seed=i)
+            g.x = rng.standard_normal((n, d))
+            g.label = i % 3
+            out.append(g)
+        return out
+
+    @staticmethod
+    def assert_matches_per_graph(m, preps):
+        batch = m.collate(preps)
+        logits = m.forward(batch, mode="eval").data
+        assert logits.shape == (len(preps), 3)
+        for row, prep in zip(logits, preps):
+            assert np.max(np.abs(row - m.forward(prep).data[0])) < 1e-12
+        return batch
+
+    # sizes that repeat out of order, and n < 3 (no expander edges)
+    SIZES = (9, 5, 9, 2, 12, 5, 1, 9)
+
+    @pytest.mark.parametrize("gl,heads,encoding", [
+        (1, 2, "degree"), (0, 1, "degree"), (2, 8, "none"), (2, 1, "none")])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_mixed_sizes_match_per_graph(self, gl, heads, encoding, p):
+        rng = np.random.default_rng(60)
+        m = self.make(gl, heads, encoding)
+        preps = m.prepare_dataset(self.graphs(rng, self.SIZES, p=p), run_seed=1)
+        if p == 1.0:
+            assert all(prep.ig.tag_counts()["local"] == 0 for prep in preps)
+        batch = self.assert_matches_per_graph(m, preps)
+        # every graph is dense here, grouped by node count, sizes in order
+        assert batch.sparse == []
+        assert [[p.n for p in stack] for stack in batch.stacks] \
+            == [[1], [2], [5, 5], [9, 9, 9], [12]]
+        assert batch.order.tolist() == [6, 3, 1, 5, 0, 2, 7, 4]
+
+    @pytest.mark.parametrize("per_stack", [0, 2])
+    def test_entry_cap_splits_a_group(self, monkeypatch, per_stack):
+        rng = np.random.default_rng(61)
+        m = self.make(num_heads=4)
+        preps = m.prepare_dataset(self.graphs(rng, (7,) * 5 + (4,)), run_seed=2)
+        # room for per_stack graphs of 8 rows (7 real, 1 global) and 4 heads;
+        # a cap below one graph still stacks one graph at a time
+        monkeypatch.setattr(models, "DENSE_STACK_ENTRIES", 4 * 8 * 8 * per_stack + 1)
+        batch = self.assert_matches_per_graph(m, preps)
+        sizes = [[p.n for p in stack] for stack in batch.stacks]
+        if per_stack == 2:
+            assert sizes == [[4], [7, 7], [7, 7], [7]]
+        else:
+            assert sizes == [[4]] + [[7]] * 5
+        assert batch.order.tolist() == [5, 0, 1, 2, 3, 4]
+
+    def test_sparse_graph_takes_the_edge_chain(self):
+        rng = np.random.default_rng(62)
+        m = self.make()
+        big = graph_from_edges(400, np.zeros((0, 2)), x=rng.standard_normal((400, 6)))
+        small = self.graphs(rng, (6, 9))
+        preps = m.prepare_dataset([small[0], big, small[1]], run_seed=3)
+        ig = preps[1].ig
+        assert ig.num_nodes ** 2 / ig.num_edges > 55  # edgeless n=400: about 57
+        batch = self.assert_matches_per_graph(m, preps)
+        assert batch.sparse == [preps[1]] and batch.stacks == [[preps[0]], [preps[2]]]
+        assert batch.order.tolist() == [0, 2, 1]
+        row = m.forward(batch).data[1]
+        assert row.tobytes() == m.forward(preps[1]).data[0].tobytes()
+        alone = m.collate([preps[1]])
+        assert alone.stacks == []
+        assert m.forward(alone).data.tobytes() == m.forward(preps[1]).data.tobytes()
+
+    def test_batch_is_eval_only(self):
+        rng = np.random.default_rng(63)
+        m = self.make()
+        batch = m.collate(m.prepare_dataset(self.graphs(rng, (5, 6)), run_seed=0))
+        with pytest.raises(ContractError, match="eval mode only"):
+            m.forward(batch, mode="train", rng=seeded_rng(0))
+        with pytest.raises(ContractError, match="eval mode only"):
+            m.forward(batch, attn_capture=[])
+        with pytest.raises(ContractError, match="eval mode only"):
+            m.forward(batch, mode="eval", tape=Tape())
+        with pytest.raises(ContractError, match="eval mode only"):
+            blocks = models.DenseBlocks(1, 2, np.array([0, 3]), IndexPlan([0, 1]))
+            sparse_attention(blocks, Tensor(np.zeros((2, 8))), m._layers[0],
+                             2, 0.0, 0.0, "eval", None, Tape())
+        with pytest.raises(ShapeError):
+            m.collate([])
 
 
 @pytest.fixture

@@ -328,6 +328,48 @@ class TestEvalBatches:
         assert scored == [len(splits.train), len(splits.val), len(splits.test)]
 
 
+class TestExphormerEvalBatches:
+    """Exphormer scores each eval chunk as one ExphormerBatch and still trains
+    one graph per forward."""
+
+    def test_batched_eval_sets_match_per_graph_inputs(self):
+        ds = small_dataset(num_graphs=60, n=8)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind="exphormer", total_epochs=2,
+                           exphormer=ExphormerConfig(num_layers=2, num_heads=2,
+                                                     hidden_dim=8,
+                                                     expander_degree=2))
+        run = Run(cfg, ds, 0.5, splits, 3)
+        run.epoch()
+        for (inputs, labels), indices in zip(
+                run.eval_sets, (splits.train, splits.val, splits.test)):
+            assert len(inputs) == math.ceil(len(indices) / training.EVAL_CHUNK)
+            assert all(isinstance(x, models.ExphormerBatch) for x in inputs)
+            singles = [run.prepared[i] for i in indices]
+            assert labels.tolist() == [p.label for p in singles]
+            batched = np.concatenate([run.model.forward(x).data for x in inputs])
+            per_graph = np.concatenate([run.model.forward(p).data for p in singles])
+            assert np.max(np.abs(batched - per_graph)) < 1e-12
+            assert evaluate(run.model, inputs, labels) \
+                == evaluate(run.model, singles, labels)
+
+    def test_training_step_records_58_tape_nodes(self, monkeypatch):
+        ds = small_dataset(num_graphs=30, n=8)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind="exphormer", total_epochs=1,
+                           warmup_epochs=0)  # the default ExphormerConfig
+        run = Run(cfg, ds, 0.0, splits, 0)
+        tapes, inner = [], training.backward
+
+        def counting(tape, loss):
+            tapes.append(len(tape))
+            return inner(tape, loss)
+
+        monkeypatch.setattr(training, "backward", counting)
+        run.epoch()
+        assert tapes == [58] * len(splits.train)
+
+
 class TestRunExperiment:
     def test_aggregate_mean_std(self):
         mean, std = aggregate_accuracy([50.0, 52.0, 54.0])

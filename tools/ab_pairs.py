@@ -11,8 +11,10 @@ side's median and quartiles, the ratio of the medians (change / parent), how
 many pairs the change won (ties count for neither side) and whether a gain
 may be claimed: wins in at least nine tenths of the pairs, and medians
 further apart than the parent's interquartile range. A metric the change
-lost in the same way is marked "loss". Any run whose outputs failed their
-checks or that lost cells is reported; the exit code is 1 if one did.
+lost in the same way is marked "loss". Before that table it prints every
+run's raw value of each metric, one line per pair and side, so a report can
+cite each run. Any run whose outputs failed their checks or that lost cells
+is reported; the exit code is 1 if one did.
 Seeds are `A..B` (inclusive) or a comma-separated list.
 """
 
@@ -94,6 +96,11 @@ def main(argv=None) -> int:
 
     n = len(args.seeds)
     print(f"# {args.workload}: {n} pairs, seeds {args.seeds}")
+    for i, seed in enumerate(args.seeds):
+        for side in sides:
+            raw = " ".join(f"{name}={series[i]:.6g}"
+                           for name, series in values[side].items())
+            print(f"pair {i + 1:>2} seed {seed} {side:<6} {raw}")
     print(f"{'metric':<18} {'parent median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'ratio':>6} {'wins':>6}  call")
     for m in spec["end_to_end"]:

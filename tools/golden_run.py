@@ -1,4 +1,4 @@
-"""Golden run: hash every output of thirteen small sweeps.
+"""Golden run: hash every output of fourteen small sweeps.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -14,7 +14,11 @@ residual-gcn `sweep-dropedge` with `train.gcn.hidden_dim` 1 (p 0/0.5/1,
 seed 1), the one width whose pooled bits depend on pooling each layer
 apart or their concat. Training seed 1 gives all three width-1 layers live
 units at every p (seed 0 leaves two of them all zero after ReLU), so
-pooling the concat instead changes the p=0 and p=0.5 run JSONs. Next, it
+pooling the concat instead changes the p=0 and p=0.5 run JSONs. An
+exphormer `sweep-dropedge` on the same dataset (p 0/0.5/1, seed 0) sets
+`train.exphormer` to 2 global nodes, 2 heads and no structural encoding,
+so batched evaluation places two global rows per graph on its dense
+attention blocks and splits the width over another head count. Next, it
 builds a fourth dataset from a config file's `dataset_spec` with
 `gen-data --config`, runs a `sweep-dropedge` whose dataset comes from
 that `dataset_spec` alone, and builds a fifth dataset from the same
@@ -29,7 +33,7 @@ Every sweep trains 2 epochs with 1 warmup epoch. Prints one
 `sha256  relative/path` line per file written, plus one per command's
 standard output. Run it on two checkouts and diff the printouts: equal
 printouts mean the outputs are byte-identical. It imports the package from
-this checkout's `src/` and runs with one BLAS thread. It takes about 95 s
+this checkout's `src/` and runs with one BLAS thread. It takes about 100 s
 on a 2-vCPU machine.
 """
 
@@ -60,6 +64,10 @@ GRIDS = ("variants", "dropout", "layers")
 WIDTH1_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1,
                            "gcn": {"hidden_dim": 1}},
                  "drop_probabilities": [0.0, 0.5, 1.0]}
+EXPHORMER_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1,
+                              "exphormer": {"num_global_nodes": 2, "num_heads": 2,
+                                            "structural_encoding": "none"}},
+                    "drop_probabilities": [0.0, 0.5, 1.0]}
 MIXED_DATASETS = (("feature_only", 40, 16, 21), ("feature_only", 40, 24, 22))
 MIXED_DIM = 12
 MIXED_MODELS = ("residual-gcn", "exphormer")
@@ -120,6 +128,9 @@ def golden(work: Path) -> list[tuple[str, str]]:
     Path("width1.json").write_text(json.dumps(WIDTH1_CONFIG), encoding="utf-8")
     record("grids-width1", ["sweep-dropedge", "--dataset", data, "--config",
                             "width1.json", "--model", "residual-gcn", "--seeds", "1"])
+    Path("exphormer.json").write_text(json.dumps(EXPHORMER_CONFIG), encoding="utf-8")
+    record("grids-exphormer", ["sweep-dropedge", "--dataset", data, "--config",
+                               "exphormer.json", "--model", "exphormer", "--seeds", "0"])
     Path("spec.json").write_text(json.dumps(SPEC_CONFIG), encoding="utf-8")
     record("spec.jsonl", ["gen-data", "--config", "spec.json"])
     record("spec", ["sweep-dropedge", "--config", "spec.json"])
