@@ -78,15 +78,17 @@ def _file_config(args) -> dict:
 
 def _resolve_dataset(args, config) -> tuple[Dataset, str, str]:
     """Return (dataset, git-style content hash, display name)."""
-    path = args.dataset or config.get("dataset")
-    if path:
-        if not isinstance(path, str):
-            raise ConfigError(f"config key dataset must be a path, got {path!r}")
+    key, path = "--dataset", args.dataset
+    if path is None:
+        key, path = "config key dataset", config.get("dataset")
+    if path is not None:
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"{key} must be a path, got {path!r}")
         blob_sha1 = hashlib.sha1()
         ds = deserialize_dataset(path, blob_sha1)
         return ds, blob_sha1.hexdigest(), Path(path).stem
     spec_dict = config.get("dataset_spec")
-    if spec_dict:
+    if spec_dict is not None:
         ds = generate_synthetic(from_json(SyntheticSpec, spec_dict, "dataset_spec"))
         return ds, git_blob_sha1(dataset_bytes(ds)), "synthetic"
     raise ConfigError("no dataset: pass --dataset or a config dataset_spec")
@@ -337,6 +339,8 @@ def cmd_sweep(args) -> None:
 
 def _curve_table(run: dict) -> tuple[int, list[str], float]:
     """(seed, CSV lines, final train-test gap) of one run's curves."""
+    if type(run["seed"]) is not int:  # it names the CSV file
+        raise TypeError(f"seed {run['seed']!r} is not a JSON integer")
     curves = run["curves"]
     lines = ["epoch,split,accuracy,loss,lr"]
     for i, epoch in enumerate(curves["epoch"]):
@@ -352,7 +356,10 @@ def cmd_curves(args) -> None:
     raw = run_path.read_bytes()
     try:
         tables = [_curve_table(run) for run in json.loads(raw)["runs"]]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        seeds = [seed for seed, _, _ in tables]
+        if len(set(seeds)) != len(seeds):
+            raise ValueError(f"seeds {seeds} repeat, so their CSV files collide")
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
         raise DatasetError(f"malformed run JSON {run_path}: "
                            f"{type(exc).__name__}: {exc}") from None
     out_dir = Path(args.out)

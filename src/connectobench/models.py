@@ -58,6 +58,11 @@ _TAG_NAMES = {TAG_LOCAL: "local", TAG_EXPANDER: "expander",
 # runs" gives the measurements behind both values.
 DENSE_FILL = 40
 DENSE_STACK_ENTRIES = 1 << 16
+# Graphs per evaluation chunk for models that score several graphs in one
+# forward. Chunks of 64 measured slower at both GCN benchmark shapes, and a
+# whole split in one forward would hold tens of MB of activations. Exphormer
+# cuts a chunk into smaller dense stacks (DENSE_STACK_ENTRIES).
+EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -446,24 +451,22 @@ class PreparedExphormer:
     real_rows: IndexPlan  # rows 0..n-1: the real nodes, ahead of the global ones
 
 
-@dataclass(eq=False)
-class ExphormerBatch:
-    """Prepared graphs scored together in eval mode (see Exphormer.collate).
+def _chunks(indices, size: int) -> list:
+    return [indices[lo:lo + size] for lo in range(0, len(indices), size)]
 
-    stacks holds the graphs whose attention runs on dense blocks, one list of
-    equal-size graphs per forward; sparse the others, each scored alone
-    through the edge chain. order is the input position of each graph of the
-    stacks, then of sparse. The batch holds no array of the graphs': each
-    forward stacks their rows and edge positions afresh.
-    """
 
-    stacks: list[list[PreparedExphormer]]
-    sparse: list[PreparedExphormer]
-    order: np.ndarray
+def _alone(prepared, indices) -> list:
+    return [([i], prepared[i]) for i in indices]
 
 
 class _Model:
-    """A model's checked config, seed and params."""
+    """A model's checked config, seed and params.
+
+    forwards(prepared, indices, mode) decides which graphs share a forward:
+    it returns (graph indices, forward input) per forward, naming each of
+    indices exactly once. A forward's logits hold one row per graph, in the
+    order of its indices.
+    """
 
     def __init__(self, cfg, seed: int):
         self.cfg = cfg
@@ -485,9 +488,6 @@ class ResidualGCN(_Model):
     """
 
     kind = "residual_gcn"
-    # the modes whose forwards take a collated batch: train_epoch passes a
-    # GCNBatch per mini-batch, and evaluate one per chunk of eval graphs
-    batches_graphs = ("train", "eval")
 
     def __init__(self, cfg: ResidualGCNConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
@@ -508,6 +508,12 @@ class ResidualGCN(_Model):
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedGCN]:
         return [self.prepare(g) for g in graphs]
+
+    def forwards(self, prepared, indices, mode: str) -> list:
+        """A training mini-batch as one collated GCNBatch; eval graphs in
+        collated chunks of EVAL_CHUNK."""
+        chunks = [indices] if mode == "train" else _chunks(indices, EVAL_CHUNK)
+        return [(c, self.collate([prepared[i] for i in c])) for c in chunks]
 
     @staticmethod
     def collate(preps: list[PreparedGCN]) -> GCNBatch:
@@ -549,12 +555,6 @@ class Exphormer(_Model):
     """Sparse graph transformer over a local + expander + global edge set."""
 
     kind = "exphormer"
-    # Training runs one graph per forward through the edge chain: batching the
-    # per-edge pipeline measured slower and several times larger in memory.
-    # Eval scores each chunk of graphs as one ExphormerBatch, on dense
-    # attention blocks where a graph fills its score plane densely enough.
-    # README's "How a mini-batch runs" gives the numbers.
-    batches_graphs = ("eval",)
 
     def __init__(self, cfg: ExphormerConfig, in_dim: int, num_classes: int,
                  seed: int = 0):
@@ -590,30 +590,38 @@ class Exphormer(_Model):
         return [self.prepare(g, seeded_rng(run_seed, "interaction", i), plans[g.n])
                 for i, g in enumerate(graphs)]
 
-    def collate(self, preps: list[PreparedExphormer]) -> ExphormerBatch:
-        """Group prepared graphs for eval. A graph is dense when its N x N
-        score plane holds at most DENSE_FILL entries per interaction edge.
-        Dense graphs are grouped by node count, and each group is cut into
-        stacks of at most DENSE_STACK_ENTRIES score entries, or one graph."""
-        if not preps:
-            raise ShapeError("collate of an empty graph list")
+    def forwards(self, prepared, indices, mode: str) -> list:
+        """Training runs one graph per forward through the edge chain: batching
+        the per-edge pipeline measured slower and several times larger in
+        memory (README's "How a mini-batch runs"). Eval cuts indices into
+        chunks of EVAL_CHUNK. In each chunk the dense graphs, whose N x N
+        score plane holds at most DENSE_FILL entries per interaction edge, are
+        grouped by node count into stacks of at most DENSE_STACK_ENTRIES
+        score entries (or one graph), and each other graph is scored alone.
+        Stacks stay within a chunk: a graph's neighbours on a stack move its
+        logits in the last bits, so regrouping could change an accuracy."""
+        if mode == "train":
+            return _alone(prepared, indices)
 
-        dense = [p.ig.num_nodes ** 2 <= DENSE_FILL * p.ig.num_edges for p in preps]
-        dense_at = sorted((i for i, d in enumerate(dense) if d),
-                          key=lambda i: preps[i].ig.num_nodes)
-        sparse_at = [i for i, d in enumerate(dense) if not d]
-        stacks = []
-        for m, run in itertools.groupby((preps[i] for i in dense_at),
-                                        key=lambda p: p.ig.num_nodes):
-            run = list(run)
-            size = max(1, DENSE_STACK_ENTRIES // (self.cfg.num_heads * m * m))
-            stacks += [run[lo:lo + size] for lo in range(0, len(run), size)]
-        return ExphormerBatch(stacks=stacks, sparse=[preps[i] for i in sparse_at],
-                              order=np.array(dense_at + sparse_at, dtype=np.int64))
+        def nodes(i):
+            return prepared[i].ig.num_nodes
+        out = []
+        for chunk in _chunks(indices, EVAL_CHUNK):
+            dense = sorted((i for i in chunk if nodes(i) ** 2
+                            <= DENSE_FILL * prepared[i].ig.num_edges), key=nodes)
+            for m, run in itertools.groupby(dense, key=nodes):
+                size = max(1, DENSE_STACK_ENTRIES // (self.cfg.num_heads * m * m))
+                out += [(s, [prepared[i] for i in s])
+                        for s in _chunks(list(run), size)]
+            out += _alone(prepared, [i for i in chunk if i not in dense])
+        return out
 
     def _dense_logits(self, stack: list[PreparedExphormer]) -> Tensor:
         """Eval logits of equal-size graphs through dense attention blocks.
         Each graph's stacked rows are its real nodes, then its global ones."""
+        if not stack or any(p.n != stack[0].n for p in stack):
+            raise ShapeError(f"a stack needs graphs of one size, got "
+                             f"{[p.n for p in stack]}")
         k, n, gl = len(stack), stack[0].n, self.cfg.num_global_nodes
         m = n + gl
         # each edge's destination as a stacked row
@@ -635,8 +643,8 @@ class Exphormer(_Model):
 
     def _logits(self, x: Tensor, ig, mode: str, tape, rng, real_rows,
                 place=None, counts=None, capture=None) -> Tensor:
-        """The forward body over one graph (ig an InteractionGraph) or the
-        dense graphs of a batch (ig their DenseBlocks): x holds the real
+        """The forward body over one graph (ig an InteractionGraph) or a
+        stack of graphs (ig their DenseBlocks): x holds the real
         rows, place (when given) lays them out with the global rows, and
         real_rows (when given) picks the real rows to pool, counts[i] of
         graph i."""
@@ -655,25 +663,20 @@ class Exphormer(_Model):
         pooled = mean_pool_rows(h, tape, counts=counts)
         return _mlp_head(self.params, "head", pooled, cfg.dropout, mode, tape, rng)
 
-    def forward(self, prep: PreparedExphormer | ExphormerBatch, mode: str = "eval",
-                tape: Tape | None = None, rng=None,
+    def forward(self, prep: PreparedExphormer | list[PreparedExphormer],
+                mode: str = "eval", tape: Tape | None = None, rng=None,
                 attn_capture: list | None = None) -> Tensor:
-        """Logits of one graph, or one row per graph of an ExphormerBatch in
-        its input order. A batch is scored in eval mode only, without a tape
-        or attn_capture."""
-        if not isinstance(prep, ExphormerBatch):
+        """Logits of one graph, or one row per graph of a stack: a list of
+        equal-size prepared graphs scored on dense attention blocks, in eval
+        mode only, without a tape or attn_capture."""
+        if not isinstance(prep, list):
             return self._logits(prep.x, prep.ig, mode, tape,
                                 self._train_rng(mode, rng), prep.real_rows,
                                 capture=attn_capture)
         if mode != "eval" or tape is not None or attn_capture is not None:
-            raise ContractError("an ExphormerBatch is scored in eval mode only, "
+            raise ContractError("a stack of graphs is scored in eval mode only, "
                                 "without a tape or attn_capture")
-        logits = [self._dense_logits(stack).data for stack in prep.stacks]
-        logits += [self._logits(p.x, p.ig, mode, None, None, p.real_rows).data
-                   for p in prep.sparse]
-        out = np.empty((prep.order.size, logits[0].shape[1]))
-        out[prep.order] = np.concatenate(logits)
-        return Tensor(out)
+        return self._dense_logits(prep)
 
 
 class AttnResidualGCN(ResidualGCN):
@@ -701,11 +704,12 @@ class AttnResidualGCN(ResidualGCN):
         self._attn = {key: b.attention_block(name, width)
                       for key, name in names.items()}
 
-    @property
-    def batches_graphs(self) -> tuple[str, ...]:
+    def forwards(self, prepared, indices, mode: str) -> list:
         """Attention runs on one graph's local_ig per forward. With probability
         0 it never runs, so the model is a plain ResidualGCN and batches like one."""
-        return ResidualGCN.batches_graphs if self.variant.apply_probability <= 0.0 else ()
+        if self.variant.apply_probability <= 0.0:
+            return super().forwards(prepared, indices, mode)
+        return _alone(prepared, indices)
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         prep = super().prepare(graph)

@@ -29,11 +29,6 @@ from .optim import AdamState, adam_step, zero_grads
 from .rng import seeded_rng
 
 LR_FLOOR = 1e-6
-# Graphs per evaluation batch for models that batch in eval. Chunks of 64
-# measured slower at both GCN benchmark shapes, and a whole split in one
-# forward would hold tens of MB of activations. Exphormer cuts a chunk into
-# smaller dense forwards (models.DENSE_STACK_ENTRIES).
-EVAL_CHUNK = 16
 
 
 # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD in glibc's malloc.h
@@ -166,21 +161,6 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return max(lr, min(LR_FLOOR, cfg.base_lr))
 
 
-def _forward_inputs(model, prepared, indices: list[int], size: int, mode: str):
-    """Yield (graph indices, forward input) for each forward over indices.
-
-    A model that batches graphs in this mode gets `size` graphs collated
-    into one input; any other model gets one prepared graph per forward.
-    """
-    if mode not in model.batches_graphs:
-        for i in indices:
-            yield [i], prepared[i]
-        return
-    for start in range(0, len(indices), size):
-        chunk = indices[start:start + size]
-        yield chunk, model.collate([prepared[i] for i in chunk])
-
-
 def evaluate(model, inputs, labels) -> float:
     """Accuracy percent of the eval-mode forwards over inputs.
 
@@ -201,11 +181,10 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
     """One pass over the run's shuffled train graphs with mini-batch Adam
     updates, then the accuracy on every split.
 
-    A model that batches graphs in training runs each mini-batch as one
-    forward and one backward of the batch-mean loss. Other models run one forward and
-    backward per graph, and their summed gradients are averaged before the
-    step. Raises DivergenceError on the first non-finite loss. Deterministic
-    given (run state, rng).
+    The model's forwards() splits each mini-batch into forwards, each with
+    one backward of its mean loss; their summed gradients are averaged over
+    the forwards before the step. Raises DivergenceError on the first
+    non-finite loss. Deterministic given (run state, rng).
     """
     model, prepared, cfg = run.model, run.prepared, run.cfg
     lr_value = lr_at(epoch, cfg) if lr is None else lr
@@ -214,9 +193,8 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         zero_grads(model.params)
-        forwards = 0
-        for chunk, inputs in _forward_inputs(model, prepared, batch,
-                                             cfg.batch_size, "train"):
+        forwards = model.forwards(prepared, batch, "train")
+        for chunk, inputs in forwards:
             tape = Tape()
             logits = model.forward(inputs, mode="train", tape=tape, rng=rng)
             loss = cross_entropy(logits, [prepared[i].label for i in chunk],
@@ -226,11 +204,10 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
                 raise DivergenceError(epoch, start // cfg.batch_size, value)
             total_loss += value * len(chunk)
             backward(tape, loss)
-            forwards += 1
         # each forward's loss is a mean over its graphs, and a batch is either
         # one forward or one forward per graph: this makes the gradient the
         # batch mean
-        inv = 1.0 / forwards
+        inv = 1.0 / len(forwards)
         for p in model.params.values():
             if p.grad is not None:
                 p.grad *= inv
@@ -265,12 +242,15 @@ class Run:
     @functools.cached_property
     def eval_sets(self) -> list[tuple[list, np.ndarray]]:
         """(forward inputs, labels) of the train, val and test splits, built
-        on first use, in epoch 0's evaluation, and kept for the run."""
-        return [([inputs for _, inputs in _forward_inputs(
-                    self.model, self.prepared, indices, EVAL_CHUNK, "eval")],
-                 np.array([self.prepared[i].label for i in indices]))
-                for indices in (self.splits.train, self.splits.val,
-                                self.splits.test)]
+        on first use, in epoch 0's evaluation, and kept for the run. The
+        labels follow the graph order of the model's eval forwards."""
+        sets = []
+        for indices in (self.splits.train, self.splits.val, self.splits.test):
+            forwards = self.model.forwards(self.prepared, indices, "eval")
+            sets.append(([inputs for _, inputs in forwards],
+                         np.array([self.prepared[i].label
+                                   for chunk, _ in forwards for i in chunk])))
+        return sets
 
     def epoch(self) -> EpochMetrics:
         """Train the next epoch; a DivergenceError carries this run's seed."""

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, exit codes, report shapes."""
 
+import argparse
 import json
 import os
 import re
@@ -354,7 +355,8 @@ class TestCurves:
                    str(tmp_path / "out")])
         assert rc == 4
 
-    @pytest.mark.parametrize("text", ['{"runs": [', '{"runs": [{"seed": 0}]}'])
+    @pytest.mark.parametrize("text", ['{"runs": [', '{"runs": [{"seed": 0}]}',
+                                      pytest.param("[" * 200_000, id="nested")])
     def test_malformed_run_is_dataset_error(self, tmp_path, capsys, text):
         run_path = tmp_path / "run.json"
         run_path.write_text(text)
@@ -362,6 +364,33 @@ class TestCurves:
         assert rc == 4
         assert f"malformed run JSON {run_path}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def run_file(tmp_path, seeds):
+        curves = {"epoch": [0], "train_acc": [50.0], "val_acc": [50.0],
+                  "test_acc": [50.0], "loss": [0.7], "lr": [0.001]}
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps(
+            {"runs": [{"seed": seed, "curves": curves} for seed in seeds]}))
+        return run_path
+
+    def assert_refused(self, tmp_path, capsys, run_path, message):
+        rc = main(["curves", "--run", str(run_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 4 and len(err) == 1
+        assert f"malformed run JSON {run_path}" in err[0] and message in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_seed_is_dataset_error(self, tmp_path, capsys):
+        # both runs would write curves_seed1.csv
+        self.assert_refused(tmp_path, capsys, self.run_file(tmp_path, [0, 1, 1]),
+                            "seeds [0, 1, 1] repeat")
+
+    @pytest.mark.parametrize("seed", [1.5, "x/y", True, None])
+    def test_seed_that_is_not_a_json_integer_is_dataset_error(self, tmp_path,
+                                                              capsys, seed):
+        self.assert_refused(tmp_path, capsys, self.run_file(tmp_path, [0, seed]),
+                            f"seed {seed!r} is not a JSON integer")
 
 
 class TestExitCodes:
@@ -652,6 +681,22 @@ class TestExitCodes:
         assert rc == 2
         assert word in capsys.readouterr().err
 
+    def test_empty_dataset_spec_generates_the_default_dataset(self, monkeypatch):
+        specs, tiny = [], generate_synthetic(SyntheticSpec(num_graphs=4, n=8))
+        monkeypatch.setattr(cli, "generate_synthetic",
+                            lambda spec: specs.append(spec) or tiny)
+        ds, _, name = cli._resolve_dataset(argparse.Namespace(dataset=None),
+                                           {"dataset_spec": {}})
+        assert specs == [SyntheticSpec()] and ds is tiny and name == "synthetic"
+
+    def test_empty_dataset_flag_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset_spec": {"num_graphs": 4, "n": 8}}))
+        rc = main(["sweep-dropedge", "--dataset", "", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and err == ["config error: --dataset must be a path, got ''"]
+
     def test_dataset_spec_takes_an_int_feature_dim(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dataset_spec": {"num_graphs": 4, "n": 12,
@@ -667,6 +712,10 @@ class TestExitCodes:
         ("gen-data", b"\xff\xfe{}", "cfg.json: 'utf-8' codec can't decode"),
         ("sweep-dropedge", b"[" * 100_000, "cfg.json: maximum recursion depth"),
         ("sweep-dropedge", b'{"dataset": 5}', "config key dataset must be a path"),
+        ("sweep-dropedge", b'{"dataset": ""}', "config key dataset must be a path, got ''"),
+        ("sweep-dropedge", b'{"dataset": 0}', "config key dataset must be a path, got 0"),
+        ("sweep-dropedge", b'{"dataset": false, "dataset_spec": {}}',
+         "config key dataset must be a path, got False"),
     ])
     def test_malformed_config_file_is_config_error(self, tmp_path, monkeypatch,
                                                    capsys, command, content,

@@ -1,7 +1,13 @@
 """Models: GCN propagation, expander/interaction graphs, attention, variants."""
 
+import collections
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from connectobench import (
     AttnResidualGCN,
@@ -555,9 +561,10 @@ class TestExphormer:
 
 
 class TestExphormerBatch:
-    """An eval chunk collated into an ExphormerBatch scores its dense graphs
-    on dense attention blocks and its sparse ones through the edge chain:
-    the logits match one forward per graph within 1e-12, in input order."""
+    """Exphormer's eval forwards score an eval chunk's dense graphs in stacks
+    on dense attention blocks and its sparse ones alone through the edge
+    chain: each graph comes back once, and its logits match one forward per
+    graph within 1e-12."""
 
     @staticmethod
     def make(num_global_nodes=1, num_heads=2, structural_encoding="degree",
@@ -580,12 +587,20 @@ class TestExphormerBatch:
 
     @staticmethod
     def assert_matches_per_graph(m, preps):
-        batch = m.collate(preps)
-        logits = m.forward(batch, mode="eval").data
+        """The eval forwards over preps; returns the graph indices of each
+        stack and of each graph scored alone, in forward order."""
+        forwards = m.forwards(preps, list(range(len(preps))), "eval")
+        order = [i for chunk, _ in forwards for i in chunk]
+        assert sorted(order) == list(range(len(preps)))
+        logits = np.concatenate([m.forward(x, mode="eval").data for _, x in forwards])
         assert logits.shape == (len(preps), 3)
-        for row, prep in zip(logits, preps):
-            assert np.max(np.abs(row - m.forward(prep).data[0])) < 1e-12
-        return batch
+        for row, i in zip(logits, order):
+            assert np.max(np.abs(row - m.forward(preps[i]).data[0])) < 1e-12
+        for chunk, x in forwards:
+            assert (x if isinstance(x, list) else [x]) == [preps[i] for i in chunk]
+        stacks = [chunk for chunk, x in forwards if isinstance(x, list)]
+        alone = [chunk[0] for chunk, x in forwards if not isinstance(x, list)]
+        return stacks, alone, order
 
     # sizes that repeat out of order, and n < 3 (no expander edges)
     SIZES = (9, 5, 9, 2, 12, 5, 1, 9)
@@ -599,12 +614,12 @@ class TestExphormerBatch:
         preps = m.prepare_dataset(self.graphs(rng, self.SIZES, p=p), run_seed=1)
         if p == 1.0:
             assert all(prep.ig.tag_counts()["local"] == 0 for prep in preps)
-        batch = self.assert_matches_per_graph(m, preps)
+        stacks, alone, order = self.assert_matches_per_graph(m, preps)
         # every graph is dense here, grouped by node count, sizes in order
-        assert batch.sparse == []
-        assert [[p.n for p in stack] for stack in batch.stacks] \
+        assert alone == []
+        assert [[preps[i].n for i in stack] for stack in stacks] \
             == [[1], [2], [5, 5], [9, 9, 9], [12]]
-        assert batch.order.tolist() == [6, 3, 1, 5, 0, 2, 7, 4]
+        assert order == [6, 3, 1, 5, 0, 2, 7, 4]
 
     @pytest.mark.parametrize("per_stack", [0, 2])
     def test_entry_cap_splits_a_group(self, monkeypatch, per_stack):
@@ -614,13 +629,13 @@ class TestExphormerBatch:
         # room for per_stack graphs of 8 rows (7 real, 1 global) and 4 heads;
         # a cap below one graph still stacks one graph at a time
         monkeypatch.setattr(models, "DENSE_STACK_ENTRIES", 4 * 8 * 8 * per_stack + 1)
-        batch = self.assert_matches_per_graph(m, preps)
-        sizes = [[p.n for p in stack] for stack in batch.stacks]
+        stacks, _, order = self.assert_matches_per_graph(m, preps)
+        sizes = [[preps[i].n for i in stack] for stack in stacks]
         if per_stack == 2:
             assert sizes == [[4], [7, 7], [7, 7], [7]]
         else:
             assert sizes == [[4]] + [[7]] * 5
-        assert batch.order.tolist() == [5, 0, 1, 2, 3, 4]
+        assert order == [5, 0, 1, 2, 3, 4]
 
     def test_sparse_graph_takes_the_edge_chain(self):
         rng = np.random.default_rng(62)
@@ -630,19 +645,17 @@ class TestExphormerBatch:
         preps = m.prepare_dataset([small[0], big, small[1]], run_seed=3)
         ig = preps[1].ig
         assert ig.num_nodes ** 2 / ig.num_edges > 55  # edgeless n=400: about 57
-        batch = self.assert_matches_per_graph(m, preps)
-        assert batch.sparse == [preps[1]] and batch.stacks == [[preps[0]], [preps[2]]]
-        assert batch.order.tolist() == [0, 2, 1]
-        row = m.forward(batch).data[1]
-        assert row.tobytes() == m.forward(preps[1]).data[0].tobytes()
-        alone = m.collate([preps[1]])
-        assert alone.stacks == []
-        assert m.forward(alone).data.tobytes() == m.forward(preps[1]).data.tobytes()
+        stacks, alone, order = self.assert_matches_per_graph(m, preps)
+        assert alone == [1] and stacks == [[0], [2]]
+        assert order == [0, 2, 1]
+        assert m.forwards(preps, [1], "eval") == [([1], preps[1])]
 
     def test_batch_is_eval_only(self):
         rng = np.random.default_rng(63)
         m = self.make()
-        batch = m.collate(m.prepare_dataset(self.graphs(rng, (5, 6)), run_seed=0))
+        preps = m.prepare_dataset(self.graphs(rng, (5, 5, 6)), run_seed=0)
+        (_, batch), _ = m.forwards(preps, [0, 1, 2], "eval")
+        assert batch == preps[:2]
         with pytest.raises(ContractError, match="eval mode only"):
             m.forward(batch, mode="train", rng=seeded_rng(0))
         with pytest.raises(ContractError, match="eval mode only"):
@@ -654,7 +667,9 @@ class TestExphormerBatch:
             sparse_attention(blocks, Tensor(np.zeros((2, 8))), m._layers[0],
                              2, 0.0, 0.0, "eval", None, Tape())
         with pytest.raises(ShapeError):
-            m.collate([])
+            m.forward([])
+        with pytest.raises(ShapeError, match="one size"):
+            m.forward(preps)
 
 
 @pytest.fixture
@@ -752,6 +767,107 @@ class TestAttnVariant:
         variant = AttnVariantConfig(placement="after_concat", num_heads=4)
         with pytest.raises(ConfigError):
             AttnResidualGCN(cfg, variant, in_dim=6, num_classes=2)
+
+
+@functools.cache
+def _contract_models():
+    """One model of each kind on 4 features and 3 classes, without dropout,
+    so a train-mode forward draws nothing but the variant's Bernoulli."""
+    gcn = ResidualGCNConfig(num_gcn_layers=2, hidden_dim=6, mlp_hidden=5,
+                            dropout=0.0)
+    exphormer = ExphormerConfig(num_layers=2, num_heads=2, hidden_dim=8,
+                                expander_degree=4, num_global_nodes=1,
+                                dropout=0.0, attention_dropout=0.0)
+
+    def variant(placement, prob):
+        return AttnResidualGCN(gcn, AttnVariantConfig(
+            placement=placement, apply_probability=prob, num_heads=2,
+            attention_dropout=0.0), in_dim=4, num_classes=3, seed=2)
+    return {"residual_gcn": ResidualGCN(gcn, in_dim=4, num_classes=3, seed=2),
+            "exphormer": Exphormer(exphormer, in_dim=4, num_classes=3, seed=2),
+            "attn_p0.5": variant("after_each_gcn", 0.5),
+            "attn_p0": variant("after_concat", 0.0)}
+
+
+def _contract_graphs(seed, shapes):
+    """One graph per (n, kind): kind "edges" has random edges, "edgeless"
+    none, and "zero" random edges that all weigh 0."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, (n, kind) in enumerate(shapes):
+        g = random_graph(rng, n, density=0.0 if kind == "edgeless" else 0.4)
+        if kind == "zero":
+            g.weights[:] = 0.0
+        g.x = rng.standard_normal((n, 4))
+        g.label = i % 3
+        graphs.append(g)
+    return graphs
+
+
+def _batch_mean_grads(m, prepared, forwards):
+    """The parameter gradients train_epoch steps with: each forward's mean
+    loss backpropagated, the sum scaled by 1 / len(forwards)."""
+    for p in m.params.values():
+        p.grad = None
+    rng = seeded_rng(0, "contract")
+    for chunk, x in forwards:
+        tape = Tape()
+        logits = m.forward(x, mode="train", tape=tape, rng=rng)
+        backward(tape, cross_entropy(logits, [prepared[i].label for i in chunk],
+                                     tape=tape))
+    return {k: p.grad / len(forwards) for k, p in m.params.items()
+            if p.grad is not None}
+
+
+class TestForwardsContract:
+    """Generated graph lists through every model's forwards(): in both modes
+    each index comes back exactly once; eval logits match one forward per
+    graph within 1e-12; where a training forward holds several graphs, the
+    batch-mean gradient matches the per-graph mean within 1e-12. The drawn
+    EVAL_CHUNK, DENSE_FILL and DENSE_STACK_ENTRIES cut lists into several
+    chunks, put some Exphormer graphs on the edge chain and split some
+    stacks."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 1 << 16),
+           shapes=st.integers(1, 24).flatmap(lambda count: st.lists(
+               st.tuples(st.sampled_from((1, 2, 3, 5, 8, 12)),
+                         st.sampled_from(("edges", "edgeless", "zero"))),
+               min_size=count, max_size=count)),
+           keep=st.floats(0.3, 1.0),
+           eval_chunk=st.sampled_from((models.EVAL_CHUNK, 3)),
+           fill=st.sampled_from((models.DENSE_FILL, 1)),
+           stack_entries=st.sampled_from((models.DENSE_STACK_ENTRIES, 2 * 2 * 6 * 6)))
+    def test_forwards(self, seed, shapes, keep, eval_chunk, fill,
+                      stack_entries):
+        graphs = _contract_graphs(seed, shapes)
+        order = np.random.default_rng(seed).permutation(len(graphs))
+        indices = [int(i) for i in order[:max(1, round(keep * len(graphs)))]]
+        with mock.patch.object(models, "EVAL_CHUNK", eval_chunk), \
+                mock.patch.object(models, "DENSE_FILL", fill), \
+                mock.patch.object(models, "DENSE_STACK_ENTRIES", stack_entries):
+            for name, m in _contract_models().items():
+                prepared = m.prepare_dataset(graphs, run_seed=seed)
+                for mode in ("train", "eval"):
+                    forwards = m.forwards(prepared, indices, mode)
+                    named = [i for chunk, _ in forwards for i in chunk]
+                    assert collections.Counter(named) == collections.Counter(indices)
+                for chunk, x in m.forwards(prepared, indices, "eval"):
+                    logits = m.forward(x, mode="eval").data
+                    assert logits.shape == (len(chunk), 3)
+                    for row, i in zip(logits, chunk):
+                        single = m.forward(prepared[i], mode="eval").data[0]
+                        assert np.max(np.abs(row - single)) < 1e-12, name
+                forwards = m.forwards(prepared, indices, "train")
+                if all(len(chunk) == 1 for chunk, _ in forwards):
+                    continue
+                batched = _batch_mean_grads(m, prepared, forwards)
+                singles = _batch_mean_grads(m, prepared,
+                                            [([i], prepared[i]) for i in indices])
+                assert batched.keys() == singles.keys()
+                for key, g in batched.items():
+                    assert np.max(np.abs(g - singles[key])) < 1e-12, (name, key)
 
 
 class TestConfigValidation:

@@ -18,6 +18,7 @@ import pytest
 from connectobench import (
     ConfigError,
     ContractError,
+    Dataset,
     DivergenceError,
     EmptySplitError,
     ExphormerConfig,
@@ -280,9 +281,9 @@ class TestEvalBatches:
         monkeypatch.setattr(model_cls, "prepare_dataset", prepare_spy)
         monkeypatch.setattr(model_cls, "collate", staticmethod(collate_spy))
         res = run_experiment(cfg, ds, 0.0, splits)
-        eval_chunks = [tuple(split[i:i + training.EVAL_CHUNK])
+        eval_chunks = [tuple(split[i:i + models.EVAL_CHUNK])
                        for split in (splits.train, splits.val, splits.test)
-                       for i in range(0, len(split), training.EVAL_CHUNK)]
+                       for i in range(0, len(split), models.EVAL_CHUNK)]
         train_batches = math.ceil(len(splits.train) / cfg.batch_size)
         assert len(runs) == 1 and len(res.runs[0].metrics) == 3
         assert len(calls) == len(eval_chunks) + 3 * train_batches
@@ -329,8 +330,8 @@ class TestEvalBatches:
 
 
 class TestExphormerEvalBatches:
-    """Exphormer scores each eval chunk as one ExphormerBatch and still trains
-    one graph per forward."""
+    """Exphormer scores each eval chunk in dense stacks and still trains one
+    graph per forward."""
 
     def test_batched_eval_sets_match_per_graph_inputs(self):
         ds = small_dataset(num_graphs=60, n=8)
@@ -343,15 +344,38 @@ class TestExphormerEvalBatches:
         run.epoch()
         for (inputs, labels), indices in zip(
                 run.eval_sets, (splits.train, splits.val, splits.test)):
-            assert len(inputs) == math.ceil(len(indices) / training.EVAL_CHUNK)
-            assert all(isinstance(x, models.ExphormerBatch) for x in inputs)
+            # n=8 graphs are dense: every chunk is one stack, in index order
+            assert len(inputs) == math.ceil(len(indices) / models.EVAL_CHUNK)
+            assert all(isinstance(x, list) for x in inputs)
             singles = [run.prepared[i] for i in indices]
+            assert [p for x in inputs for p in x] == singles
             assert labels.tolist() == [p.label for p in singles]
             batched = np.concatenate([run.model.forward(x).data for x in inputs])
             per_graph = np.concatenate([run.model.forward(p).data for p in singles])
             assert np.max(np.abs(batched - per_graph)) < 1e-12
             assert evaluate(run.model, inputs, labels) \
                 == evaluate(run.model, singles, labels)
+
+    def test_eval_labels_follow_the_order_of_the_forwards(self):
+        # graphs of 8 and 12 nodes alternate, so each chunk's stacks reorder them
+        small, large = (generate_synthetic(SyntheticSpec(
+            num_graphs=30, n=n, d=8, num_classes=2, seed=n)).graphs for n in (8, 12))
+        ds = Dataset([g for pair in zip(small, large) for g in pair], 2)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind="exphormer",
+                           exphormer=ExphormerConfig(num_layers=1, num_heads=2,
+                                                     hidden_dim=8,
+                                                     expander_degree=2))
+        run = Run(cfg, ds, 0.0, splits, 0)
+        for (inputs, labels), indices in zip(
+                run.eval_sets, (splits.train, splits.val, splits.test)):
+            singles = [run.prepared[i] for i in indices]
+            stacked = [p for x in inputs for p in x]  # every graph is dense
+            assert stacked != singles
+            assert sorted(map(id, stacked)) == sorted(map(id, singles))
+            assert labels.tolist() == [p.label for p in stacked]
+            assert evaluate(run.model, inputs, labels) \
+                == evaluate(run.model, singles, [p.label for p in singles])
 
     def test_training_step_records_58_tape_nodes(self, monkeypatch):
         ds = small_dataset(num_graphs=30, n=8)
