@@ -15,7 +15,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -364,8 +366,13 @@ def cmd_curves(args) -> None:
                            f"{type(exc).__name__}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seed, lines, gap in tables:
-        _write_csv_lines(out_dir / f"curves_seed{seed}.csv", lines)
+    # a name the file system refuses must leave out_dir as it was
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".curves-") as tmp:
+        for seed, lines, _ in tables:
+            _write_csv_lines(Path(tmp, f"curves_seed{seed}.csv"), lines)
+        for name in os.listdir(tmp):
+            os.replace(Path(tmp, name), out_dir / name)
+    for seed, _, gap in tables:
         print(f"seed {seed}: final train-test gap = {gap:.2f}")
 
 

@@ -14,6 +14,7 @@ Three models share the autodiff core:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -195,6 +196,21 @@ class DenseBlocks:
     m: int
     pos: np.ndarray
     dst_plan: IndexPlan
+
+
+@functools.lru_cache(maxsize=256)
+def _stack_rows(k: int, n: int, num_global: int):
+    """(place, real): the row plans of k stacked graphs, each n real rows then
+    num_global global rows. place picks those rows from concat_rows([the k * n
+    real rows, the global rows]); one graph's are already in order (None).
+    real picks the rows to pool (None without global rows). No op writes to
+    a plan, so forwards of one (k, n) share them."""
+    if not num_global:
+        return None, None
+    rows = np.arange(k * (n + num_global)).reshape(k, -1)
+    glob = np.broadcast_to(np.arange(k * n, k * n + num_global), (k, num_global))
+    place = np.hstack([np.arange(k * n).reshape(k, n), glob]).ravel()
+    return (IndexPlan(place) if k > 1 else None), IndexPlan(rows[:, :n].ravel())
 
 
 def node_degrees(g: ConnectomeGraph) -> np.ndarray:
@@ -448,7 +464,6 @@ class PreparedExphormer:
     ig: InteractionGraph
     label: int
     n: int
-    real_rows: IndexPlan  # rows 0..n-1: the real nodes, ahead of the global ones
 
 
 def _chunks(indices, size: int) -> list:
@@ -569,25 +584,18 @@ class Exphormer(_Model):
                         for l in range(cfg.num_layers)]
         b.mlp("head", cfg.hidden_dim, cfg.hidden_dim, num_classes)
 
-    def prepare(self, graph: ConnectomeGraph, ig_seed=0,
-                real_rows: IndexPlan | None = None) -> PreparedExphormer:
-        """real_rows, when given, is the plan of np.arange(graph.n)."""
+    def prepare(self, graph: ConnectomeGraph, ig_seed=0) -> PreparedExphormer:
         ig = build_interaction_graph(graph, self.cfg, ig_seed)
         x = graph.x
         if self.cfg.structural_encoding == "degree":
             enc = np.log1p(node_degrees(graph)).reshape(-1, 1)
             x = np.concatenate([x, enc], axis=1)
-        if real_rows is None:
-            real_rows = IndexPlan(np.arange(graph.n))
-        return PreparedExphormer(x=Tensor(x), ig=ig, label=graph.label, n=graph.n,
-                                 real_rows=real_rows)
+        return PreparedExphormer(x=Tensor(x), ig=ig, label=graph.label, n=graph.n)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedExphormer]:
         # Expander/global edges are fixed per (run seed, graph index), not
-        # resampled per epoch, so evaluation stays deterministic. Graphs of
-        # one size share one real_rows plan: no op writes to a plan.
-        plans = {n: IndexPlan(np.arange(n)) for n in {g.n for g in graphs}}
-        return [self.prepare(g, seeded_rng(run_seed, "interaction", i), plans[g.n])
+        # resampled per epoch, so evaluation stays deterministic.
+        return [self.prepare(g, seeded_rng(run_seed, "interaction", i))
                 for i, g in enumerate(graphs)]
 
     def forwards(self, prepared, indices, mode: str) -> list:
@@ -616,39 +624,25 @@ class Exphormer(_Model):
             out += _alone(prepared, [i for i in chunk if i not in dense])
         return out
 
-    def _dense_logits(self, stack: list[PreparedExphormer]) -> Tensor:
-        """Eval logits of equal-size graphs through dense attention blocks.
-        Each graph's stacked rows are its real nodes, then its global ones."""
+    def _logits(self, stack: list[PreparedExphormer], dense: bool, mode: str,
+                tape, rng, capture=None) -> Tensor:
+        """The forward body over k >= 1 equal-size prepared graphs: one graph
+        on its interaction graph's edge chain, or with dense the stack on
+        its DenseBlocks. Each graph's rows are its real nodes, then its
+        global ones (_stack_rows)."""
         if not stack or any(p.n != stack[0].n for p in stack):
             raise ShapeError(f"a stack needs graphs of one size, got "
                              f"{[p.n for p in stack]}")
-        k, n, gl = len(stack), stack[0].n, self.cfg.num_global_nodes
-        m = n + gl
-        # each edge's destination as a stacked row
-        dst = np.concatenate([p.ig.dst for p in stack]) + np.repeat(
-            np.arange(0, k * m, m), [p.ig.num_edges for p in stack])
-        src = np.concatenate([p.ig.src for p in stack])
-        blocks = DenseBlocks(k, m, dst * m + src, IndexPlan(dst, "dst"))
+        cfg, k, n = self.cfg, len(stack), stack[0].n
+        ig = stack[0].ig
+        if dense:  # each edge's destination as a stacked row, and its position
+            m = ig.num_nodes
+            dst = np.concatenate([p.ig.dst for p in stack]) + np.repeat(
+                np.arange(0, k * m, m), [p.ig.num_edges for p in stack])
+            pos = dst * m + np.concatenate([p.ig.src for p in stack])
+            ig = DenseBlocks(k, m, pos, IndexPlan(dst, "dst"))
+        place, real = _stack_rows(k, n, cfg.num_global_nodes)
         x = Tensor(np.concatenate([p.x.data for p in stack]))
-        place = real = None
-        if gl:
-            real = np.arange(k * m).reshape(k, m)[:, :n].ravel()
-            # the concat_rows([real rows, global.emb]) row of each stacked row
-            place = np.empty((k, m), dtype=np.int64)
-            place[:, :n] = np.arange(k * n).reshape(k, n)
-            place[:, n:] = np.arange(k * n, k * n + gl)
-            place = place.ravel()
-        return self._logits(x, blocks, "eval", None, None, real, place=place,
-                            counts=[n] * k)
-
-    def _logits(self, x: Tensor, ig, mode: str, tape, rng, real_rows,
-                place=None, counts=None, capture=None) -> Tensor:
-        """The forward body over one graph (ig an InteractionGraph) or a
-        stack of graphs (ig their DenseBlocks): x holds the real
-        rows, place (when given) lays them out with the global rows, and
-        real_rows (when given) picks the real rows to pool, counts[i] of
-        graph i."""
-        cfg = self.cfg
         h = matmul(x, self.params["input.w"], tape, bias=self.params["input.b"])
         if cfg.num_global_nodes:
             h = concat_rows([h, self.params["global.emb"]], tape)
@@ -658,9 +652,9 @@ class Exphormer(_Model):
             h = sparse_attention(ig, h, block, cfg.num_heads,
                                  cfg.attention_dropout, cfg.dropout, mode, rng,
                                  tape, capture=capture)
-        if real_rows is not None:
-            h = gather_rows(h, real_rows, tape)
-        pooled = mean_pool_rows(h, tape, counts=counts)
+        if real is not None:
+            h = gather_rows(h, real, tape)
+        pooled = mean_pool_rows(h, tape, counts=[n] * k)
         return _mlp_head(self.params, "head", pooled, cfg.dropout, mode, tape, rng)
 
     def forward(self, prep: PreparedExphormer | list[PreparedExphormer],
@@ -669,14 +663,9 @@ class Exphormer(_Model):
         """Logits of one graph, or one row per graph of a stack: a list of
         equal-size prepared graphs scored on dense attention blocks, in eval
         mode only, without a tape or attn_capture."""
-        if not isinstance(prep, list):
-            return self._logits(prep.x, prep.ig, mode, tape,
-                                self._train_rng(mode, rng), prep.real_rows,
-                                capture=attn_capture)
-        if mode != "eval" or tape is not None or attn_capture is not None:
-            raise ContractError("a stack of graphs is scored in eval mode only, "
-                                "without a tape or attn_capture")
-        return self._dense_logits(prep)
+        dense = isinstance(prep, list)
+        return self._logits(prep if dense else [prep], dense, mode, tape,
+                            self._train_rng(mode, rng), attn_capture)
 
 
 class AttnResidualGCN(ResidualGCN):

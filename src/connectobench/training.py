@@ -183,8 +183,9 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
 
     The model's forwards() splits each mini-batch into forwards, each with
     one backward of its mean loss; their summed gradients are averaged over
-    the forwards before the step. Raises DivergenceError on the first
-    non-finite loss. Deterministic given (run state, rng).
+    the forwards before the step, the batch mean only when the forwards hold
+    equal graph counts (else ContractError). Raises DivergenceError on the
+    first non-finite loss. Deterministic given (run state, rng).
     """
     model, prepared, cfg = run.model, run.prepared, run.cfg
     lr_value = lr_at(epoch, cfg) if lr is None else lr
@@ -194,6 +195,9 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
         batch = order[start:start + cfg.batch_size]
         zero_grads(model.params)
         forwards = model.forwards(prepared, batch, "train")
+        if len({len(chunk) for chunk, _ in forwards}) > 1:
+            raise ContractError("training forwards of one mini-batch hold "
+                                f"{[len(c) for c, _ in forwards]} graphs")
         for chunk, inputs in forwards:
             tape = Tape()
             logits = model.forward(inputs, mode="train", tape=tape, rng=rng)
@@ -204,9 +208,6 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
                 raise DivergenceError(epoch, start // cfg.batch_size, value)
             total_loss += value * len(chunk)
             backward(tape, loss)
-        # each forward's loss is a mean over its graphs, and a batch is either
-        # one forward or one forward per graph: this makes the gradient the
-        # batch mean
         inv = 1.0 / len(forwards)
         for p in model.params.values():
             if p.grad is not None:

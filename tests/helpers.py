@@ -153,4 +153,4 @@ def raw_index_prep(prep):
     """
     ig = copy.copy(prep.ig)
     ig.src_plan, ig.dst_plan = ig.src, ig.dst
-    return dataclasses.replace(prep, ig=ig, real_rows=np.arange(prep.n))
+    return dataclasses.replace(prep, ig=ig)

@@ -392,6 +392,16 @@ class TestCurves:
         self.assert_refused(tmp_path, capsys, self.run_file(tmp_path, [0, seed]),
                             f"seed {seed!r} is not a JSON integer")
 
+    def test_unwritable_name_writes_nothing(self, tmp_path, capsys):
+        # a valid JSON integer whose file name is too long for the file system
+        run_path = self.run_file(tmp_path, [0, 10 ** 300])
+        out = tmp_path / "out"
+        rc = main(["curves", "--run", str(run_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert captured.err.startswith("I/O error")
+        assert list(out.iterdir()) == []
+
 
 class TestExitCodes:
     def test_invalid_config_json(self, tiny_dataset, tmp_path):

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -538,7 +539,7 @@ class TestExphormer:
                      for p in (prep, raw)]
             assert train[0].tobytes() == train[1].tobytes()
 
-    def test_prepare_dataset_shares_one_real_rows_plan_per_size(self):
+    def test_forwards_of_one_shape_share_row_plans(self, monkeypatch):
         rng = np.random.default_rng(37)
         m = self.make()
         graphs = [random_graph(rng, n) for n in (8, 5, 8, 1, 5)]
@@ -546,11 +547,33 @@ class TestExphormer:
             g.x = rng.standard_normal((g.n, 8))
         preps = m.prepare_dataset(graphs, run_seed=4)
         for i, (g, prep) in enumerate(zip(graphs, preps)):
-            assert np.array_equal(prep.real_rows.ids, np.arange(g.n))
-            assert all((prep.real_rows is other.real_rows) == (g.n == other.n)
-                       for other in preps)
             alone = m.prepare(g, seeded_rng(4, "interaction", i))
             assert m.forward(prep).data.tobytes() == m.forward(alone).data.tobytes()
+        plans = []
+        real_gather = models.gather_rows
+        monkeypatch.setattr(models, "gather_rows", lambda h, idx, tape=None: (
+            plans.append(idx), real_gather(h, idx, tape))[1])
+
+        def row_plans(x):
+            """The row plans one forward over x gathers with, its edge
+            plans left out."""
+            plans.clear()
+            m.forward(x)
+            igs = [p.ig for p in (x if isinstance(x, list) else [x])]
+            edges = [ig.src_plan for ig in igs] + [ig.dst_plan for ig in igs]
+            return [plan for plan in plans if all(plan is not e for e in edges)]
+        ones = [row_plans(prep) for prep in preps]
+        pairs = [row_plans([preps[0], preps[2]]), row_plans([preps[2], preps[0]])]
+        for a, b in itertools.product(range(len(preps)), repeat=2):
+            assert (ones[a][0] is ones[b][0]) == (preps[a].n == preps[b].n)
+        (real,) = ones[0]  # one graph: its rows are in order, real then global
+        assert np.array_equal(real.ids, np.arange(8))
+        assert row_plans([preps[0]]) == [real]  # a stack of one shares them
+        place, real = pairs[0]
+        assert all(x is y for x, y in zip(pairs[0], pairs[1]))
+        assert real is not ones[0][0]
+        assert place.ids.tolist() == [*range(8), 16, *range(8, 16), 16]
+        assert real.ids.tolist() == [*range(8), *range(9, 17)]
 
     def test_cached_blocks_are_the_params_tensors(self):
         m = self.make()

@@ -153,6 +153,22 @@ class TestTrainEpoch:
             for epoch in range(cfg.total_epochs):
                 train_epoch(run, epoch, seeded_rng(0, "epoch", epoch), lr=1e120)
 
+    def test_unequal_training_forwards_are_a_contract_error(self, monkeypatch):
+        ds = small_dataset()
+        run = Run(small_config(batch_size=3), ds, 0.0,
+                  split_dataset(ds.graphs, seed=0), 0)
+        before = {k: p.data.copy() for k, p in run.model.params.items()}
+        model = run.model
+
+        def forwards(prepared, indices, mode):  # chunks of 2 and 1
+            return [(c, model.collate([prepared[i] for i in c]))
+                    for c in (indices[:2], indices[2:]) if c]
+        monkeypatch.setattr(model, "forwards", forwards)
+        with pytest.raises(ContractError, match=r"\[2, 1\] graphs"):
+            train_epoch(run, 0, seeded_rng(0, "epoch", 0))
+        for k, p in model.params.items():
+            assert np.array_equal(p.data, before[k])
+
 
 def _per_graph_epoch(model, prepared, splits, cfg, opt, rng, lr):
     """Reference training pass: one forward and backward per graph, summed

@@ -1,4 +1,4 @@
-"""Golden run: hash every output of fourteen small sweeps.
+"""Golden run: hash every output of fourteen small sweeps and a curves export.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -28,7 +28,9 @@ it merges two feature_only datasets of 40 graphs each, one with n=16 and
 one with n=24, both with 12 features, under one header, alternating three
 small graphs with two large ones, and runs `sweep-dropedge` for residual-gcn
 and exphormer on it, so batches hold unequal block sizes and interaction
-graphs differ in size.
+graphs differ in size. Then it runs `curves` on the first run JSON of the
+`sweep-dropout` grid, which holds training seeds 0 and 1, so one call
+writes two CSVs.
 Every sweep trains 2 epochs with 1 warmup epoch. Prints one
 `sha256  relative/path` line per file written, plus one per command's
 standard output. Run it on two checkouts and diff the printouts: equal
@@ -147,6 +149,8 @@ def golden(work: Path) -> list[tuple[str, str]]:
     for model in MIXED_MODELS:
         sweep("dropedge", "mixed.jsonl", f"mixed-{model}", "--model", model,
               "--seeds", "0")
+    run = min(Path("grids-dropout/runs").glob("*.json"))
+    record("curves", ["curves", "--run", str(run)])
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), str(path)))
     return digests
