@@ -474,11 +474,12 @@ class BlockAdjacency:
     that are all the identity (graphs with no edges), or all not. stack is
     their (k, m, m) array, or None for an identity run: apply copies its
     rows and makes one batched product for each other run, so a batch of
-    graphs that share a parcellation is one product. Blocks are plain data:
+    graphs that share a parcellation is one product. counts holds each
+    block's node rows in order, and rows their sum. Blocks are plain data:
     sparse_aggregate differentiates only its input rows.
     """
 
-    __slots__ = ("runs", "rows")
+    __slots__ = ("runs", "rows", "counts")
 
     def __init__(self, blocks):
         runs = []
@@ -500,30 +501,22 @@ class BlockAdjacency:
             if hi - lo > 1 and stack is not None:
                 stack = np.concatenate([r[2] for r in runs[lo:hi]])
             self.runs.append((sum(r[0] for r in runs[lo:hi]), m, stack))
-        self.rows = sum(k * m for k, m, _ in self.runs)
+        self.counts = [m for k, m, _ in self.runs for _ in range(k)]
+        self.rows = sum(self.counts)
 
     @classmethod
     def from_edges(cls, edges, weights, n: int) -> "BlockAdjacency":
         """One n x n block with entry [v, u] = summed weight of edges (u -> v),
-        added in edge order. With unique pairs, as in a validated graph, the
-        block does not depend on the order of the edge list."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ShapeError(f"edges must be (m, 2), got {edges.shape}")
+        added in edge order; a validated graph's pairs are unique, so its
+        block does not depend on that order. Only numpy refuses an endpoint >= n."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (edges.shape[0],):
-            raise ShapeError(
-                f"weights must match edge count {edges.shape[0]}, got {weights.shape}")
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise IndexError(f"edge endpoint out of range for {n} nodes")
         if len(edges) == n and (edges == np.arange(n)[:, None]).all() \
                 and (weights == 1.0).all():
             # unit self-loops 0..n-1 in order, an edgeless graph's normalized
             # adjacency: the identity run, with no block built
             out = cls.__new__(cls)
-            out.runs, out.rows = [(1, n, None)], n
+            out.runs, out.counts, out.rows = [(1, n, None)], [n], n
             return out
         block = np.zeros((n, n))
         np.add.at(block, (edges[:, 1], edges[:, 0]), weights)

@@ -344,12 +344,16 @@ def _curve_table(run: dict) -> tuple[int, list[str], float]:
     if type(run["seed"]) is not int:  # it names the CSV file
         raise TypeError(f"seed {run['seed']!r} is not a JSON integer")
     curves = run["curves"]
+    series = [curves[name] for name in ("epoch", "train_acc", "val_acc",
+                                        "test_acc", "loss", "lr")]
+    if len({len(s) for s in series}) != 1:
+        raise ValueError(f"curve series lengths {[len(s) for s in series]} differ")
     lines = ["epoch,split,accuracy,loss,lr"]
-    for i, epoch in enumerate(curves["epoch"]):
-        for split_name, series in (("train", "train_acc"), ("val", "val_acc"),
-                                   ("test", "test_acc")):
-            lines.append(f"{epoch},{split_name},{curves[series][i]:.4f},"
-                         f"{curves['loss'][i]:.6f},{curves['lr'][i]:.8f}")
+    for epoch, *accs, loss, lr in zip(*series):
+        if type(epoch) is not int:  # it starts a CSV row
+            raise TypeError(f"epoch {epoch!r} is not a JSON integer")
+        lines += [f"{epoch},{split},{acc:.4f},{loss:.6f},{lr:.8f}"
+                  for split, acc in zip(("train", "val", "test"), accs)]
     return run["seed"], lines, curves["train_acc"][-1] - curves["test_acc"][-1]
 
 

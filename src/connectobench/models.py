@@ -445,7 +445,6 @@ class PreparedGCN:
     adj: BlockAdjacency    # the normalized adjacency as one dense n x n block
     adj_edges: np.ndarray  # (m, 2) directed (src, dst) pairs the block holds
     label: int
-    n: int
     local_ig: InteractionGraph | None = None
 
 
@@ -455,7 +454,6 @@ class GCNBatch:
 
     x: Tensor            # (N, d): every graph's node rows, stacked
     adj: BlockAdjacency  # one adjacency block per graph, at its row offset
-    counts: list[int]    # node rows of each graph, in row order
 
 
 @dataclass(eq=False)
@@ -485,21 +483,19 @@ class _Model:
 
     def __init__(self, cfg, seed: int):
         self.cfg = cfg
-        self.seed = seed
         self.params: dict[str, Tensor] = {}
 
-    def _train_rng(self, mode: str, rng):
-        """rng, or in train mode without one the model's own forward stream."""
-        if mode == "train" and rng is None:
-            return seeded_rng(self.seed, "forward")
+    def _checked_rng(self, mode: str, rng):
+        if mode == "train" and rng is None:  # or its dropout masks would repeat
+            raise ContractError("a train-mode forward needs an rng")
         return rng
 
 
 class ResidualGCN(_Model):
     """GCN stack with concatenated layer outputs and an MLP head.
 
-    A mini-batch runs as one forward over the disjoint union of its graphs
-    (see collate), and mean_pool_rows pools each graph's rows to one row.
+    A forward runs on a collated mini-batch or on a lone prepared graph, a
+    batch of one: mean_pool_rows pools each block's adj.counts rows to a row.
     """
 
     kind = "residual_gcn"
@@ -519,7 +515,7 @@ class ResidualGCN(_Model):
         edges, weights = normalized_adjacency(graph, self.cfg.use_edge_weights)
         return PreparedGCN(x=Tensor(graph.x),
                            adj=BlockAdjacency.from_edges(edges, weights, graph.n),
-                           adj_edges=edges, label=graph.label, n=graph.n)
+                           adj_edges=edges, label=graph.label)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedGCN]:
         return [self.prepare(g) for g in graphs]
@@ -536,34 +532,30 @@ class ResidualGCN(_Model):
         if not preps:
             raise ShapeError("collate of an empty graph list")
         return GCNBatch(x=Tensor(np.concatenate([p.x.data for p in preps])),
-                        adj=BlockAdjacency.union(p.adj for p in preps),
-                        counts=[p.n for p in preps])
+                        adj=BlockAdjacency.union(p.adj for p in preps))
 
     def _logits(self, prep: PreparedGCN | GCNBatch, mode: str, tape, rng,
                 after_layer=None, after_concat=None) -> Tensor:
         """The forward body. after_layer(i, h), when given, replaces GCN layer
         i's output before the next layer reads it. Each layer is pooled before
         the concat, unless after_concat(h) replaces the node-level concat."""
-        batch = prep if isinstance(prep, GCNBatch) else self.collate([prep])
-        h, outs = batch.x, []
+        h, outs, counts = prep.x, [], prep.adj.counts
         for i in range(self.cfg.num_gcn_layers):
-            h = gcn_layer(batch.adj, h, self.params[f"gcn{i}.weight"], tape)
+            h = gcn_layer(prep.adj, h, self.params[f"gcn{i}.weight"], tape)
             if after_layer is not None:
                 h = after_layer(i, h)
             outs.append(h)
         if after_concat is None:
-            pooled = concat_cols([mean_pool_rows(o, tape, counts=batch.counts)
-                                  for o in outs], tape)
+            pooled = concat_cols([mean_pool_rows(o, tape, counts) for o in outs], tape)
         else:
-            pooled = mean_pool_rows(after_concat(concat_cols(outs, tape)), tape,
-                                    counts=batch.counts)
+            pooled = mean_pool_rows(after_concat(concat_cols(outs, tape)), tape, counts)
         return _mlp_head(self.params, "mlp", pooled, self.cfg.dropout, mode,
                          tape, rng)
 
     def forward(self, prep: PreparedGCN | GCNBatch, mode: str = "eval",
                 tape: Tape | None = None, rng=None) -> Tensor:
         """Logits with one row per graph of a GCNBatch, or one row for a graph."""
-        return self._logits(prep, mode, tape, self._train_rng(mode, rng))
+        return self._logits(prep, mode, tape, self._checked_rng(mode, rng))
 
 
 class Exphormer(_Model):
@@ -665,7 +657,7 @@ class Exphormer(_Model):
         mode only, without a tape or attn_capture."""
         dense = isinstance(prep, list)
         return self._logits(prep if dense else [prep], dense, mode, tape,
-                            self._train_rng(mode, rng), attn_capture)
+                            self._checked_rng(mode, rng), attn_capture)
 
 
 class AttnResidualGCN(ResidualGCN):
@@ -715,7 +707,7 @@ class AttnResidualGCN(ResidualGCN):
 
     def forward(self, prep: PreparedGCN | GCNBatch, mode: str = "eval",
                 tape: Tape | None = None, rng=None) -> Tensor:
-        rng = self._train_rng(mode, rng)
+        rng = self._checked_rng(mode, rng)
         if not self._apply_attention(mode, rng):
             return self._logits(prep, mode, tape, rng)
         if isinstance(prep, GCNBatch):

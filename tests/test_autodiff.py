@@ -216,6 +216,26 @@ class TestBlockAdjacency:
             assert nested.apply(x, transpose).tobytes() \
                 == _loop_apply(blocks, x, transpose).tobytes()
 
+    def test_counts_are_the_block_sizes_in_order(self):
+        rng = np.random.default_rng(6)
+        # identity (True) and other blocks, of equal and unequal sizes
+        sizes = [3, 3, 2, 3, 4, 4, 1, 2, 2]
+        eyes = [True, True, False, False, True, False, True, True, False]
+        blocks = [np.eye(n) if eye else rng.standard_normal((n, n))
+                  for n, eye in zip(sizes, eyes)]
+        loops = np.stack([np.arange(3)] * 2, axis=1)
+        edgeless = BlockAdjacency.from_edges(loops, np.ones(3), 3)
+        nested = BlockAdjacency.union([
+            BlockAdjacency(blocks[:3]), BlockAdjacency([]), edgeless,
+            BlockAdjacency.union([BlockAdjacency(blocks[3:6]), BlockAdjacency.union(
+                [BlockAdjacency([b]) for b in blocks[6:]])])])
+        flat = BlockAdjacency.union(BlockAdjacency([b]) for b in blocks)
+        for adj, expected in [(nested, sizes[:3] + [3] + sizes[3:]),
+                              (flat, sizes), (BlockAdjacency(blocks), sizes),
+                              (edgeless, [3]), (BlockAdjacency([]), [])]:
+            assert adj.counts == expected
+            assert sum(adj.counts) == adj.rows
+
     def test_only_the_exact_identity_is_an_identity_block(self):
         near = [np.eye(3), np.eye(3) + 1e-300, np.eye(3)[::-1], 2 * np.eye(3),
                 np.zeros((3, 3))]
@@ -227,7 +247,7 @@ class TestBlockAdjacency:
             == [(5, False)]
         assert loops.runs == zero_edge.runs == [(1, 3, None)]
 
-    def test_edgeless_graph_is_an_identity_run_and_keeps_the_checks(self):
+    def test_edgeless_graph_is_an_identity_run(self):
         loops = np.stack([np.arange(4)] * 2, axis=1)
         x = np.arange(12.0).reshape(4, 3)
         adj = BlockAdjacency.from_edges(loops, np.ones(4), 4)
@@ -240,10 +260,6 @@ class TestBlockAdjacency:
             assert runs[0][2] is not None
         assert BlockAdjacency.from_edges(loops[::-1], np.ones(4), 4).runs \
             == [(1, 4, None)]  # found by the block's identity test
-        with pytest.raises(IndexError, match="out of range"):
-            BlockAdjacency.from_edges(loops, np.ones(4), 3)
-        with pytest.raises(ShapeError, match="weights must match"):
-            BlockAdjacency.from_edges(loops, np.ones(3), 4)
 
     @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
     def test_non_square_block_raises(self, bad):

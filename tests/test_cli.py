@@ -392,6 +392,28 @@ class TestCurves:
         self.assert_refused(tmp_path, capsys, self.run_file(tmp_path, [0, seed]),
                             f"seed {seed!r} is not a JSON integer")
 
+    def test_epoch_that_is_not_a_json_integer_is_dataset_error(self, tmp_path,
+                                                               capsys):
+        # a string epoch would start injected CSV rows
+        run_path = self.run_file(tmp_path, [0])
+        run = json.loads(run_path.read_text())
+        run["runs"][0]["curves"] = {
+            "epoch": ["0\n9,evil,row", 1], "train_acc": [50.0, 60.0],
+            "val_acc": [50.0, 60.0], "test_acc": [50.0, 60.0],
+            "loss": [0.7, 0.6], "lr": [0.001, 0.001]}
+        run_path.write_text(json.dumps(run))
+        self.assert_refused(tmp_path, capsys, run_path,
+                            "epoch '0\\n9,evil,row' is not a JSON integer")
+
+    def test_series_of_unequal_length_is_dataset_error(self, tmp_path, capsys):
+        # one epoch's row gives a gap of 49, the series' last values 97
+        run_path = self.run_file(tmp_path, [0])
+        run = json.loads(run_path.read_text())
+        run["runs"][0]["curves"].update(train_acc=[50.0, 99.0], test_acc=[1.0, 2.0])
+        run_path.write_text(json.dumps(run))
+        self.assert_refused(tmp_path, capsys, run_path,
+                            "curve series lengths [1, 2, 1, 2, 1, 1] differ")
+
     def test_unwritable_name_writes_nothing(self, tmp_path, capsys):
         # a valid JSON integer whose file name is too long for the file system
         run_path = self.run_file(tmp_path, [0, 10 ** 300])

@@ -1,6 +1,7 @@
 """Models: GCN propagation, expander/interaction graphs, attention, variants."""
 
 import collections
+import dataclasses
 import functools
 import itertools
 from unittest import mock
@@ -256,7 +257,7 @@ class TestResidualGCN:
         products._set_runs([(k, n, np.stack([np.eye(n)] * k) if s is None else s)
                             for k, n, s in batch.adj.runs])
         assert [s is None for _, _, s in products.runs] == [False] * 5
-        product_batch = models.GCNBatch(x=batch.x, adj=products, counts=batch.counts)
+        product_batch = models.GCNBatch(x=batch.x, adj=products)
         labels = [p.label for p in preps]
         logits, grads = self.eval_and_grads(m, batch, labels)
         ref_logits, ref_grads = self.eval_and_grads(m, product_batch, labels)
@@ -790,6 +791,48 @@ class TestAttnVariant:
         variant = AttnVariantConfig(placement="after_concat", num_heads=4)
         with pytest.raises(ConfigError):
             AttnResidualGCN(cfg, variant, in_dim=6, num_classes=2)
+
+
+class TestLoneGraph:
+    @pytest.mark.parametrize("placement", [None, "after_each_gcn", "after_concat"])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_forward_is_the_collated_batch_of_one(self, placement, mode):
+        """A lone prepared graph runs on its own x and adj; logits and
+        gradients are the bits of collate([prep])'s copied x and rebuilt runs."""
+        rng = np.random.default_rng(46)
+        cfg = ResidualGCNConfig(num_gcn_layers=2, hidden_dim=6, mlp_hidden=5,
+                                dropout=0.5)
+        if placement is None:
+            m = ResidualGCN(cfg, in_dim=8, num_classes=3, seed=3)
+        else:
+            m = AttnResidualGCN(cfg, AttnVariantConfig(placement, num_heads=2),
+                                in_dim=8, num_classes=3, seed=3)
+        prep = m.prepare(random_graph(rng, 8, 0.4))
+        batch = m.collate([prep])
+        assert (batch.adj.counts, prep.adj.counts) == ([8], [8])
+        if placement is not None:  # attention refuses a GCNBatch
+            batch = dataclasses.replace(prep, x=batch.x, adj=batch.adj)
+        results = []
+        for inputs in (prep, batch):
+            for param in m.params.values():
+                param.grad = None
+            tape = Tape()
+            logits = m.forward(inputs, mode, tape, rng=seeded_rng(5, "forward"))
+            backward(tape, cross_entropy(logits, [prep.label], tape))
+            results.append([logits.data.tobytes()] + [
+                param.grad.tobytes() for param in m.params.values()])
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_train_forward_needs_an_rng(kind):
+    """Without an rng every train-mode forward would draw the same dropout
+    masks, and AttnResidualGCN the same insertion decision."""
+    m = build_model(kind, in_dim=8, num_classes=2, seed=0)
+    prep = m.prepare(random_graph(np.random.default_rng(47), 8))
+    with pytest.raises(ContractError, match="train-mode forward needs an rng"):
+        m.forward(prep, mode="train")
+    assert m.forward(prep, mode="eval").shape == (1, 2)
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""Golden run: hash every output of fourteen small sweeps and a curves export.
+"""Golden run: hash every output of sixteen small sweeps and a curves export.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -30,7 +30,12 @@ small graphs with two large ones, and runs `sweep-dropedge` for residual-gcn
 and exphormer on it, so batches hold unequal block sizes and interaction
 graphs differ in size. Then it runs `curves` on the first run JSON of the
 `sweep-dropout` grid, which holds training seeds 0 and 1, so one call
-writes two CSVs.
+writes two CSVs. Two more sweeps on the third dataset (training seed 0)
+reach forward paths the others miss: a `sweep-variants` whose `variants`
+grid holds both placements at probability 0, so attention never runs and
+AttnResidualGCN batches like a plain ResidualGCN, and an exphormer
+`sweep-dropedge` (p 0/0.5/1) with no global node, so no row is placed or
+picked around the real ones.
 Every sweep trains 2 epochs with 1 warmup epoch. Prints one
 `sha256  relative/path` line per file written, plus one per command's
 standard output. Run it on two checkouts and diff the printouts: equal
@@ -70,6 +75,11 @@ EXPHORMER_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1,
                               "exphormer": {"num_global_nodes": 2, "num_heads": 2,
                                             "structural_encoding": "none"}},
                     "drop_probabilities": [0.0, 0.5, 1.0]}
+VARIANTS0_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1},
+                    "variants": [["after_each_gcn", 0.0], ["after_concat", 0.0]]}
+EXPHORMER0_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1,
+                               "exphormer": {"num_global_nodes": 0}},
+                     "drop_probabilities": [0.0, 0.5, 1.0]}
 MIXED_DATASETS = (("feature_only", 40, 16, 21), ("feature_only", 40, 24, 22))
 MIXED_DIM = 12
 MIXED_MODELS = ("residual-gcn", "exphormer")
@@ -115,9 +125,13 @@ def golden(work: Path) -> list[tuple[str, str]]:
         stdout = _run(argv + ["--out", out])
         digests.append((hashlib.sha256(stdout).hexdigest(), f"{out}/<stdout>"))
 
-    def sweep(grid: str, data: str, out: str, *flags: str) -> None:
-        record(out, [f"sweep-{grid}", "--dataset", data, "--config", "config.json",
-                     *flags])
+    def sweep(grid: str, data: str, out: str, *flags: str,
+              config: str = "config.json") -> None:
+        record(out, [f"sweep-{grid}", "--dataset", data, "--config", config, *flags])
+
+    def write_config(name: str, config: dict) -> str:
+        Path(name).write_text(json.dumps(config), encoding="utf-8")
+        return name
 
     for name, spec in DATASETS.items():
         data = gen(name, *spec)
@@ -127,13 +141,11 @@ def golden(work: Path) -> list[tuple[str, str]]:
     data = gen("grids", *GRID_DATASET)
     for grid in GRIDS:
         sweep(grid, data, f"grids-{grid}", "--seeds", "0,1")
-    Path("width1.json").write_text(json.dumps(WIDTH1_CONFIG), encoding="utf-8")
-    record("grids-width1", ["sweep-dropedge", "--dataset", data, "--config",
-                            "width1.json", "--model", "residual-gcn", "--seeds", "1"])
-    Path("exphormer.json").write_text(json.dumps(EXPHORMER_CONFIG), encoding="utf-8")
-    record("grids-exphormer", ["sweep-dropedge", "--dataset", data, "--config",
-                               "exphormer.json", "--model", "exphormer", "--seeds", "0"])
-    Path("spec.json").write_text(json.dumps(SPEC_CONFIG), encoding="utf-8")
+    sweep("dropedge", data, "grids-width1", "--model", "residual-gcn", "--seeds", "1",
+          config=write_config("width1.json", WIDTH1_CONFIG))
+    sweep("dropedge", data, "grids-exphormer", "--model", "exphormer", "--seeds", "0",
+          config=write_config("exphormer.json", EXPHORMER_CONFIG))
+    write_config("spec.json", SPEC_CONFIG)
     record("spec.jsonl", ["gen-data", "--config", "spec.json"])
     record("spec", ["sweep-dropedge", "--config", "spec.json"])
     record("spec30.jsonl", ["gen-data", "--config", "spec.json", "--graphs", "30"])
@@ -151,6 +163,10 @@ def golden(work: Path) -> list[tuple[str, str]]:
               "--seeds", "0")
     run = min(Path("grids-dropout/runs").glob("*.json"))
     record("curves", ["curves", "--run", str(run)])
+    sweep("variants", data, "grids-variants0", "--seeds", "0",
+          config=write_config("variants0.json", VARIANTS0_CONFIG))
+    sweep("dropedge", data, "grids-exphormer0", "--model", "exphormer", "--seeds", "0",
+          config=write_config("exphormer0.json", EXPHORMER0_CONFIG))
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), str(path)))
     return digests
