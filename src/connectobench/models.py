@@ -161,12 +161,28 @@ class InteractionGraph:
     src: np.ndarray   # (E,) int64
     dst: np.ndarray   # (E,) int64
     tags: np.ndarray  # (E,) int64
-    src_plan: IndexPlan = field(init=False, repr=False)
-    dst_plan: IndexPlan = field(init=False, repr=False)
+    src_plan: IndexPlan = field(default=None, repr=False)
+    dst_plan: IndexPlan = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.src_plan = IndexPlan(self.src, "src")
-        self.dst_plan = IndexPlan(self.dst, "dst")
+        if self.src_plan is None:  # a union brings its concatenated plans
+            self.src_plan = IndexPlan(self.src, "src")
+            self.dst_plan = IndexPlan(self.dst, "dst")
+
+    @classmethod
+    def union(cls, igs) -> InteractionGraph:
+        """The disjoint union of igs: each graph's arrays and index plans,
+        its node ids shifted by the nodes before it, concatenated without a
+        sort (IndexPlan.concat). One graph is its own union."""
+        if len(igs) == 1:
+            return igs[0]
+        nodes = np.cumsum([0] + [ig.num_nodes for ig in igs[:-1]])
+        edges = np.cumsum([0] + [ig.num_edges for ig in igs[:-1]])
+        src, dst = (IndexPlan.concat([getattr(ig, f"{end}_plan") for ig in igs],
+                                     nodes, edges) for end in ("src", "dst"))
+        return cls(sum(ig.num_real for ig in igs), sum(ig.num_global for ig in igs),
+                   src.ids, dst.ids, np.concatenate([ig.tags for ig in igs]),
+                   src, dst)
 
     @property
     def num_nodes(self) -> int:
@@ -458,10 +474,15 @@ class GCNBatch:
 
 @dataclass(eq=False)
 class PreparedExphormer:
-    x: Tensor
+    x: np.ndarray    # the graph's own (n, d) features, not a copy
+    enc: np.ndarray  # its structural encoding: (n, 1) log1p degrees, or (n, 0)
     ig: InteractionGraph
     label: int
-    n: int
+
+
+class EdgeChainStack(tuple):
+    """Equal-size prepared graphs run as one forward on the edge chain of
+    the disjoint union of their interaction graphs."""
 
 
 def _chunks(indices, size: int) -> list:
@@ -578,11 +599,9 @@ class Exphormer(_Model):
 
     def prepare(self, graph: ConnectomeGraph, ig_seed=0) -> PreparedExphormer:
         ig = build_interaction_graph(graph, self.cfg, ig_seed)
-        x = graph.x
-        if self.cfg.structural_encoding == "degree":
-            enc = np.log1p(node_degrees(graph)).reshape(-1, 1)
-            x = np.concatenate([x, enc], axis=1)
-        return PreparedExphormer(x=Tensor(x), ig=ig, label=graph.label, n=graph.n)
+        enc = (np.log1p(node_degrees(graph)).reshape(-1, 1)
+               if self.cfg.structural_encoding == "degree" else np.empty((graph.n, 0)))
+        return PreparedExphormer(x=graph.x, enc=enc, ig=ig, label=graph.label)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedExphormer]:
         # Expander/global edges are fixed per (run seed, graph index), not
@@ -591,9 +610,11 @@ class Exphormer(_Model):
                 for i, g in enumerate(graphs)]
 
     def forwards(self, prepared, indices, mode: str) -> list:
-        """Training runs one graph per forward through the edge chain: batching
-        the per-edge pipeline measured slower and several times larger in
-        memory (README's "How a mini-batch runs"). Eval cuts indices into
+        """Training runs the edge chain on pairs of graphs, an EdgeChainStack
+        each, when the mini-batch holds an even count of graphs of one size,
+        and on one graph per forward otherwise, so every forward of a
+        mini-batch holds as many graphs. Larger unions measured slower
+        (README's "How a mini-batch runs"). Eval cuts indices into
         chunks of EVAL_CHUNK. In each chunk the dense graphs, whose N x N
         score plane holds at most DENSE_FILL entries per interaction edge, are
         grouped by node count into stacks of at most DENSE_STACK_ENTRIES
@@ -601,7 +622,10 @@ class Exphormer(_Model):
         Stacks stay within a chunk: a graph's neighbours on a stack move its
         logits in the last bits, so regrouping could change an accuracy."""
         if mode == "train":
-            return _alone(prepared, indices)
+            if len(indices) % 2 or len({prepared[i].ig.num_real for i in indices}) > 1:
+                return _alone(prepared, indices)
+            return [(pair, EdgeChainStack(prepared[i] for i in pair))
+                    for pair in _chunks(indices, 2)]
 
         def nodes(i):
             return prepared[i].ig.num_nodes
@@ -618,24 +642,24 @@ class Exphormer(_Model):
 
     def _logits(self, stack: list[PreparedExphormer], dense: bool, mode: str,
                 tape, rng, capture=None) -> Tensor:
-        """The forward body over k >= 1 equal-size prepared graphs: one graph
-        on its interaction graph's edge chain, or with dense the stack on
-        its DenseBlocks. Each graph's rows are its real nodes, then its
-        global ones (_stack_rows)."""
-        if not stack or any(p.n != stack[0].n for p in stack):
+        """The forward body over k >= 1 equal-size prepared graphs, on the
+        disjoint union of their interaction graphs: its edge chain, or with
+        dense its DenseBlocks. Each graph's rows are its real nodes, features
+        then structural encoding, and then its global ones (_stack_rows)."""
+        sizes = {p.ig.num_real for p in stack}
+        if len(sizes) != 1:
             raise ShapeError(f"a stack needs graphs of one size, got "
-                             f"{[p.n for p in stack]}")
-        cfg, k, n = self.cfg, len(stack), stack[0].n
-        ig = stack[0].ig
-        if dense:  # each edge's destination as a stacked row, and its position
-            m = ig.num_nodes
-            dst = np.concatenate([p.ig.dst for p in stack]) + np.repeat(
-                np.arange(0, k * m, m), [p.ig.num_edges for p in stack])
-            pos = dst * m + np.concatenate([p.ig.src for p in stack])
-            ig = DenseBlocks(k, m, pos, IndexPlan(dst, "dst"))
+                             f"{[p.ig.num_real for p in stack]}")
+        cfg, k, (n,) = self.cfg, len(stack), sizes
+        ig = InteractionGraph.union([p.ig for p in stack])
+        if dense:  # each edge's position: its stacked destination row, its source
+            m = stack[0].ig.num_nodes
+            pos = ig.dst * m + np.concatenate([p.ig.src for p in stack])
+            ig = DenseBlocks(k, m, pos, ig.dst_plan)
         place, real = _stack_rows(k, n, cfg.num_global_nodes)
-        x = Tensor(np.concatenate([p.x.data for p in stack]))
-        h = matmul(x, self.params["input.w"], tape, bias=self.params["input.b"])
+        x = np.hstack([np.concatenate([p.x for p in stack]),
+                       np.concatenate([p.enc for p in stack])])
+        h = matmul(Tensor(x), self.params["input.w"], tape, bias=self.params["input.b"])
         if cfg.num_global_nodes:
             h = concat_rows([h, self.params["global.emb"]], tape)
             if place is not None:
@@ -649,15 +673,17 @@ class Exphormer(_Model):
         pooled = mean_pool_rows(h, tape, counts=[n] * k)
         return _mlp_head(self.params, "head", pooled, cfg.dropout, mode, tape, rng)
 
-    def forward(self, prep: PreparedExphormer | list[PreparedExphormer],
+    def forward(self, prep: PreparedExphormer | EdgeChainStack | list,
                 mode: str = "eval", tape: Tape | None = None, rng=None,
                 attn_capture: list | None = None) -> Tensor:
-        """Logits of one graph, or one row per graph of a stack: a list of
-        equal-size prepared graphs scored on dense attention blocks, in eval
-        mode only, without a tape or attn_capture."""
+        """Logits of one graph, or one row per graph of a stack: an
+        EdgeChainStack runs on the edge chain, and a plain list of equal-size
+        prepared graphs is scored on dense attention blocks, in eval mode
+        only, without a tape or attn_capture."""
         dense = isinstance(prep, list)
-        return self._logits(prep if dense else [prep], dense, mode, tape,
-                            self._checked_rng(mode, rng), attn_capture)
+        stack = prep if dense or isinstance(prep, EdgeChainStack) else [prep]
+        return self._logits(stack, dense, mode, tape, self._checked_rng(mode, rng),
+                            attn_capture)
 
 
 class AttnResidualGCN(ResidualGCN):

@@ -391,6 +391,23 @@ class TestIndexPlan:
         with pytest.raises(ShapeError):
             softmax_segments(Tensor(np.ones((3, 2))), IndexPlan([0, 1]))
 
+    def test_concat_is_the_plan_of_the_shifted_ids(self):
+        parts = [[], [2, 0, 1, 0], [], [0, 1], [1, 0, 0], []]
+        ids_off = [0, 0, 3, 3, 5, 7]
+        pos_off = np.cumsum([0] + [len(p) for p in parts[:-1]])
+        plans = [IndexPlan(p) if i % 2 else np.array(p, dtype=np.int64)
+                 for i, p in enumerate(parts)]  # raw id vectors are planned
+        got = IndexPlan.concat(plans, ids_off, pos_off)
+        want = IndexPlan(np.concatenate(
+            [np.array(p, dtype=np.int64) + o for p, o in zip(parts, ids_off)]))
+        for slot in ("ids", "order", "starts", "counts", "keys"):
+            assert np.array_equal(getattr(got, slot), getattr(want, slot)), slot
+        assert (got.lo, got.hi) == (want.lo, want.hi) == (0, 6)
+        empty = IndexPlan.concat([IndexPlan([]), IndexPlan([])], [0, 4], [0, 0])
+        assert empty.order is None and (empty.lo, empty.hi) == (0, -1)
+        assert IndexPlan.concat([IndexPlan([0, 1]), IndexPlan([0])],
+                                [0, 2], [0, 2]).order is None
+
 
 def _zero_fill_sums(plan: IndexPlan, rows: np.ndarray, n: int) -> np.ndarray:
     """Reference for the full-plan fast path: run sums added into zero rows."""

@@ -411,6 +411,38 @@ class TestInteractionGraph:
             assert counts["global"] == 2 * gl * n
             assert counts["self"] == n + gl
 
+    @pytest.mark.parametrize("gl", [0, 1, 2])
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (7, 7), (5, 2, 9)])
+    @pytest.mark.parametrize("edgeless", [False, True])
+    def test_union_is_the_graph_built_from_scratch(self, gl, sizes, edgeless):
+        """A union concatenates its parts' arrays and plans with node and
+        edge offsets, and its plans are the ones IndexPlan sorts out from
+        scratch on the union's ids."""
+        rng = np.random.default_rng(12)
+        cfg = ExphormerConfig(expander_degree=4, num_global_nodes=gl,
+                              num_heads=2, hidden_dim=8)
+        igs = [build_interaction_graph(random_graph(
+            rng, n, density=0.0 if edgeless and i == 0 else 0.5), cfg, seed=i)
+            for i, n in enumerate(sizes)]
+        assert models.InteractionGraph.union(igs[:1]) is igs[0]
+        union = models.InteractionGraph.union(igs)
+        offsets = np.cumsum([0] + [ig.num_nodes for ig in igs])
+        assert union.num_nodes == offsets[-1]
+        assert np.array_equal(union.tags, np.concatenate([ig.tags for ig in igs]))
+        for end in ("src", "dst"):
+            ids = getattr(union, end)
+            assert np.array_equal(ids, np.concatenate(
+                [getattr(ig, end) + o for ig, o in zip(igs, offsets)]))
+            plan, fresh = getattr(union, f"{end}_plan"), IndexPlan(ids)
+            assert plan.ids is ids
+            assert (plan.order is None) == (fresh.order is None)
+            for slot in ("order", "starts", "counts", "keys"):
+                if getattr(fresh, slot) is not None:
+                    assert np.array_equal(getattr(plan, slot), getattr(fresh, slot))
+                    assert getattr(plan, slot).dtype == getattr(fresh, slot).dtype
+            assert (plan.lo, plan.hi) == (fresh.lo, fresh.hi)
+        assert union.dst_plan.order is None  # dst stays sorted by construction
+
 
 class TestSparseAttention:
     def attention_setup(self, n=7, width=8, heads=2, seed=0):
@@ -494,15 +526,17 @@ class TestExphormer:
         g = random_graph(rng, 8)
         with_enc = self.make()
         without = self.make(structural_encoding="none")
-        assert with_enc.prepare(g, 0).x.shape == (8, 9)
-        assert without.prepare(g, 0).x.shape == (8, 8)
+        for m, cols in ((with_enc, 1), (without, 0)):
+            prep = m.prepare(g, 0)
+            assert prep.x.shape == (8, 8) and prep.enc.shape == (8, cols)
+            assert m.params["input.w"].shape == (8 + cols, 8)
 
     def test_degree_encoding_uses_dropped_edges(self):
         rng = np.random.default_rng(33)
         g = random_graph(rng, 8)
         m = self.make()
-        full = m.prepare(g, 0).x.data[:, -1]
-        empty = m.prepare(drop_edges(g, 1.0, seed=1), 0).x.data[:, -1]
+        full = m.prepare(g, 0).enc[:, 0]
+        empty = m.prepare(drop_edges(g, 1.0, seed=1), 0).enc[:, 0]
         assert np.array_equal(empty, np.zeros(8))
         assert full.sum() > 0
         assert np.allclose(full, np.log1p(node_degrees(g)))
@@ -566,7 +600,8 @@ class TestExphormer:
         ones = [row_plans(prep) for prep in preps]
         pairs = [row_plans([preps[0], preps[2]]), row_plans([preps[2], preps[0]])]
         for a, b in itertools.product(range(len(preps)), repeat=2):
-            assert (ones[a][0] is ones[b][0]) == (preps[a].n == preps[b].n)
+            assert (ones[a][0] is ones[b][0]) == (
+                preps[a].ig.num_real == preps[b].ig.num_real)
         (real,) = ones[0]  # one graph: its rows are in order, real then global
         assert np.array_equal(real.ids, np.arange(8))
         assert row_plans([preps[0]]) == [real]  # a stack of one shares them
@@ -575,6 +610,26 @@ class TestExphormer:
         assert real is not ones[0][0]
         assert place.ids.tolist() == [*range(8), 16, *range(8, 16), 16]
         assert real.ids.tolist() == [*range(8), *range(9, 17)]
+
+    def test_training_forwards_pair_an_even_batch_of_one_size(self):
+        rng = np.random.default_rng(38)
+        m = self.make()
+        graphs = [random_graph(rng, n) for n in (8, 8, 8, 8, 5, 8)]
+        for g in graphs:
+            g.x = rng.standard_normal((g.n, 8))
+        preps = m.prepare_dataset(graphs, run_seed=5)
+        assert all(np.shares_memory(p.x, g.x) for p, g in zip(preps, graphs))
+        forwards = m.forwards(preps, [3, 0, 5, 2], "train")
+        assert [chunk for chunk, _ in forwards] == [[3, 0], [5, 2]]
+        for chunk, x in forwards:
+            assert isinstance(x, models.EdgeChainStack)
+            assert list(x) == [preps[i] for i in chunk]
+            pair = m.forward(x).data
+            for row, i in zip(pair, chunk):
+                assert np.max(np.abs(row - m.forward(preps[i]).data[0])) < 1e-12
+        for indices in ([0, 2, 3], [0, 4], [4], [0, 1, 2, 3, 4, 5]):
+            assert m.forwards(preps, indices, "train") == [([i], preps[i])
+                                                           for i in indices]
 
     def test_cached_blocks_are_the_params_tensors(self):
         m = self.make()
@@ -641,7 +696,7 @@ class TestExphormerBatch:
         stacks, alone, order = self.assert_matches_per_graph(m, preps)
         # every graph is dense here, grouped by node count, sizes in order
         assert alone == []
-        assert [[preps[i].n for i in stack] for stack in stacks] \
+        assert [[preps[i].ig.num_real for i in stack] for stack in stacks] \
             == [[1], [2], [5, 5], [9, 9, 9], [12]]
         assert order == [6, 3, 1, 5, 0, 2, 7, 4]
 
@@ -654,7 +709,7 @@ class TestExphormerBatch:
         # a cap below one graph still stacks one graph at a time
         monkeypatch.setattr(models, "DENSE_STACK_ENTRIES", 4 * 8 * 8 * per_stack + 1)
         stacks, _, order = self.assert_matches_per_graph(m, preps)
-        sizes = [[preps[i].n for i in stack] for stack in stacks]
+        sizes = [[preps[i].ig.num_real for i in stack] for stack in stacks]
         if per_stack == 2:
             assert sizes == [[4], [7, 7], [7, 7], [7]]
         else:

@@ -192,11 +192,25 @@ def _per_graph_epoch(model, prepared, splits, cfg, opt, rng, lr):
     return total / len(order)
 
 
+def _train_forwards(run):
+    """A list that gets the training forwards of each mini-batch of run."""
+    held, forwards = [], run.model.forwards
+
+    def recording(prepared, indices, mode):
+        out = forwards(prepared, indices, mode)
+        if mode == "train":
+            held.append(out)
+        return out
+    run.model.forwards = recording
+    return held
+
+
 class TestExphormerEpoch:
     def test_matches_per_graph_reference_bit_exact(self):
+        # batches of 7 graphs are odd, so each trains one graph a forward
         ds = small_dataset(num_graphs=30, n=8)
         splits = split_dataset(ds.graphs, seed=0)
-        cfg = small_config(model_kind="exphormer", batch_size=8,
+        cfg = small_config(model_kind="exphormer", batch_size=7,
                            exphormer=ExphormerConfig(num_layers=1, num_heads=2,
                                                      hidden_dim=8,
                                                      expander_degree=2))
@@ -209,6 +223,43 @@ class TestExphormerEpoch:
         assert metrics.loss == ref_loss
         for name, p in run.model.params.items():
             assert np.array_equal(p.data, ref.model.params[name].data), name
+
+    def test_pairs_match_per_graph_reference(self):
+        """Without dropout, an epoch in pairs of graphs takes the per-graph
+        epoch's steps up to rounding."""
+        ds = small_dataset(num_graphs=30, n=8)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind="exphormer", batch_size=8,
+                           exphormer=ExphormerConfig(
+                               num_layers=2, num_heads=2, hidden_dim=8,
+                               expander_degree=2, dropout=0.0,
+                               attention_dropout=0.0))
+        run, ref = (Run(cfg, ds, 0.0, splits, 4) for _ in range(2))
+        held = _train_forwards(run)
+        metrics = train_epoch(run, 2, seeded_rng(4, "epoch", 2))
+        assert {len(chunk) for fw in held for chunk, _ in fw} == {2}
+        ref_loss = _per_graph_epoch(ref.model, ref.prepared, splits, cfg,
+                                    AdamState(), seeded_rng(4, "epoch", 2),
+                                    lr_at(2, cfg))
+        assert metrics.loss == pytest.approx(ref_loss, rel=1e-12)
+        for name, p in run.model.params.items():
+            assert np.allclose(p.data, ref.model.params[name].data,
+                               rtol=0, atol=1e-12), name
+
+    def test_odd_and_mixed_size_batches_train_one_graph_a_forward(self):
+        small, large = (generate_synthetic(SyntheticSpec(
+            num_graphs=10, n=n, d=8, num_classes=2, seed=n)).graphs for n in (8, 12))
+        ds = Dataset(small + large, 2)
+        splits = split_dataset(ds.graphs, seed=0)
+        cfg = small_config(model_kind="exphormer", batch_size=5,
+                           exphormer=ExphormerConfig(num_layers=1, num_heads=2,
+                                                     hidden_dim=8,
+                                                     expander_degree=2))
+        run = Run(cfg, ds, 0.0, splits, 0)
+        held = _train_forwards(run)
+        assert math.isfinite(train_epoch(run, 0, seeded_rng(0, "epoch", 0)).loss)
+        assert [len(chunk) for fw in held for chunk, _ in fw] \
+            == [1] * len(splits.train)
 
     def test_prebuilt_plans_match_raw_ids_bit_exact(self):
         ds = small_dataset(num_graphs=30, n=8)
@@ -346,8 +397,8 @@ class TestEvalBatches:
 
 
 class TestExphormerEvalBatches:
-    """Exphormer scores each eval chunk in dense stacks and still trains one
-    graph per forward."""
+    """Exphormer scores each eval chunk in dense stacks and trains an even
+    batch of one size in pairs."""
 
     def test_batched_eval_sets_match_per_graph_inputs(self):
         ds = small_dataset(num_graphs=60, n=8)
@@ -407,7 +458,10 @@ class TestExphormerEvalBatches:
 
         monkeypatch.setattr(training, "backward", counting)
         run.epoch()
-        assert tapes == [58] * len(splits.train)
+        # a pair records one node more than a graph: its global rows' placement
+        full, rest = divmod(len(splits.train), cfg.batch_size)
+        assert tapes == [59] * (full * cfg.batch_size // 2) + (
+            [58] * rest if rest % 2 else [59] * (rest // 2))
 
 
 class TestRunExperiment:

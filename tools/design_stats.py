@@ -1,13 +1,15 @@
-"""Design numbers: the src/ line count and the tape nodes per training graph.
+"""Design numbers: the src/ line count and the tape nodes per training forward.
 
     python3 tools/design_stats.py
 
 Prints the lines of every .py file under src/, then for each model at its
-default config the tape nodes that one train-mode forward over one graph
-and its cross-entropy record: the graph has 6 nodes, 6 features and 2
-classes. Exphormer is also shown with no global node. These are the design
-numbers ROADMAP.md tracks. It imports the package from this checkout's src/
-and takes about a second.
+default config the tape nodes that its first train-mode forward over a
+mini-batch of two graphs and its cross-entropy record, with the number of
+graphs that forward holds: both graphs have 6 nodes, 6 features and 2
+classes, so a model that pairs or batches equal-size graphs holds both in
+one forward. Exphormer is also shown with no global node. These are the
+design numbers ROADMAP.md tracks. It imports the package from this
+checkout's src/ and takes about a second.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ def graph() -> ConnectomeGraph:
                            weights=rng.uniform(0.5, 1.0, int(keep.sum())), label=1)
 
 
-def tape_nodes(kind: str, **kw) -> int:
+def tape_nodes(kind: str, **kw) -> str:
     g = graph()
     model = build_model(kind, in_dim=g.x.shape[1], num_classes=2, **kw)
-    prep = model.prepare_dataset([g])[0]
+    prepared = model.prepare_dataset([g, g])
+    chunk, inputs = model.forwards(prepared, [0, 1], "train")[0]
     tape = Tape()
-    logits = model.forward(prep, mode="train", tape=tape, rng=seeded_rng(0, "s"))
-    cross_entropy(logits, [prep.label], tape=tape)
-    return len(tape.nodes)
+    logits = model.forward(inputs, mode="train", tape=tape, rng=seeded_rng(0, "s"))
+    cross_entropy(logits, [prepared[i].label for i in chunk], tape=tape)
+    return f"{len(tape.nodes)} a forward of {len(chunk)} graph{'s' * (len(chunk) > 1)}"
 
 
 def main() -> int:
