@@ -436,26 +436,6 @@ class IndexPlan:
         self.keys = ids[self.starts]
         self.lo, self.hi = int(ids[0]), int(ids[-1])
 
-    @classmethod
-    def concat(cls, plans, id_offsets, pos_offsets) -> IndexPlan:
-        """The plan of the plans' ids in turn, plan i's shifted by
-        id_offsets[i] and starting at position pos_offsets[i], built without
-        a sort. Each plan's shifted ids must lie below the next one's, as a
-        disjoint union's node ids do: then the parts' sorts in turn are the
-        sort of the whole. A raw id vector is planned first."""
-        parts = [(_as_plan(p, "idx"), o, e)
-                 for p, o, e in zip(plans, id_offsets, pos_offsets)]
-        out = cls.__new__(cls)
-        out.ids = np.concatenate([p.ids + o for p, o, _ in parts])
-        out.order = None if all(p.order is None for p, _, _ in parts) else np.concatenate(
-            [(np.arange(p.ids.size) if p.order is None else p.order) + e
-             for p, _, e in parts])
-        out.starts = np.concatenate([p.starts + e for p, _, e in parts])
-        out.counts = np.concatenate([p.counts for p, _, _ in parts])
-        out.keys = np.concatenate([p.keys + o for p, o, _ in parts])
-        out.lo, out.hi = (int(out.keys[0]), int(out.keys[-1])) if out.keys.size else (0, -1)
-        return out
-
     def sort_rows(self, x: np.ndarray) -> np.ndarray:
         """The rows of x in the sorted order of the ids."""
         return x if self.order is None else np.take(x, self.order, axis=0)

@@ -4,8 +4,9 @@ Subcommands: gen-data, sweep-dropedge (the one sweep with --model),
 sweep-dropout, sweep-layers, sweep-variants, curves. Flag values override
 config-file entries, which override built-in defaults. A config file holds
 only dataset, dataset_spec, train (without model_kind) and the _GRIDS keys.
-Exit codes: 0 success, 2 config error, 3 run divergence, 4 I/O or dataset
-error or a broken contract (such as p=1 leaving an edge), 130 interrupted (Ctrl-C).
+Exit codes: 0 success, 2 config error (a width numpy cannot allocate
+included), 3 run divergence, 4 I/O or dataset error or a broken contract
+(such as p=1 leaving an edge), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -344,10 +345,14 @@ def _curve_table(run: dict) -> tuple[int, list[str], float]:
     if type(run["seed"]) is not int:  # it names the CSV file
         raise TypeError(f"seed {run['seed']!r} is not a JSON integer")
     curves = run["curves"]
-    series = [curves[name] for name in ("epoch", "train_acc", "val_acc",
-                                        "test_acc", "loss", "lr")]
+    names = ("epoch", "train_acc", "val_acc", "test_acc", "loss", "lr")
+    series = [curves[name] for name in names]
     if len({len(s) for s in series}) != 1:
         raise ValueError(f"curve series lengths {[len(s) for s in series]} differ")
+    for name, values in zip(names[1:], series[1:]):
+        for value in values:
+            if type(value) not in (int, float):  # true would print as 1.0000
+                raise TypeError(f"{name} value {value!r} is not a JSON number")
     lines = ["epoch,split,accuracy,loss,lr"]
     for epoch, *accs, loss, lr in zip(*series):
         if type(epoch) is not int:  # it starts a CSV row

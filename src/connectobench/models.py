@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,8 +152,8 @@ class InteractionGraph:
     Edges are sorted by (dst, src) and deduplicated; when the same directed
     pair arises from several components, the tag priority is
     local > expander > global (self-loops never collide). src_plan and
-    dst_plan hold the sort of src and dst, built once here so the attention
-    ops never sort them per call.
+    dst_plan hold the sort of src and dst, built on first use and kept, so
+    the attention ops never sort a graph's ids twice.
     """
 
     num_real: int
@@ -161,28 +161,27 @@ class InteractionGraph:
     src: np.ndarray   # (E,) int64
     dst: np.ndarray   # (E,) int64
     tags: np.ndarray  # (E,) int64
-    src_plan: IndexPlan = field(default=None, repr=False)
-    dst_plan: IndexPlan = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.src_plan is None:  # a union brings its concatenated plans
-            self.src_plan = IndexPlan(self.src, "src")
-            self.dst_plan = IndexPlan(self.dst, "dst")
+    @functools.cached_property
+    def src_plan(self) -> IndexPlan:
+        return IndexPlan(self.src, "src")
+
+    @functools.cached_property
+    def dst_plan(self) -> IndexPlan:
+        return IndexPlan(self.dst, "dst")
 
     @classmethod
     def union(cls, igs) -> InteractionGraph:
-        """The disjoint union of igs: each graph's arrays and index plans,
-        its node ids shifted by the nodes before it, concatenated without a
-        sort (IndexPlan.concat). One graph is its own union."""
+        """The disjoint union of igs: each graph's arrays, its node ids
+        shifted by the nodes before it, concatenated. One graph is its own
+        union."""
         if len(igs) == 1:
             return igs[0]
         nodes = np.cumsum([0] + [ig.num_nodes for ig in igs[:-1]])
-        edges = np.cumsum([0] + [ig.num_edges for ig in igs[:-1]])
-        src, dst = (IndexPlan.concat([getattr(ig, f"{end}_plan") for ig in igs],
-                                     nodes, edges) for end in ("src", "dst"))
+        src, dst = (np.concatenate([getattr(ig, end) + o for ig, o in zip(igs, nodes)])
+                    for end in ("src", "dst"))
         return cls(sum(ig.num_real for ig in igs), sum(ig.num_global for ig in igs),
-                   src.ids, dst.ids, np.concatenate([ig.tags for ig in igs]),
-                   src, dst)
+                   src, dst, np.concatenate([ig.tags for ig in igs]))
 
     @property
     def num_nodes(self) -> int:
@@ -400,11 +399,6 @@ def sparse_attention(ig: InteractionGraph | DenseBlocks, h: Tensor,
     return layer_norm(add(h1, ff, tape), p["ln2_gain"], p["ln2_bias"], tape)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 class _ParamBuilder:
     """Adds parameters whose init stream depends only on (seed, name) to params."""
 
@@ -412,15 +406,29 @@ class _ParamBuilder:
         self.seed = seed
         self.params = params
 
+    def _add(self, name: str, make, shape: tuple[int, int]) -> None:
+        """params[name] = make(shape); a ConfigError names a shape numpy
+        cannot allocate (a MemoryError, or a ValueError past its largest
+        dimension)."""
+        try:
+            data = make(shape)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"parameter {name} of shape {shape} cannot be "
+                              f"allocated: {exc}") from None
+        self.params[name] = Tensor(data, requires_grad=True)
+
     def weight(self, name: str, fan_in: int, fan_out: int) -> None:
+        """A Glorot-uniform (fan_in, fan_out) weight."""
         rng = seeded_rng(self.seed, "param", name)
-        self.params[name] = Tensor(_glorot(rng, fan_in, fan_out), requires_grad=True)
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        self._add(name, lambda shape: rng.uniform(-limit, limit, size=shape),
+                  (fan_in, fan_out))
 
     def zeros(self, name: str, cols: int) -> None:
-        self.params[name] = Tensor(np.zeros((1, cols)), requires_grad=True)
+        self._add(name, np.zeros, (1, cols))
 
     def ones(self, name: str, cols: int) -> None:
-        self.params[name] = Tensor(np.ones((1, cols)), requires_grad=True)
+        self._add(name, np.ones, (1, cols))
 
     def attention_block(self, prefix: str, width: int) -> dict[str, Tensor]:
         """Adds a sparse_attention block's params; returns them by short name."""
@@ -654,8 +662,7 @@ class Exphormer(_Model):
         ig = InteractionGraph.union([p.ig for p in stack])
         if dense:  # each edge's position: its stacked destination row, its source
             m = stack[0].ig.num_nodes
-            pos = ig.dst * m + np.concatenate([p.ig.src for p in stack])
-            ig = DenseBlocks(k, m, pos, ig.dst_plan)
+            ig = DenseBlocks(k, m, ig.dst * m + ig.src % m, ig.dst_plan)
         place, real = _stack_rows(k, n, cfg.num_global_nodes)
         x = np.hstack([np.concatenate([p.x for p in stack]),
                        np.concatenate([p.enc for p in stack])])

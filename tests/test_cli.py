@@ -327,6 +327,11 @@ class TestSweepVariants:
         assert payload["runs"][0]["curves"] == plain.runs[0].to_dict()["curves"]
 
 
+# one epoch's curves, as a sweep's run JSON holds them
+_CURVES = {"epoch": [0], "train_acc": [50.0], "val_acc": [50.0],
+           "test_acc": [50.0], "loss": [0.7], "lr": [0.001]}
+
+
 class TestCurves:
     def test_row_count_and_gap(self, tmp_path, capsys):
         epochs = 100
@@ -355,8 +360,13 @@ class TestCurves:
                    str(tmp_path / "out")])
         assert rc == 4
 
-    @pytest.mark.parametrize("text", ['{"runs": [', '{"runs": [{"seed": 0}]}',
-                                      pytest.param("[" * 200_000, id="nested")])
+    @pytest.mark.parametrize("text", [
+        '{"runs": [', '{"runs": [{"seed": 0}]}',
+        pytest.param("[" * 200_000, id="nested"),
+        # a JSON true or false is no number, though it formats as one
+        *[pytest.param(json.dumps({"runs": [{"seed": 0, "curves": dict(
+            _CURVES, **{name: [i % 2 == 0]})}]}), id=f"{name}-bool")
+          for i, name in enumerate(("train_acc", "val_acc", "test_acc", "loss", "lr"))]])
     def test_malformed_run_is_dataset_error(self, tmp_path, capsys, text):
         run_path = tmp_path / "run.json"
         run_path.write_text(text)
@@ -367,11 +377,9 @@ class TestCurves:
 
     @staticmethod
     def run_file(tmp_path, seeds):
-        curves = {"epoch": [0], "train_acc": [50.0], "val_acc": [50.0],
-                  "test_acc": [50.0], "loss": [0.7], "lr": [0.001]}
         run_path = tmp_path / "run.json"
         run_path.write_text(json.dumps(
-            {"runs": [{"seed": seed, "curves": curves} for seed in seeds]}))
+            {"runs": [{"seed": seed, "curves": _CURVES} for seed in seeds]}))
         return run_path
 
     def assert_refused(self, tmp_path, capsys, run_path, message):
@@ -599,6 +607,21 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "cell dropedge_residual_gcn_p0.00, seed 2: non-finite" in err
+
+    # 10**14 asks for petabytes, more than a 47-bit address space maps, and
+    # 10**30 passes numpy's largest dimension: neither touches a page
+    @pytest.mark.parametrize("width,reason", [(10 ** 14, "Unable to allocate"),
+                                              (10 ** 30, "Maximum allowed dimension")])
+    def test_width_numpy_cannot_allocate_is_config_error(self, tiny_dataset, tmp_path,
+                                                         capsys, width, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"gcn": {"hidden_dim": width}}}))
+        rc = main(["sweep-dropedge", "--dataset", str(tiny_dataset), "--model",
+                   "residual-gcn", "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and reason in err[0]
+        assert f"parameter gcn0.weight of shape (8, {width})" in err[0]
 
     @pytest.mark.parametrize("train", [{"total_epochs": "5"},
                                        {"gcn": {"hidden_dim": "x"}},

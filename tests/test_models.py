@@ -415,8 +415,8 @@ class TestInteractionGraph:
     @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (7, 7), (5, 2, 9)])
     @pytest.mark.parametrize("edgeless", [False, True])
     def test_union_is_the_graph_built_from_scratch(self, gl, sizes, edgeless):
-        """A union concatenates its parts' arrays and plans with node and
-        edge offsets, and its plans are the ones IndexPlan sorts out from
+        """A union concatenates its parts' arrays with node offsets, and the
+        plans it builds on first use are the ones IndexPlan sorts out from
         scratch on the union's ids."""
         rng = np.random.default_rng(12)
         cfg = ExphormerConfig(expander_degree=4, num_global_nodes=gl,
@@ -498,6 +498,20 @@ class TestSparseAttention:
         assert np.max(np.abs(outp[perm] - out)) < 1e-8
 
 
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """A list that grows by the name of each IndexPlan built through
+    IndexPlan(ids, name), anywhere."""
+    names = []
+    real = IndexPlan.__init__
+
+    def counting(self, ids, name="idx"):
+        names.append(name)
+        real(self, ids, name)
+    monkeypatch.setattr(IndexPlan, "__init__", counting)
+    return names
+
+
 class TestExphormer:
     def make(self, in_dim=8, **kw):
         cfg = ExphormerConfig(num_layers=2, num_heads=2, hidden_dim=8,
@@ -573,6 +587,48 @@ class TestExphormer:
             train = [m.forward(p, mode="train", rng=seeded_rng(1, "t")).data
                      for p in (prep, raw)]
             assert train[0].tobytes() == train[1].tobytes()
+
+    def test_prepare_builds_no_index_plan(self):
+        rng = np.random.default_rng(36)
+        graphs = [random_graph(rng, n) for n in (8, 5)]
+        for g in graphs:
+            g.x = rng.standard_normal((g.n, 8))
+        gcn = AttnResidualGCN(ResidualGCNConfig(num_gcn_layers=2, hidden_dim=6),
+                              AttnVariantConfig(num_heads=2), in_dim=8, num_classes=3)
+        igs = [p.ig for p in self.make().prepare_dataset(graphs, run_seed=1)]
+        igs += [p.local_ig for p in gcn.prepare_dataset(graphs)]
+        for ig in igs:
+            assert "src_plan" not in vars(ig) and "dst_plan" not in vars(ig)
+
+    def test_lone_graph_builds_its_plans_once(self, plan_builds):
+        rng = np.random.default_rng(39)
+        m = self.make()
+        prep = m.prepare(random_graph(rng, 8), ig_seed=2)
+        plan_builds.clear()
+        m.forward(prep)
+        assert sorted(n for n in plan_builds if n != "idx") == ["dst", "src"]
+        plans = prep.ig.src_plan, prep.ig.dst_plan
+        plan_builds.clear()
+        m.forward(prep, mode="train", rng=seeded_rng(0, "t"))
+        assert plan_builds == []
+        assert all(a is b for a, b in zip(plans, (prep.ig.src_plan, prep.ig.dst_plan)))
+
+    def test_dense_stack_builds_only_its_union_dst_plan(self, plan_builds,
+                                                        monkeypatch):
+        rng = np.random.default_rng(41)
+        m = self.make()
+        preps = m.prepare_dataset([random_graph(rng, 8) for _ in range(3)], run_seed=6)
+        models._stack_rows(3, 8, 1)
+        unions = []
+        real_union = models.InteractionGraph.union
+        monkeypatch.setattr(models.InteractionGraph, "union", lambda igs: (
+            unions.append(real_union(igs)), unions[-1])[1])
+        plan_builds.clear()
+        m.forward(preps)
+        assert plan_builds == ["dst"]
+        assert "src_plan" not in vars(unions[0]) and "dst_plan" in vars(unions[0])
+        assert all(vars(p.ig).keys().isdisjoint({"src_plan", "dst_plan"})
+                   for p in preps)
 
     def test_forwards_of_one_shape_share_row_plans(self, monkeypatch):
         rng = np.random.default_rng(37)
