@@ -383,6 +383,8 @@ def _parse_graph_line(obj: dict, line: int) -> ConnectomeGraph:
     try:
         n = _json_int(obj, "n")
         d = _json_int(obj, "d")
+        if d < 1:  # with d >= 1 the record's size bounds n
+            raise ValueError(f"d must be >= 1, got {d}")
         x = np.asarray(obj["x"], dtype=np.float64).reshape(n, d)
         pairs = obj["edges"]
         if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:

@@ -51,10 +51,10 @@ TAG_LOCAL, TAG_EXPANDER, TAG_GLOBAL, TAG_SELF = 0, 1, 2, 3
 _TAG_NAMES = {TAG_LOCAL: "local", TAG_EXPANDER: "expander",
               TAG_GLOBAL: "global", TAG_SELF: "self"}
 
-# Exphormer's eval scores a graph through dense attention blocks when its
-# N x N score plane holds at most DENSE_FILL entries per interaction edge
-# (N nodes, global ones included), and through the edge chain otherwise.
-# Each dense forward covers one score stack of at most DENSE_STACK_ENTRIES
+# An Exphormer eval forward over k graphs of N nodes each (global ones
+# included) runs on dense attention blocks when its k x N x N score stack
+# holds at most DENSE_FILL entries per interaction edge, and on the edge
+# chain otherwise. Each eval forward holds at most DENSE_STACK_ENTRIES score
 # entries (heads x N x N a graph), or one graph. README's "How a mini-batch
 # runs" gives the measurements behind both values.
 DENSE_FILL = 40
@@ -62,7 +62,7 @@ DENSE_STACK_ENTRIES = 1 << 16
 # Graphs per evaluation chunk for models that score several graphs in one
 # forward. Chunks of 64 measured slower at both GCN benchmark shapes, and a
 # whole split in one forward would hold tens of MB of activations. Exphormer
-# cuts a chunk into smaller dense stacks (DENSE_STACK_ENTRIES).
+# cuts a chunk into smaller stacks (DENSE_STACK_ENTRIES).
 EVAL_CHUNK = 16
 
 
@@ -270,15 +270,18 @@ def build_expander(n: int, degree: int, seed=0) -> np.ndarray:
     if n < 3:
         raise ConfigError(f"expander needs n >= 3 nodes, got {n}")
     rng = as_generator(seed)
-    keys = []
+    # one key u * n + v per pair u < v; the marked keys read out sorted, unique
+    seen = np.zeros(n * n, dtype=bool)
+    missing = n * (n - 1) // 2
     for _ in range(degree // 2):
         perm = rng.permutation(n)
         nxt = np.concatenate((perm[1:], perm[:1]))
-        keys.append(np.minimum(perm, nxt) * n + np.maximum(perm, nxt))
-    # one int key per (u, v) pair sorts and deduplicates like the rows would;
-    # keeping each sorted key that differs from its neighbour is np.unique
-    keys = np.sort(np.concatenate(keys))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        keys = np.minimum(perm, nxt) * n + np.maximum(perm, nxt)
+        missing -= np.count_nonzero(~seen[keys])  # a cycle's n pairs differ
+        seen[keys] = True
+        if not missing:  # complete: no further cycle can add a pair
+            break
+    keys = np.flatnonzero(seen)
     return np.stack([keys // n, keys % n], axis=1)
 
 
@@ -488,17 +491,8 @@ class PreparedExphormer:
     label: int
 
 
-class EdgeChainStack(tuple):
-    """Equal-size prepared graphs run as one forward on the edge chain of
-    the disjoint union of their interaction graphs."""
-
-
 def _chunks(indices, size: int) -> list:
     return [indices[lo:lo + size] for lo in range(0, len(indices), size)]
-
-
-def _alone(prepared, indices) -> list:
-    return [([i], prepared[i]) for i in indices]
 
 
 class _Model:
@@ -618,50 +612,49 @@ class Exphormer(_Model):
                 for i, g in enumerate(graphs)]
 
     def forwards(self, prepared, indices, mode: str) -> list:
-        """Training runs the edge chain on pairs of graphs, an EdgeChainStack
-        each, when the mini-batch holds an even count of graphs of one size,
-        and on one graph per forward otherwise, so every forward of a
-        mini-batch holds as many graphs. Larger unions measured slower
-        (README's "How a mini-batch runs"). Eval cuts indices into
-        chunks of EVAL_CHUNK. In each chunk the dense graphs, whose N x N
-        score plane holds at most DENSE_FILL entries per interaction edge, are
-        grouped by node count into stacks of at most DENSE_STACK_ENTRIES
-        score entries (or one graph), and each other graph is scored alone.
-        Stacks stay within a chunk: a graph's neighbours on a stack move its
-        logits in the last bits, so regrouping could change an accuracy."""
+        """Each forward's input is a list of equal-size prepared graphs.
+        Training runs pairs of graphs when the mini-batch holds an even count
+        of graphs of one size, and one graph per forward otherwise, so every
+        forward of a mini-batch holds as many graphs. Larger unions measured
+        slower (README's "How a mini-batch runs"). Eval cuts indices into
+        chunks of EVAL_CHUNK and groups each chunk's graphs by node count
+        into stacks of at most DENSE_STACK_ENTRIES score entries (or one
+        graph). Stacks stay within a chunk: a graph's neighbours on a stack
+        move its logits in the last bits, so regrouping could change an
+        accuracy. _logits picks each forward's layout."""
         if mode == "train":
-            if len(indices) % 2 or len({prepared[i].ig.num_real for i in indices}) > 1:
-                return _alone(prepared, indices)
-            return [(pair, EdgeChainStack(prepared[i] for i in pair))
-                    for pair in _chunks(indices, 2)]
+            pairs = not len(indices) % 2 and len(
+                {prepared[i].ig.num_real for i in indices}) == 1
+            return [(c, [prepared[i] for i in c])
+                    for c in _chunks(indices, 2 if pairs else 1)]
 
         def nodes(i):
             return prepared[i].ig.num_nodes
         out = []
         for chunk in _chunks(indices, EVAL_CHUNK):
-            dense = sorted((i for i in chunk if nodes(i) ** 2
-                            <= DENSE_FILL * prepared[i].ig.num_edges), key=nodes)
-            for m, run in itertools.groupby(dense, key=nodes):
+            for m, run in itertools.groupby(sorted(chunk, key=nodes), key=nodes):
                 size = max(1, DENSE_STACK_ENTRIES // (self.cfg.num_heads * m * m))
                 out += [(s, [prepared[i] for i in s])
                         for s in _chunks(list(run), size)]
-            out += _alone(prepared, [i for i in chunk if i not in dense])
         return out
 
-    def _logits(self, stack: list[PreparedExphormer], dense: bool, mode: str,
-                tape, rng, capture=None) -> Tensor:
+    def _logits(self, stack: list[PreparedExphormer], mode: str, tape,
+                rng) -> Tensor:
         """The forward body over k >= 1 equal-size prepared graphs, on the
-        disjoint union of their interaction graphs: its edge chain, or with
-        dense its DenseBlocks. Each graph's rows are its real nodes, features
-        then structural encoding, and then its global ones (_stack_rows)."""
+        disjoint union of their interaction graphs: on its DenseBlocks in
+        eval mode without a tape when its k x N x N score stack holds at most
+        DENSE_FILL entries per edge, and on its edge chain otherwise. Each
+        graph's rows are its real nodes, features then structural encoding,
+        and then its global ones (_stack_rows)."""
         sizes = {p.ig.num_real for p in stack}
         if len(sizes) != 1:
             raise ShapeError(f"a stack needs graphs of one size, got "
                              f"{[p.ig.num_real for p in stack]}")
         cfg, k, (n,) = self.cfg, len(stack), sizes
         ig = InteractionGraph.union([p.ig for p in stack])
-        if dense:  # each edge's position: its stacked destination row, its source
-            m = stack[0].ig.num_nodes
+        m = stack[0].ig.num_nodes
+        if mode == "eval" and tape is None and k * m * m <= DENSE_FILL * ig.num_edges:
+            # each edge's position: its stacked destination row, its source
             ig = DenseBlocks(k, m, ig.dst * m + ig.src % m, ig.dst_plan)
         place, real = _stack_rows(k, n, cfg.num_global_nodes)
         x = np.hstack([np.concatenate([p.x for p in stack]),
@@ -674,23 +667,18 @@ class Exphormer(_Model):
         for block in self._layers:
             h = sparse_attention(ig, h, block, cfg.num_heads,
                                  cfg.attention_dropout, cfg.dropout, mode, rng,
-                                 tape, capture=capture)
+                                 tape)
         if real is not None:
             h = gather_rows(h, real, tape)
         pooled = mean_pool_rows(h, tape, counts=[n] * k)
         return _mlp_head(self.params, "head", pooled, cfg.dropout, mode, tape, rng)
 
-    def forward(self, prep: PreparedExphormer | EdgeChainStack | list,
-                mode: str = "eval", tape: Tape | None = None, rng=None,
-                attn_capture: list | None = None) -> Tensor:
-        """Logits of one graph, or one row per graph of a stack: an
-        EdgeChainStack runs on the edge chain, and a plain list of equal-size
-        prepared graphs is scored on dense attention blocks, in eval mode
-        only, without a tape or attn_capture."""
-        dense = isinstance(prep, list)
-        stack = prep if dense or isinstance(prep, EdgeChainStack) else [prep]
-        return self._logits(stack, dense, mode, tape, self._checked_rng(mode, rng),
-                            attn_capture)
+    def forward(self, prep: PreparedExphormer | list, mode: str = "eval",
+                tape: Tape | None = None, rng=None) -> Tensor:
+        """Logits of one prepared graph, or one row per graph of a list of
+        equal-size prepared graphs."""
+        stack = prep if isinstance(prep, list) else [prep]
+        return self._logits(stack, mode, tape, self._checked_rng(mode, rng))
 
 
 class AttnResidualGCN(ResidualGCN):
@@ -723,7 +711,7 @@ class AttnResidualGCN(ResidualGCN):
         0 it never runs, so the model is a plain ResidualGCN and batches like one."""
         if self.variant.apply_probability <= 0.0:
             return super().forwards(prepared, indices, mode)
-        return _alone(prepared, indices)
+        return [([i], prepared[i]) for i in indices]
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         prep = super().prepare(graph)

@@ -541,6 +541,26 @@ class TestExitCodes:
         assert len(err) == 1 and "line 4" in err[0] and "n=0" in err[0]
         assert trained == []
 
+    def test_record_without_features_is_dataset_error(self, tiny_dataset, tmp_path,
+                                                      monkeypatch, capsys):
+        # with d = 0 in every record no feature-dim check sees a mismatch
+        lines = tiny_dataset.read_text().splitlines()
+        for i, line in enumerate(lines[1:], 1):
+            record = json.loads(line)
+            record.update(d=0, x=[], n=10 ** 9 if i == 3 else record["n"])
+            lines[i] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: trained.append(args))
+        rc = main(["sweep-dropedge", "--dataset", str(bad), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 2" in err[0] and "d must be >= 1" in err[0]
+        assert trained == []
+
     def test_negative_edge_weight_is_dataset_error_in_any_split(
             self, tiny_dataset, tmp_path, monkeypatch, capsys):
         # unrefused, the GCN normalization takes the square root of a negative

@@ -348,6 +348,16 @@ class TestSerialization:
         with pytest.raises(DatasetParseError, match=r"line 4: feature dim 3"):
             deserialize_dataset(self._rewrite(tmp_path, edit))
 
+    def test_record_without_features_reports_line(self, tmp_path):
+        # with d = 0 an empty x reshapes to any node count
+        def edit(lines):
+            lines[1:] = [json.dumps({"n": 10 ** 9, "d": 0, "x": [], "edges": [],
+                                     "w": [], "y": 0})]
+
+        with pytest.raises(DatasetParseError,
+                           match="line 2: bad graph record: d must be >= 1, got 0"):
+            deserialize_dataset(self._rewrite(tmp_path, edit))
+
     def test_crlf_file_parses_like_the_lf_file(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(num_graphs=5, n=6, num_classes=2,
                                               seed=2))

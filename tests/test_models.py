@@ -4,6 +4,9 @@ import collections
 import dataclasses
 import functools
 import itertools
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -331,8 +334,18 @@ class TestBuildExpander:
         assert np.array_equal(build_expander(30, 4, seed=9),
                               build_expander(30, 4, seed=9))
 
+    def test_huge_degree_stops_at_the_complete_graph(self):
+        # in a child process: drawing all degree // 2 cycles would not end
+        code = ("from connectobench import build_expander\n"
+                "print(len(build_expander(8, 10 ** 11, seed=0)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == [str(8 * 7 // 2)]
+
     @pytest.mark.parametrize("n,degree", [(3, 2), (3, 8), (4, 6), (10, 4), (50, 4),
-                                          (51, 10)])
+                                          (51, 10), (8, 200), (12, 60)])
     def test_sorted_dedupe_is_np_unique(self, n, degree):
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -605,11 +618,12 @@ class TestExphormer:
         m = self.make()
         prep = m.prepare(random_graph(rng, 8), ig_seed=2)
         plan_builds.clear()
-        m.forward(prep)
+        m.forward(prep, mode="train", rng=seeded_rng(0, "t"))
         assert sorted(n for n in plan_builds if n != "idx") == ["dst", "src"]
         plans = prep.ig.src_plan, prep.ig.dst_plan
         plan_builds.clear()
-        m.forward(prep, mode="train", rng=seeded_rng(0, "t"))
+        m.forward(prep, mode="train", rng=seeded_rng(1, "t"))
+        m.forward(prep, tape=Tape())  # an eval forward on the edge chain
         assert plan_builds == []
         assert all(a is b for a, b in zip(plans, (prep.ig.src_plan, prep.ig.dst_plan)))
 
@@ -678,13 +692,12 @@ class TestExphormer:
         forwards = m.forwards(preps, [3, 0, 5, 2], "train")
         assert [chunk for chunk, _ in forwards] == [[3, 0], [5, 2]]
         for chunk, x in forwards:
-            assert isinstance(x, models.EdgeChainStack)
-            assert list(x) == [preps[i] for i in chunk]
-            pair = m.forward(x).data
+            assert x == [preps[i] for i in chunk]
+            pair = m.forward(x, tape=Tape()).data  # on the edge chain
             for row, i in zip(pair, chunk):
                 assert np.max(np.abs(row - m.forward(preps[i]).data[0])) < 1e-12
         for indices in ([0, 2, 3], [0, 4], [4], [0, 1, 2, 3, 4, 5]):
-            assert m.forwards(preps, indices, "train") == [([i], preps[i])
+            assert m.forwards(preps, indices, "train") == [([i], [preps[i]])
                                                            for i in indices]
 
     def test_cached_blocks_are_the_params_tensors(self):
@@ -696,18 +709,18 @@ class TestExphormer:
 
 
 class TestExphormerBatch:
-    """Exphormer's eval forwards score an eval chunk's dense graphs in stacks
-    on dense attention blocks and its sparse ones alone through the edge
-    chain: each graph comes back once, and its logits match one forward per
-    graph within 1e-12."""
+    """Exphormer's eval forwards score an eval chunk's graphs in stacks of
+    one node count, dense stacks on dense attention blocks and sparse ones
+    on the edge chain: each graph comes back once, and its logits match one
+    edge-chain forward per graph within 1e-12."""
 
     @staticmethod
     def make(num_global_nodes=1, num_heads=2, structural_encoding="degree",
-             hidden_dim=8, in_dim=6):
+             hidden_dim=8, in_dim=6, expander_degree=4, **kw):
         cfg = ExphormerConfig(num_layers=2, num_heads=num_heads,
-                              hidden_dim=hidden_dim, expander_degree=4,
+                              hidden_dim=hidden_dim, expander_degree=expander_degree,
                               num_global_nodes=num_global_nodes,
-                              structural_encoding=structural_encoding)
+                              structural_encoding=structural_encoding, **kw)
         return Exphormer(cfg, in_dim=in_dim, num_classes=3, seed=6)
 
     @staticmethod
@@ -723,19 +736,25 @@ class TestExphormerBatch:
     @staticmethod
     def assert_matches_per_graph(m, preps):
         """The eval forwards over preps; returns the graph indices of each
-        stack and of each graph scored alone, in forward order."""
+        stack, whether each ran on dense blocks, and the graph order."""
         forwards = m.forwards(preps, list(range(len(preps))), "eval")
         order = [i for chunk, _ in forwards for i in chunk]
         assert sorted(order) == list(range(len(preps)))
-        logits = np.concatenate([m.forward(x, mode="eval").data for _, x in forwards])
+        layouts, real = [], models.sparse_attention
+
+        def spy(ig, *args, **kwargs):
+            layouts.append(isinstance(ig, models.DenseBlocks))
+            return real(ig, *args, **kwargs)
+        with mock.patch.object(models, "sparse_attention", spy):
+            logits = np.concatenate([m.forward(x, mode="eval").data
+                                     for _, x in forwards])
         assert logits.shape == (len(preps), 3)
-        for row, i in zip(logits, order):
-            assert np.max(np.abs(row - m.forward(preps[i]).data[0])) < 1e-12
+        with mock.patch.object(models, "DENSE_FILL", 0):  # references on the chain
+            for row, i in zip(logits, order):
+                assert np.max(np.abs(row - m.forward(preps[i]).data[0])) < 1e-12
         for chunk, x in forwards:
-            assert (x if isinstance(x, list) else [x]) == [preps[i] for i in chunk]
-        stacks = [chunk for chunk, x in forwards if isinstance(x, list)]
-        alone = [chunk[0] for chunk, x in forwards if not isinstance(x, list)]
-        return stacks, alone, order
+            assert x == [preps[i] for i in chunk]
+        return [chunk for chunk, _ in forwards], layouts[::m.cfg.num_layers], order
 
     # sizes that repeat out of order, and n < 3 (no expander edges)
     SIZES = (9, 5, 9, 2, 12, 5, 1, 9)
@@ -749,9 +768,9 @@ class TestExphormerBatch:
         preps = m.prepare_dataset(self.graphs(rng, self.SIZES, p=p), run_seed=1)
         if p == 1.0:
             assert all(prep.ig.tag_counts()["local"] == 0 for prep in preps)
-        stacks, alone, order = self.assert_matches_per_graph(m, preps)
+        stacks, dense, order = self.assert_matches_per_graph(m, preps)
         # every graph is dense here, grouped by node count, sizes in order
-        assert alone == []
+        assert all(dense)
         assert [[preps[i].ig.num_real for i in stack] for stack in stacks] \
             == [[1], [2], [5, 5], [9, 9, 9], [12]]
         assert order == [6, 3, 1, 5, 0, 2, 7, 4]
@@ -780,23 +799,34 @@ class TestExphormerBatch:
         preps = m.prepare_dataset([small[0], big, small[1]], run_seed=3)
         ig = preps[1].ig
         assert ig.num_nodes ** 2 / ig.num_edges > 55  # edgeless n=400: about 57
-        stacks, alone, order = self.assert_matches_per_graph(m, preps)
-        assert alone == [1] and stacks == [[0], [2]]
+        stacks, dense, order = self.assert_matches_per_graph(m, preps)
+        assert stacks == [[0], [2], [1]] and dense == [True, True, False]
         assert order == [0, 2, 1]
-        assert m.forwards(preps, [1], "eval") == [([1], preps[1])]
+        assert m.forwards(preps, [1], "eval") == [([1], [preps[1]])]
 
-    def test_batch_is_eval_only(self):
+    def test_sparse_graphs_of_one_size_share_the_edge_chain(self):
+        # edgeless n=130 with one expander cycle: N^2 / E = 16900 / 390, about
+        # 43; one head leaves room for 3 such graphs a stack
+        rng = np.random.default_rng(64)
+        m = self.make(num_global_nodes=0, num_heads=1, expander_degree=2)
+        preps = m.prepare_dataset(self.graphs(rng, (130,) * 4, p=1.0), run_seed=4)
+        assert all(p.ig.num_nodes ** 2 > models.DENSE_FILL * p.ig.num_edges
+                   for p in preps)
+        stacks, dense, order = self.assert_matches_per_graph(m, preps)
+        assert stacks == [[0, 1, 2], [3]] and dense == [False, False]
+
+    def test_dense_blocks_are_eval_only(self):
         rng = np.random.default_rng(63)
-        m = self.make()
+        m = self.make(dropout=0.0, attention_dropout=0.0)
         preps = m.prepare_dataset(self.graphs(rng, (5, 5, 6)), run_seed=0)
-        (_, batch), _ = m.forwards(preps, [0, 1, 2], "eval")
-        assert batch == preps[:2]
-        with pytest.raises(ContractError, match="eval mode only"):
-            m.forward(batch, mode="train", rng=seeded_rng(0))
-        with pytest.raises(ContractError, match="eval mode only"):
-            m.forward(batch, attn_capture=[])
-        with pytest.raises(ContractError, match="eval mode only"):
-            m.forward(batch, mode="eval", tape=Tape())
+        (_, stack), _ = m.forwards(preps, [0, 1, 2], "eval")
+        assert stack == preps[:2]
+        with mock.patch.object(models, "DENSE_FILL", 0):
+            singles = np.concatenate([m.forward(p).data for p in stack])
+        # dense blocks refuse a tape and train mode (below), so these forwards
+        # run on the edge chain
+        for kw in ({"mode": "train", "rng": seeded_rng(0)}, {"tape": Tape()}):
+            assert np.max(np.abs(m.forward(stack, **kw).data - singles)) < 1e-12
         with pytest.raises(ContractError, match="eval mode only"):
             blocks = models.DenseBlocks(1, 2, np.array([0, 3]), IndexPlan([0, 1]))
             sparse_attention(blocks, Tensor(np.zeros((2, 8))), m._layers[0],
@@ -999,11 +1029,11 @@ def _batch_mean_grads(m, prepared, forwards):
 class TestForwardsContract:
     """Generated graph lists through every model's forwards(): in both modes
     each index comes back exactly once; eval logits match one forward per
-    graph within 1e-12; where a training forward holds several graphs, the
-    batch-mean gradient matches the per-graph mean within 1e-12. The drawn
-    EVAL_CHUNK, DENSE_FILL and DENSE_STACK_ENTRIES cut lists into several
-    chunks, put some Exphormer graphs on the edge chain and split some
-    stacks."""
+    graph (Exphormer's on the edge chain) within 1e-12; where a training
+    forward holds several graphs, the batch-mean gradient matches the
+    per-graph mean within 1e-12. The drawn EVAL_CHUNK, DENSE_FILL and
+    DENSE_STACK_ENTRIES cut lists into several chunks, put some Exphormer
+    stacks on the edge chain and split some stacks."""
 
     @settings(max_examples=25, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1030,12 +1060,14 @@ class TestForwardsContract:
                     forwards = m.forwards(prepared, indices, mode)
                     named = [i for chunk, _ in forwards for i in chunk]
                     assert collections.Counter(named) == collections.Counter(indices)
-                for chunk, x in m.forwards(prepared, indices, "eval"):
-                    logits = m.forward(x, mode="eval").data
-                    assert logits.shape == (len(chunk), 3)
-                    for row, i in zip(logits, chunk):
-                        single = m.forward(prepared[i], mode="eval").data[0]
-                        assert np.max(np.abs(row - single)) < 1e-12, name
+                evals = m.forwards(prepared, indices, "eval")
+                logits = [m.forward(x, mode="eval").data for _, x in evals]
+                with mock.patch.object(models, "DENSE_FILL", 0):  # on the chain
+                    for (chunk, _), rows in zip(evals, logits):
+                        assert rows.shape == (len(chunk), 3)
+                        for row, i in zip(rows, chunk):
+                            single = m.forward(prepared[i], mode="eval").data[0]
+                            assert np.max(np.abs(row - single)) < 1e-12, name
                 forwards = m.forwards(prepared, indices, "train")
                 if all(len(chunk) == 1 for chunk, _ in forwards):
                     continue

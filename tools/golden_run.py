@@ -1,4 +1,4 @@
-"""Golden run: hash every output of sixteen small sweeps and a curves export.
+"""Golden run: hash every output of eighteen small sweeps and a curves export.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -35,7 +35,13 @@ reach forward paths the others miss: a `sweep-variants` whose `variants`
 grid holds both placements at probability 0, so attention never runs and
 AttnResidualGCN batches like a plain ResidualGCN, and an exphormer
 `sweep-dropedge` (p 0/0.5/1) with no global node, so no row is placed or
-picked around the real ones.
+picked around the real ones. Finally, it builds a sixth dataset (24
+feature_only graphs with n=130 and seed 9) and runs two exphormer
+`sweep-dropedge` sweeps on it (p 0/0.5/1, seed 0) with `expander_degree` 2
+and no global node, one at 4 heads and one at 1 head. Its p=1 graphs are
+sparse, so evaluation runs Exphormer's edge chain, which no other sweep's
+evaluation reaches: at 4 heads one graph a forward, at 1 head three graphs
+of one size a forward.
 Every sweep trains 2 epochs with 1 warmup epoch. Prints one
 `sha256  relative/path` line per file written, plus one per command's
 standard output. Run it on two checkouts and diff the printouts: equal
@@ -80,6 +86,8 @@ VARIANTS0_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1},
 EXPHORMER0_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1,
                                "exphormer": {"num_global_nodes": 0}},
                      "drop_probabilities": [0.0, 0.5, 1.0]}
+SPARSE_DATASET = ("feature_only", 24, 130, 9)
+SPARSE_HEADS = (4, 1)
 MIXED_DATASETS = (("feature_only", 40, 16, 21), ("feature_only", 40, 24, 22))
 MIXED_DIM = 12
 MIXED_MODELS = ("residual-gcn", "exphormer")
@@ -167,6 +175,13 @@ def golden(work: Path) -> list[tuple[str, str]]:
           config=write_config("variants0.json", VARIANTS0_CONFIG))
     sweep("dropedge", data, "grids-exphormer0", "--model", "exphormer", "--seeds", "0",
           config=write_config("exphormer0.json", EXPHORMER0_CONFIG))
+    data = gen("sparse", *SPARSE_DATASET)
+    for heads in SPARSE_HEADS:
+        config = {"train": {"total_epochs": 2, "warmup_epochs": 1, "exphormer": {
+            "expander_degree": 2, "num_global_nodes": 0, "num_heads": heads}},
+            "drop_probabilities": [0.0, 0.5, 1.0]}
+        sweep("dropedge", data, f"sparse-exphormer-h{heads}", "--model", "exphormer",
+              "--seeds", "0", config=write_config(f"sparse-h{heads}.json", config))
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), str(path)))
     return digests
