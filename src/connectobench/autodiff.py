@@ -375,8 +375,11 @@ def dropout(a: Tensor, rate: float, mode: str, seed=0,
     return out
 
 
-def cross_entropy(logits: Tensor, labels, tape: Tape | None = None) -> Tensor:
-    """Mean negative log-softmax of the true class over the batch rows."""
+def cross_entropy(logits: Tensor, labels, tape: Tape | None = None,
+                  total: int | None = None) -> Tensor:
+    """Negative log-softmax of the true class summed over the rows, divided by
+    total (default: the row count, the mean). A forward over some of a
+    mini-batch's total graphs gives its share of the batch-mean loss."""
     labels = _int_vector(labels, "labels")
     b, c = logits.shape
     if labels.size != b:
@@ -388,14 +391,15 @@ def cross_entropy(logits: Tensor, labels, tape: Tape | None = None) -> Tensor:
     ez = np.exp(z - zmax)
     ez_sum = ez.sum(axis=1, keepdims=True)
     logp = z - (zmax + np.log(ez_sum))  # z minus the row's log-sum-exp
-    loss = -logp[np.arange(b), labels].mean()
+    total = b if total is None else total
+    loss = -logp[np.arange(b), labels].sum() / total
     out = Tensor(np.array([[loss]]), requires_grad=logits.requires_grad)
     softmax = ez / ez_sum
 
     def grad_fn(g):
         grad = softmax.copy()
         grad[np.arange(b), labels] -= 1.0
-        return (grad * (g[0, 0] / b),)
+        return (grad * (g[0, 0] / total),)
 
     _record(tape, "cross_entropy", (logits,), out, grad_fn)
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,24 @@ DENSE_STACK_ENTRIES = 1 << 16
 # whole split in one forward would hold tens of MB of activations. Exphormer
 # cuts a chunk into smaller stacks (DENSE_STACK_ENTRIES).
 EVAL_CHUNK = 16
+# Bytes of Python objects a parameter array holds besides its data (its
+# Tensor, the ndarray header, its name and dict slot): about 300 measured.
+_ARRAY_BYTES = 256
+
+
+def _refuse_layer_count(key: str, layers: int, arrays: int, floats: int) -> None:
+    """ConfigError naming key when one layer of `arrays` parameter arrays
+    holding `floats` float64s fits in physical memory but `layers` do not,
+    raised as a config is built, before any parameter is allocated. A layer
+    too wide to fit alone is left to _ParamBuilder's shape error."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return
+    layer = arrays * _ARRAY_BYTES + 8 * floats
+    if layer <= memory < layers * layer:
+        raise ConfigError(f"{key} {layers} needs about {layers * layer} bytes of "
+                          f"parameters, over the {memory} bytes of physical memory")
 
 
 @dataclass(frozen=True)
@@ -81,6 +100,9 @@ class ResidualGCNConfig:
             raise ConfigError("hidden dims must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        # a layer's hidden x hidden weight and its hidden rows of the MLP head
+        _refuse_layer_count("num_gcn_layers", self.num_gcn_layers, 1,
+                            self.hidden_dim * (self.hidden_dim + self.mlp_hidden))
 
 
 @dataclass(frozen=True)
@@ -111,6 +133,9 @@ class ExphormerConfig:
                 f"attention_dropout must be in [0, 1), got {self.attention_dropout}")
         if self.structural_encoding not in ("none", "degree"):
             raise ConfigError("structural_encoding must be 'none' or 'degree'")
+        # an attention block: 13 arrays, 8 x hidden^2 + 8 x hidden floats
+        _refuse_layer_count("num_layers", self.num_layers, 13,
+                            8 * self.hidden_dim * (self.hidden_dim + 1))
 
 
 @dataclass(frozen=True)
@@ -612,28 +637,21 @@ class Exphormer(_Model):
                 for i, g in enumerate(graphs)]
 
     def forwards(self, prepared, indices, mode: str) -> list:
-        """Each forward's input is a list of equal-size prepared graphs.
-        Training runs pairs of graphs when the mini-batch holds an even count
-        of graphs of one size, and one graph per forward otherwise, so every
-        forward of a mini-batch holds as many graphs. Larger unions measured
-        slower (README's "How a mini-batch runs"). Eval cuts indices into
-        chunks of EVAL_CHUNK and groups each chunk's graphs by node count
-        into stacks of at most DENSE_STACK_ENTRIES score entries (or one
-        graph). Stacks stay within a chunk: a graph's neighbours on a stack
-        move its logits in the last bits, so regrouping could change an
-        accuracy. _logits picks each forward's layout."""
-        if mode == "train":
-            pairs = not len(indices) % 2 and len(
-                {prepared[i].ig.num_real for i in indices}) == 1
-            return [(c, [prepared[i] for i in c])
-                    for c in _chunks(indices, 2 if pairs else 1)]
-
+        """Lists of equal-size prepared graphs: each group's graphs sorted
+        stably by node count, each run of one count cut into stacks. Training
+        cuts the mini-batch into pairs (larger unions measured slower, see
+        README's "How a mini-batch runs"), so an odd or mixed batch adds lone
+        graphs. Eval cuts chunks of EVAL_CHUNK into stacks of at most
+        DENSE_STACK_ENTRIES score entries (or one graph); a graph's stack
+        neighbours move its logits in the last bits, so stacks stay within a
+        chunk. _logits picks each forward's layout."""
         def nodes(i):
             return prepared[i].ig.num_nodes
         out = []
-        for chunk in _chunks(indices, EVAL_CHUNK):
-            for m, run in itertools.groupby(sorted(chunk, key=nodes), key=nodes):
-                size = max(1, DENSE_STACK_ENTRIES // (self.cfg.num_heads * m * m))
+        for group in [indices] if mode == "train" else _chunks(indices, EVAL_CHUNK):
+            for m, run in itertools.groupby(sorted(group, key=nodes), key=nodes):
+                size = 2 if mode == "train" else max(
+                    1, DENSE_STACK_ENTRIES // (self.cfg.num_heads * m * m))
                 out += [(s, [prepared[i] for i in s])
                         for s in _chunks(list(run), size)]
         return out

@@ -181,10 +181,10 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
     """One pass over the run's shuffled train graphs with mini-batch Adam
     updates, then the accuracy on every split.
 
-    The model's forwards() splits each mini-batch into forwards, each with
-    one backward of its mean loss; their summed gradients are averaged over
-    the forwards before the step, the batch mean only when the forwards hold
-    equal graph counts (else ContractError). Raises DivergenceError on the
+    The model's forwards() splits each mini-batch into forwards. Each
+    forward backpropagates its share of the batch-mean loss (its summed loss
+    over the batch's graph count), so the summed gradients are the batch
+    mean however the model groups the graphs. Raises DivergenceError on the
     first non-finite loss. Deterministic given (run state, rng).
     """
     model, prepared, cfg = run.model, run.prepared, run.cfg
@@ -194,24 +194,16 @@ def train_epoch(run: Run, epoch: int, rng, lr: float | None = None
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         zero_grads(model.params)
-        forwards = model.forwards(prepared, batch, "train")
-        if len({len(chunk) for chunk, _ in forwards}) > 1:
-            raise ContractError("training forwards of one mini-batch hold "
-                                f"{[len(c) for c, _ in forwards]} graphs")
-        for chunk, inputs in forwards:
+        for chunk, inputs in model.forwards(prepared, batch, "train"):
             tape = Tape()
             logits = model.forward(inputs, mode="train", tape=tape, rng=rng)
             loss = cross_entropy(logits, [prepared[i].label for i in chunk],
-                                 tape=tape)
+                                 tape=tape, total=len(batch))
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(epoch, start // cfg.batch_size, value)
-            total_loss += value * len(chunk)
+            total_loss += value * len(batch)
             backward(tape, loss)
-        inv = 1.0 / len(forwards)
-        for p in model.params.values():
-            if p.grad is not None:
-                p.grad *= inv
         adam_step(model.params, lr_value, run.opt)
     accs = [evaluate(model, inputs, labels) for inputs, labels in run.eval_sets]
     return EpochMetrics(epoch, *accs, total_loss / max(len(order), 1), lr_value)
@@ -227,10 +219,12 @@ def corrupt(graphs: list[ConnectomeGraph], p: float, seed: int
 
 class Run:
     """One seed's training of cfg's model on the dataset corrupted at drop_p:
-    epoch() trains the next epoch, result() reads test-at-best-val so far."""
+    epoch() trains the next epoch, result() reads test-at-best-val so far.
+    Pins the process's malloc thresholds first (pin_malloc_thresholds)."""
 
     def __init__(self, cfg: TrainConfig, dataset: Dataset, drop_p: float,
                  splits: DatasetSplits, seed: int):
+        pin_malloc_thresholds()
         self.cfg, self.splits, self.seed = cfg, splits, seed
         corrupted = corrupt(dataset.graphs, drop_p, seed)
         self.model = build_model(cfg.model_kind, dataset.feature_dim,
@@ -283,7 +277,6 @@ def aggregate_accuracy(values) -> tuple[float, float]:
 def run_experiment(cfg: TrainConfig, dataset: Dataset, drop_p: float,
                    splits: DatasetSplits | None = None) -> ExperimentResult:
     """Train one config across all seeds and aggregate test-at-best-val."""
-    pin_malloc_thresholds()
     if not 0.0 <= drop_p <= 1.0:
         raise ConfigError(f"drop_p must be in [0, 1], got {drop_p}")
     if splits is None:

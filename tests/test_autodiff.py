@@ -665,6 +665,44 @@ class TestCrossEntropy:
         numeric = numerical_grad(lambda: loss_fn().item(), [logits])
         assert max_rel_err(logits.grad, numeric[0]) < 1e-6
 
+    @staticmethod
+    def grad_and_loss(logits, labels, total=None):
+        x = Tensor(logits, requires_grad=True)
+        tape = Tape()
+        loss = cross_entropy(x, labels, tape, total=total)
+        backward(tape, loss)
+        return x.grad, loss.item()
+
+    @pytest.mark.parametrize("b,total", [(2, 16), (1, 8), (4, 4), (2, 5), (3, 7),
+                                         (1, 5)])
+    def test_total_weighs_the_mean_by_its_share(self, b, total):
+        """A forward over b of total graphs gives b / total of its mean
+        loss and gradients, bit for bit when b / total is a power of two."""
+        rng = np.random.default_rng(b * 100 + total)
+        logits, labels = rng.standard_normal((b, 3)), rng.integers(0, 3, b)
+        mean_grad, mean = self.grad_and_loss(logits, labels)
+        grad, loss = self.grad_and_loss(logits, labels, total)
+        share = b / total
+        if math.log2(share).is_integer():
+            assert loss == mean * share
+            assert np.array_equal(grad, mean_grad * share)
+        else:
+            assert loss == pytest.approx(mean * share, rel=1e-15)
+            assert np.allclose(grad, mean_grad * share, rtol=1e-15, atol=0)
+
+    def test_gradient_with_a_total_other_than_the_rows(self):
+        rng = np.random.default_rng(32)
+        logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        labels = [3, 0, 1]
+
+        def loss_fn(tape=None):
+            return cross_entropy(logits, labels, tape, total=7)
+
+        tape = Tape()
+        backward(tape, loss_fn(tape))
+        numeric = numerical_grad(lambda: loss_fn().item(), [logits])
+        assert max_rel_err(logits.grad, numeric[0]) < 1e-6
+
 
 class TestBackward:
     def test_sum_gives_ones(self):

@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -642,6 +644,31 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and reason in err[0]
         assert f"parameter gcn0.weight of shape (8, {width})" in err[0]
+
+    @pytest.mark.parametrize("model,train,key", [
+        ("exphormer", {"exphormer": {"num_layers": 10 ** 9, "hidden_dim": 2,
+                                     "num_heads": 1}}, "num_layers"),
+        ("residual-gcn", {"gcn": {"num_gcn_layers": 10 ** 9, "hidden_dim": 2}},
+         "num_gcn_layers")])
+    def test_layer_count_that_cannot_be_built_is_config_error(self, tmp_path, model,
+                                                              train, key):
+        # in a child process: building 10**9 layers one by one would not end
+        path = tmp_path / "d.jsonl"
+        serialize_dataset(generate_synthetic(SyntheticSpec(
+            num_graphs=12, n=8, num_classes=2, label_mode="feature_only",
+            seed=3)), path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": train}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "connectobench.cli", "sweep-dropedge", "--dataset",
+             str(path), "--model", model, "--config", str(cfg), "--out",
+             str(tmp_path / "o")], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and f"{key} {10 ** 9} needs about" in err[0]
+        assert "physical memory" in err[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("train", [{"total_epochs": "5"},
                                        {"gcn": {"hidden_dim": "x"}},

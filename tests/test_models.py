@@ -681,7 +681,7 @@ class TestExphormer:
         assert place.ids.tolist() == [*range(8), 16, *range(8, 16), 16]
         assert real.ids.tolist() == [*range(8), *range(9, 17)]
 
-    def test_training_forwards_pair_an_even_batch_of_one_size(self):
+    def test_training_forwards_pair_each_run_of_one_size(self):
         rng = np.random.default_rng(38)
         m = self.make()
         graphs = [random_graph(rng, n) for n in (8, 8, 8, 8, 5, 8)]
@@ -696,9 +696,12 @@ class TestExphormer:
             pair = m.forward(x, tape=Tape()).data  # on the edge chain
             for row, i in zip(pair, chunk):
                 assert np.max(np.abs(row - m.forward(preps[i]).data[0])) < 1e-12
-        for indices in ([0, 2, 3], [0, 4], [4], [0, 1, 2, 3, 4, 5]):
-            assert m.forwards(preps, indices, "train") == [([i], [preps[i]])
-                                                           for i in indices]
+        # sorted stably by size (n=5 first), each size's graphs paired
+        for indices, chunks in (([0, 2, 3], [[0, 2], [3]]), ([0, 4], [[4], [0]]),
+                                ([4], [[4]]),
+                                ([0, 1, 2, 3, 4, 5], [[4], [0, 1], [2, 3], [5]])):
+            assert m.forwards(preps, indices, "train") == [
+                (c, [preps[i] for i in c]) for c in chunks]
 
     def test_cached_blocks_are_the_params_tensors(self):
         m = self.make()
@@ -1011,9 +1014,10 @@ def _contract_graphs(seed, shapes):
     return graphs
 
 
-def _batch_mean_grads(m, prepared, forwards):
-    """The parameter gradients train_epoch steps with: each forward's mean
-    loss backpropagated, the sum scaled by 1 / len(forwards)."""
+def _batch_mean_grads(m, prepared, forwards, total=None):
+    """Summed parameter gradients of the forwards. With total, each forward
+    backpropagates its share of the batch-mean loss, as train_epoch does;
+    without, its mean loss, and the sum is scaled by 1 / len(forwards)."""
     for p in m.params.values():
         p.grad = None
     rng = seeded_rng(0, "contract")
@@ -1021,19 +1025,20 @@ def _batch_mean_grads(m, prepared, forwards):
         tape = Tape()
         logits = m.forward(x, mode="train", tape=tape, rng=rng)
         backward(tape, cross_entropy(logits, [prepared[i].label for i in chunk],
-                                     tape=tape))
-    return {k: p.grad / len(forwards) for k, p in m.params.items()
-            if p.grad is not None}
+                                     tape=tape, total=total))
+    scale = 1.0 if total else 1.0 / len(forwards)
+    return {k: p.grad * scale for k, p in m.params.items() if p.grad is not None}
 
 
 class TestForwardsContract:
     """Generated graph lists through every model's forwards(): in both modes
     each index comes back exactly once; eval logits match one forward per
-    graph (Exphormer's on the edge chain) within 1e-12; where a training
-    forward holds several graphs, the batch-mean gradient matches the
-    per-graph mean within 1e-12. The drawn EVAL_CHUNK, DENSE_FILL and
-    DENSE_STACK_ENTRIES cut lists into several chunks, put some Exphormer
-    stacks on the edge chain and split some stacks."""
+    graph (Exphormer's on the edge chain) within 1e-12; the training
+    forwards, each weighing its share of the batch (pairs and lone graphs
+    mixed), give the per-graph mean gradient within 1e-12. The drawn
+    EVAL_CHUNK, DENSE_FILL and DENSE_STACK_ENTRIES cut lists into several
+    chunks, put some Exphormer stacks on the edge chain and split some
+    stacks."""
 
     @settings(max_examples=25, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1069,9 +1074,7 @@ class TestForwardsContract:
                             single = m.forward(prepared[i], mode="eval").data[0]
                             assert np.max(np.abs(row - single)) < 1e-12, name
                 forwards = m.forwards(prepared, indices, "train")
-                if all(len(chunk) == 1 for chunk, _ in forwards):
-                    continue
-                batched = _batch_mean_grads(m, prepared, forwards)
+                batched = _batch_mean_grads(m, prepared, forwards, len(indices))
                 singles = _batch_mean_grads(m, prepared,
                                             [([i], prepared[i]) for i in indices])
                 assert batched.keys() == singles.keys()

@@ -19,6 +19,7 @@ from connectobench import (
     ConfigError,
     ContractError,
     Dataset,
+    DatasetSplits,
     DivergenceError,
     EmptySplitError,
     ExphormerConfig,
@@ -153,32 +154,18 @@ class TestTrainEpoch:
             for epoch in range(cfg.total_epochs):
                 train_epoch(run, epoch, seeded_rng(0, "epoch", epoch), lr=1e120)
 
-    def test_unequal_training_forwards_are_a_contract_error(self, monkeypatch):
-        ds = small_dataset()
-        run = Run(small_config(batch_size=3), ds, 0.0,
-                  split_dataset(ds.graphs, seed=0), 0)
-        before = {k: p.data.copy() for k, p in run.model.params.items()}
-        model = run.model
-
-        def forwards(prepared, indices, mode):  # chunks of 2 and 1
-            return [(c, model.collate([prepared[i] for i in c]))
-                    for c in (indices[:2], indices[2:]) if c]
-        monkeypatch.setattr(model, "forwards", forwards)
-        with pytest.raises(ContractError, match=r"\[2, 1\] graphs"):
-            train_epoch(run, 0, seeded_rng(0, "epoch", 0))
-        for k, p in model.params.items():
-            assert np.array_equal(p.data, before[k])
-
 
 def _per_graph_epoch(model, prepared, splits, cfg, opt, rng, lr):
-    """Reference training pass: one forward and backward per graph, summed
-    gradients averaged over the mini-batch. Returns the mean training loss."""
+    """Reference training pass: one forward and backward of its mean loss
+    per graph, a mini-batch's graphs in order of node count (stable, the
+    order Exphormer's forwards take them in), summed gradients averaged over
+    the mini-batch. Returns the mean training loss."""
     order = [splits.train[i] for i in rng.permutation(len(splits.train))]
     total = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         zero_grads(model.params)
-        for gi in batch:
+        for gi in sorted(batch, key=lambda i: prepared[i].ig.num_nodes):
             tape = Tape()
             logits = model.forward(prepared[gi], mode="train", tape=tape, rng=rng)
             loss = cross_entropy(logits, [prepared[gi].label], tape=tape)
@@ -207,15 +194,21 @@ def _train_forwards(run):
 
 class TestExphormerEpoch:
     def test_matches_per_graph_reference_bit_exact(self):
-        # batches of 7 graphs are odd, so each trains one graph a forward
-        ds = small_dataset(num_graphs=30, n=8)
-        splits = split_dataset(ds.graphs, seed=0)
-        cfg = small_config(model_kind="exphormer", batch_size=7,
+        """Graphs of 20 sizes, so each of the two mini-batches of 8 trains
+        one graph a forward, each weighing 1/8 of the batch mean: the same
+        bits as summing mean-loss gradients and scaling by 1/8."""
+        ds = Dataset([generate_synthetic(SyntheticSpec(
+            num_graphs=2, n=n, d=4, num_classes=2, seed=n)).graphs[n % 2]
+            for n in range(4, 24)], 2)
+        splits = DatasetSplits(train=list(range(16)), val=[16, 17], test=[18, 19])
+        cfg = small_config(model_kind="exphormer", batch_size=8,
                            exphormer=ExphormerConfig(num_layers=1, num_heads=2,
                                                      hidden_dim=8,
                                                      expander_degree=2))
         run = Run(cfg, ds, 0.0, splits, 4)
+        held = _train_forwards(run)
         metrics = train_epoch(run, 2, seeded_rng(4, "epoch", 2))
+        assert [len(chunk) for fw in held for chunk, _ in fw] == [1] * 16
         ref = Run(cfg, ds, 0.0, splits, 4)
         ref_loss = _per_graph_epoch(ref.model, ref.prepared, splits, cfg,
                                     AdamState(), seeded_rng(4, "epoch", 2),
@@ -246,7 +239,7 @@ class TestExphormerEpoch:
             assert np.allclose(p.data, ref.model.params[name].data,
                                rtol=0, atol=1e-12), name
 
-    def test_odd_and_mixed_size_batches_train_one_graph_a_forward(self):
+    def test_odd_and_mixed_size_batches_train_pairs_and_lone_graphs(self):
         small, large = (generate_synthetic(SyntheticSpec(
             num_graphs=10, n=n, d=8, num_classes=2, seed=n)).graphs for n in (8, 12))
         ds = Dataset(small + large, 2)
@@ -258,8 +251,19 @@ class TestExphormerEpoch:
         run = Run(cfg, ds, 0.0, splits, 0)
         held = _train_forwards(run)
         assert math.isfinite(train_epoch(run, 0, seeded_rng(0, "epoch", 0)).loss)
-        assert [len(chunk) for fw in held for chunk, _ in fw] \
-            == [1] * len(splits.train)
+        assert sorted(i for fw in held for chunk, _ in fw for i in chunk) \
+            == sorted(splits.train)
+        lengths = set()
+        for fw in held:  # sorted by size, each size's graphs paired, one left
+            sizes = [[run.prepared[i].ig.num_real for i in chunk] for chunk, _ in fw]
+            assert all(len(set(s)) == 1 for s in sizes)
+            flat = sum(sizes, [])
+            assert flat == sorted(flat)
+            assert [len(s) for s in sizes] == [
+                k for n in sorted(set(flat))
+                for k in [2] * (flat.count(n) // 2) + [1] * (flat.count(n) % 2)]
+            lengths |= {len(s) for s in sizes}
+        assert lengths == {1, 2}
 
     def test_prebuilt_plans_match_raw_ids_bit_exact(self):
         ds = small_dataset(num_graphs=30, n=8)
@@ -567,15 +571,17 @@ class TestCorrupt:
 
 
 # A fresh process that trains Exphormer, with the dataset generated in it, so
-# no large buffer has been freed before run_experiment starts.
+# no large buffer has been freed before training starts; its train line
+# trains through run_experiment or through a Run directly.
 _FAULTS_CHILD = """
 import resource
-from connectobench import SyntheticSpec, TrainConfig, generate_synthetic, run_experiment
+from connectobench import (Run, SyntheticSpec, TrainConfig, generate_synthetic,
+                           run_experiment, split_dataset)
 ds = generate_synthetic(SyntheticSpec(num_graphs=60, n=50, num_classes=2,
                                       label_mode="feature_only", seed=7))
 cfg = TrainConfig(model_kind="exphormer", total_epochs=2, warmup_epochs=1, seeds=(0,))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run_experiment(cfg, ds, 0.0)
+{train}
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) // 2)
 """
 
@@ -583,13 +589,18 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) // 2)
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
                     reason="the C library has no mallopt")
 def test_fresh_process_exphormer_epoch_keeps_its_pages():
-    """run_experiment pins glibc's mmap threshold, so an Exphormer layer's
-    per-edge arrays (about 295 KB each) are not mapped and faulted in afresh
-    on every allocation: about 1.4k minor faults per epoch measured, against
-    69k with glibc's default dynamic threshold."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULTS_CHILD], capture_output=True, text=True,
-        timeout=300, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-                              OPENBLAS_NUM_THREADS="1"))
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert int(proc.stdout) < 8000
+    """A Run pins glibc's mmap threshold, so an Exphormer layer's per-edge
+    arrays (about 295 KB each) are not mapped and faulted in afresh on every
+    allocation: about 1.4k minor faults per epoch measured through
+    run_experiment, against 69k with glibc's default dynamic threshold (about
+    43k through a Run that did not pin it)."""
+    for train in ("run_experiment(cfg, ds, 0.0)",
+                  "run = Run(cfg, ds, 0.0, split_dataset(ds.graphs), 0)\n"
+                  "run.epoch(), run.epoch()"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS_CHILD.format(train=train)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                     OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout) < 8000, train

@@ -1,4 +1,4 @@
-"""Golden run: hash every output of eighteen small sweeps and a curves export.
+"""Golden run: hash every output of nineteen small sweeps and a curves export.
 
     python3 tools/golden_run.py [--work DIR]
 
@@ -30,12 +30,15 @@ small graphs with two large ones, and runs `sweep-dropedge` for residual-gcn
 and exphormer on it, so batches hold unequal block sizes and interaction
 graphs differ in size. Then it runs `curves` on the first run JSON of the
 `sweep-dropout` grid, which holds training seeds 0 and 1, so one call
-writes two CSVs. Two more sweeps on the third dataset (training seed 0)
-reach forward paths the others miss: a `sweep-variants` whose `variants`
-grid holds both placements at probability 0, so attention never runs and
-AttnResidualGCN batches like a plain ResidualGCN, and an exphormer
+writes two CSVs. Three more sweeps on the third dataset (training seed 0)
+reach paths the others miss: a `sweep-variants` whose `variants` grid
+holds both placements at probability 0, so attention never runs and
+AttnResidualGCN batches like a plain ResidualGCN; an exphormer
 `sweep-dropedge` (p 0/0.5/1) with no global node, so no row is placed or
-picked around the real ones. Finally, it builds a sixth dataset (24
+picked around the real ones; and an exphormer `sweep-dropedge` (p
+0/0.5/1) with `train.batch_size` 5, which trains each mini-batch of five
+as two pairs and a lone graph, so its forwards weigh 2/5 and 1/5 of the
+batch mean, shares that are not powers of two. Finally, it builds a sixth dataset (24
 feature_only graphs with n=130 and seed 9) and runs two exphormer
 `sweep-dropedge` sweeps on it (p 0/0.5/1, seed 0) with `expander_degree` 2
 and no global node, one at 4 heads and one at 1 head. Its p=1 graphs are
@@ -86,6 +89,8 @@ VARIANTS0_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1},
 EXPHORMER0_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1,
                                "exphormer": {"num_global_nodes": 0}},
                      "drop_probabilities": [0.0, 0.5, 1.0]}
+BATCH5_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1, "batch_size": 5},
+                 "drop_probabilities": [0.0, 0.5, 1.0]}
 SPARSE_DATASET = ("feature_only", 24, 130, 9)
 SPARSE_HEADS = (4, 1)
 MIXED_DATASETS = (("feature_only", 40, 16, 21), ("feature_only", 40, 24, 22))
@@ -175,6 +180,8 @@ def golden(work: Path) -> list[tuple[str, str]]:
           config=write_config("variants0.json", VARIANTS0_CONFIG))
     sweep("dropedge", data, "grids-exphormer0", "--model", "exphormer", "--seeds", "0",
           config=write_config("exphormer0.json", EXPHORMER0_CONFIG))
+    sweep("dropedge", data, "grids-exphormer-b5", "--model", "exphormer",
+          "--seeds", "0", config=write_config("batch5.json", BATCH5_CONFIG))
     data = gen("sparse", *SPARSE_DATASET)
     for heads in SPARSE_HEADS:
         config = {"train": {"total_epochs": 2, "warmup_epochs": 1, "exphormer": {
