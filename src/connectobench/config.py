@@ -1,10 +1,21 @@
-"""Builds config dataclasses from JSON blocks, checking keys and types."""
+"""Builds config dataclasses from JSON blocks, checking keys and types, and
+reads the physical memory that bounds what a config may ask for."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
 
 from .errors import ConfigError
+
+
+def physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return math.inf
 
 
 def from_json(cls, d, where: str, /, **overrides):

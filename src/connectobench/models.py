@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .autodiff import (
     sparse_aggregate,
     sum_col_blocks,
 )
+from .config import physical_memory
 from .data import ConnectomeGraph
 from .errors import ConfigError, ContractError, ShapeError
 from .rng import as_generator, seeded_rng
@@ -52,12 +52,13 @@ TAG_LOCAL, TAG_EXPANDER, TAG_GLOBAL, TAG_SELF = 0, 1, 2, 3
 _TAG_NAMES = {TAG_LOCAL: "local", TAG_EXPANDER: "expander",
               TAG_GLOBAL: "global", TAG_SELF: "self"}
 
-# An Exphormer eval forward over k graphs of N nodes each (global ones
-# included) runs on dense attention blocks when its k x N x N score stack
-# holds at most DENSE_FILL entries per interaction edge, and on the edge
-# chain otherwise. Each eval forward holds at most DENSE_STACK_ENTRIES score
-# entries (heads x N x N a graph), or one graph. README's "How a mini-batch
-# runs" gives the measurements behind both values.
+# An attention layer in eval mode without a tape, over k graphs of N nodes
+# each (global ones included), runs on dense attention blocks when its
+# k x N x N score stack holds at most DENSE_FILL entries per interaction
+# edge, and on the edge chain otherwise. Each Exphormer eval forward holds at
+# most DENSE_STACK_ENTRIES score entries (heads x N x N a graph), or one
+# graph. README's "How a mini-batch runs" gives the measurements behind both
+# values.
 DENSE_FILL = 40
 DENSE_STACK_ENTRIES = 1 << 16
 # Graphs per evaluation chunk for models that score several graphs in one
@@ -75,11 +76,7 @@ def _refuse_layer_count(key: str, layers: int, arrays: int, floats: int) -> None
     holding `floats` float64s fits in physical memory but `layers` do not,
     raised as a config is built, before any parameter is allocated. A layer
     too wide to fit alone is left to _ParamBuilder's shape error."""
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return
-    layer = arrays * _ARRAY_BYTES + 8 * floats
+    memory, layer = physical_memory(), arrays * _ARRAY_BYTES + 8 * floats
     if layer <= memory < layers * layer:
         raise ConfigError(f"{key} {layers} needs about {layers * layer} bytes of "
                           f"parameters, over the {memory} bytes of physical memory")
@@ -176,9 +173,10 @@ class InteractionGraph:
 
     Edges are sorted by (dst, src) and deduplicated; when the same directed
     pair arises from several components, the tag priority is
-    local > expander > global (self-loops never collide). src_plan and
-    dst_plan hold the sort of src and dst, built on first use and kept, so
-    the attention ops never sort a graph's ids twice.
+    local > expander > global (self-loops never collide). A union joins
+    `graphs` equal-size graphs. src_plan, dst_plan and dense_pos are built
+    on first use and kept, so the attention ops never sort a graph's ids
+    twice.
     """
 
     num_real: int
@@ -186,6 +184,7 @@ class InteractionGraph:
     src: np.ndarray   # (E,) int64
     dst: np.ndarray   # (E,) int64
     tags: np.ndarray  # (E,) int64
+    graphs: int = 1
 
     @functools.cached_property
     def src_plan(self) -> IndexPlan:
@@ -195,18 +194,29 @@ class InteractionGraph:
     def dst_plan(self) -> IndexPlan:
         return IndexPlan(self.dst, "dst")
 
+    @functools.cached_property
+    def dense_pos(self) -> np.ndarray:
+        """Each edge's position in the (graphs, N, N) score stack of its
+        N-node graphs: its stacked destination row dst, then its source."""
+        m = self.num_nodes // self.graphs
+        return self.dst * m + self.src % m
+
     @classmethod
     def union(cls, igs) -> InteractionGraph:
-        """The disjoint union of igs: each graph's arrays, its node ids
-        shifted by the nodes before it, concatenated. One graph is its own
-        union."""
+        """The disjoint union of igs, graphs of one size: each graph's arrays,
+        its node ids shifted by the nodes before it, concatenated. One graph
+        is its own union. Raises ShapeError for no graph or mixed sizes."""
+        if len({(ig.num_real, ig.num_global, ig.graphs) for ig in igs}) != 1:
+            raise ShapeError(f"a union needs graphs of one size, got "
+                             f"{[ig.num_real for ig in igs]}")
         if len(igs) == 1:
             return igs[0]
         nodes = np.cumsum([0] + [ig.num_nodes for ig in igs[:-1]])
         src, dst = (np.concatenate([getattr(ig, end) + o for ig, o in zip(igs, nodes)])
                     for end in ("src", "dst"))
         return cls(sum(ig.num_real for ig in igs), sum(ig.num_global for ig in igs),
-                   src, dst, np.concatenate([ig.tags for ig in igs]))
+                   src, dst, np.concatenate([ig.tags for ig in igs]),
+                   sum(ig.graphs for ig in igs))
 
     @property
     def num_nodes(self) -> int:
@@ -219,23 +229,6 @@ class InteractionGraph:
     def tag_counts(self) -> dict[str, int]:
         return {name: int(np.count_nonzero(self.tags == tag))
                 for tag, name in _TAG_NAMES.items()}
-
-
-@dataclass(eq=False)
-class DenseBlocks:
-    """The interaction graphs of k stacked graphs of m rows each, laid out
-    on a dense (k, m, m) score stack.
-
-    pos is each edge's position g * m * m + dst * m + src in the stack,
-    edges in (graph, dst, src) order. dst_plan holds each edge's
-    destination as a stacked row g * m + dst: one softmax segment per
-    (graph, dst).
-    """
-
-    k: int
-    m: int
-    pos: np.ndarray
-    dst_plan: IndexPlan
 
 
 @functools.lru_cache(maxsize=256)
@@ -357,30 +350,32 @@ def build_interaction_graph(g: ConnectomeGraph, cfg: ExphormerConfig,
     return _interaction_graph(g, gl, srcs, dsts, tags)
 
 
-def _dense_context(blocks: DenseBlocks, q: np.ndarray, k: np.ndarray,
-                   v: np.ndarray, num_heads: int) -> np.ndarray:
-    """The attention context of every stacked row, from a dense score stack:
-    one batched Q @ K^T over (heads, k, m, m), the scores read at the edge
-    positions, softmax_segments over the (edges, heads) scores, the weights
-    scattered into a zeroed stack, then W @ V. No tape, no masking: only
-    edge entries are exponentiated."""
-    g, m, width = blocks.k, blocks.m, q.shape[1]
-    head_dim = width // num_heads
+def _dense_context(ig: InteractionGraph, q: np.ndarray, k: np.ndarray,
+                   v: np.ndarray, num_heads: int) -> tuple[Tensor, Tensor]:
+    """The attention context of every row of ig's graphs and the (E, heads)
+    edge weights, from a dense score stack: one batched Q @ K^T over
+    (heads, graphs, N, N), the scores read at the edge positions,
+    softmax_segments over the (edges, heads) scores, the weights scattered
+    into a zeroed stack, then W @ V. No tape, no masking: only edge entries
+    are exponentiated."""
+    g, width = ig.graphs, q.shape[1]
+    m, head_dim = ig.num_nodes // g, width // num_heads
 
-    def heads(a):  # the (heads, k, m, head_dim) view of stacked rows
+    def heads(a):  # the (heads, graphs, N, head_dim) view of stacked rows
         return a.reshape(g, m, num_heads, head_dim).transpose(2, 0, 1, 3)
 
-    # every edge's position in every head's (k, m, m) plane
-    flat = blocks.pos[:, np.newaxis] + np.arange(0, num_heads * g * m * m, g * m * m)
+    # every edge's position in every head's (graphs, N, N) plane
+    flat = ig.dense_pos[:, np.newaxis] + np.arange(0, num_heads * g * m * m, g * m * m)
     scores = np.take(heads(q) @ heads(k).transpose(0, 1, 3, 2), flat)
     scores *= 1.0 / math.sqrt(head_dim)
-    weights = softmax_segments(Tensor(scores), blocks.dst_plan).data
+    weights = softmax_segments(Tensor(scores), ig.dst_plan)
     stack = np.zeros((num_heads, g, m, m))
-    stack.reshape(-1)[flat] = weights
-    return (stack @ heads(v)).transpose(1, 2, 0, 3).reshape(g * m, width)
+    stack.reshape(-1)[flat] = weights.data
+    ctx = (stack @ heads(v)).transpose(1, 2, 0, 3).reshape(g * m, width)
+    return Tensor(ctx), weights
 
 
-def sparse_attention(ig: InteractionGraph | DenseBlocks, h: Tensor,
+def sparse_attention(ig: InteractionGraph, h: Tensor,
                      p: dict[str, Tensor], num_heads: int,
                      attention_dropout: float, dropout_rate: float,
                      mode: str, rng, tape: Tape | None,
@@ -392,32 +387,31 @@ def sparse_attention(ig: InteractionGraph | DenseBlocks, h: Tensor,
     then used to mix value rows. Follows with output projection, residual +
     layer norm, and a feed-forward block with residual + layer norm.
 
-    When capture is a list, the post-softmax weights (E x heads) are appended
-    to it before attention dropout. Given DenseBlocks, the scores, softmax
-    and mixing run on dense stacks (_dense_context), in eval mode only,
-    without a tape or capture.
+    In eval mode without a tape, when ig's (graphs, N, N) score stack holds
+    at most DENSE_FILL entries per edge, the scores, softmax and mixing run
+    on dense stacks (_dense_context); otherwise on the edge chain. When
+    capture is a list, the post-softmax weights (E x heads) are appended to
+    it before attention dropout, on either layout.
     """
     head_dim = h.cols // num_heads
     q = matmul(h, p["q"], tape)
     k = matmul(h, p["k"], tape)
     v = matmul(h, p["v"], tape)
-    if isinstance(ig, DenseBlocks):
-        if mode != "eval" or tape is not None or capture is not None:
-            raise ContractError("dense attention blocks score in eval mode only, "
-                                "without a tape or capture")
-        ctx = Tensor(_dense_context(ig, q.data, k.data, v.data, num_heads))
+    n = ig.num_nodes // ig.graphs
+    if mode == "eval" and tape is None and ig.num_nodes * n <= DENSE_FILL * ig.num_edges:
+        ctx, weights = _dense_context(ig, q.data, k.data, v.data, num_heads)
     else:
         qe = gather_rows(q, ig.dst_plan, tape)
         ke = gather_rows(k, ig.src_plan, tape)
         scores = scale(sum_col_blocks(mul(qe, ke, tape), num_heads, tape),
                        1.0 / math.sqrt(head_dim), tape)
         weights = softmax_segments(scores, ig.dst_plan, tape)
-        if capture is not None:
-            capture.append(weights.data.copy())
-        weights = dropout(weights, attention_dropout, mode, rng, tape)
+        dropped = dropout(weights, attention_dropout, mode, rng, tape)
         ve = gather_rows(v, ig.src_plan, tape)
-        mixed = mul(ve, expand_col_blocks(weights, head_dim, tape), tape)
+        mixed = mul(ve, expand_col_blocks(dropped, head_dim, tape), tape)
         ctx = segment_sum_rows(mixed, ig.dst_plan, h.rows, tape)
+    if capture is not None:
+        capture.append(weights.data.copy())
     attn = matmul(ctx, p["out"], tape, bias=p["out_bias"])
     attn = dropout(attn, dropout_rate, mode, rng, tape)
     h1 = layer_norm(add(h, attn, tape), p["ln1_gain"], p["ln1_bias"], tape)
@@ -644,7 +638,7 @@ class Exphormer(_Model):
         graphs. Eval cuts chunks of EVAL_CHUNK into stacks of at most
         DENSE_STACK_ENTRIES score entries (or one graph); a graph's stack
         neighbours move its logits in the last bits, so stacks stay within a
-        chunk. _logits picks each forward's layout."""
+        chunk. sparse_attention picks each forward's layout."""
         def nodes(i):
             return prepared[i].ig.num_nodes
         out = []
@@ -659,21 +653,11 @@ class Exphormer(_Model):
     def _logits(self, stack: list[PreparedExphormer], mode: str, tape,
                 rng) -> Tensor:
         """The forward body over k >= 1 equal-size prepared graphs, on the
-        disjoint union of their interaction graphs: on its DenseBlocks in
-        eval mode without a tape when its k x N x N score stack holds at most
-        DENSE_FILL entries per edge, and on its edge chain otherwise. Each
-        graph's rows are its real nodes, features then structural encoding,
-        and then its global ones (_stack_rows)."""
-        sizes = {p.ig.num_real for p in stack}
-        if len(sizes) != 1:
-            raise ShapeError(f"a stack needs graphs of one size, got "
-                             f"{[p.ig.num_real for p in stack]}")
-        cfg, k, (n,) = self.cfg, len(stack), sizes
+        disjoint union of their interaction graphs. Each graph's rows are
+        its real nodes, features then structural encoding, and then its
+        global ones (_stack_rows)."""
         ig = InteractionGraph.union([p.ig for p in stack])
-        m = stack[0].ig.num_nodes
-        if mode == "eval" and tape is None and k * m * m <= DENSE_FILL * ig.num_edges:
-            # each edge's position: its stacked destination row, its source
-            ig = DenseBlocks(k, m, ig.dst * m + ig.src % m, ig.dst_plan)
+        cfg, k, n = self.cfg, len(stack), stack[0].ig.num_real
         place, real = _stack_rows(k, n, cfg.num_global_nodes)
         x = np.hstack([np.concatenate([p.x for p in stack]),
                        np.concatenate([p.enc for p in stack])])

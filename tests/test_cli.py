@@ -670,6 +670,31 @@ class TestExitCodes:
         assert "physical memory" in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("graphs,nodes,key", [(1, 10 ** 12, "n"),
+                                                  (10 ** 12, 4, "num_graphs")])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_spec_too_large_for_memory_is_config_error(self, tmp_path, graphs,
+                                                       nodes, key, via):
+        # in a child process: the series would not allocate, and 10**12
+        # graphs one by one would not end
+        out = tmp_path / "o"
+        if via == "flags":
+            args = ["gen-data", "--graphs", str(graphs), "--nodes", str(nodes)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"dataset_spec": {"num_graphs": graphs,
+                                                        "n": nodes}}))
+            args = ["sweep-dropedge", "--config", str(cfg)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "connectobench.cli", *args, "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and f"{key} {10 ** 12} needs at least" in err[0]
+        assert "physical memory" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("train", [{"total_epochs": "5"},
                                        {"gcn": {"hidden_dim": "x"}},
                                        {"seeds": [0, 1.5]},

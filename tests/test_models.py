@@ -425,12 +425,14 @@ class TestInteractionGraph:
             assert counts["self"] == n + gl
 
     @pytest.mark.parametrize("gl", [0, 1, 2])
-    @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (7, 7), (5, 2, 9)])
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (7, 7), (5, 5, 5)])
     @pytest.mark.parametrize("edgeless", [False, True])
     def test_union_is_the_graph_built_from_scratch(self, gl, sizes, edgeless):
         """A union concatenates its parts' arrays with node offsets, and the
         plans it builds on first use are the ones IndexPlan sorts out from
-        scratch on the union's ids."""
+        scratch on the union's ids. Each edge's dense position is its part's
+        dst * N + src in that part's N x N plane. Graphs of another size, or
+        no graph, make no union."""
         rng = np.random.default_rng(12)
         cfg = ExphormerConfig(expander_degree=4, num_global_nodes=gl,
                               num_heads=2, hidden_dim=8)
@@ -455,6 +457,14 @@ class TestInteractionGraph:
                     assert getattr(plan, slot).dtype == getattr(fresh, slot).dtype
             assert (plan.lo, plan.hi) == (fresh.lo, fresh.hi)
         assert union.dst_plan.order is None  # dst stays sorted by construction
+        m = igs[0].num_nodes
+        assert union.graphs == len(sizes)
+        assert np.array_equal(union.dense_pos, np.concatenate(
+            [ig.dst * m + ig.src + i * m * m for i, ig in enumerate(igs)]))
+        other = build_interaction_graph(random_graph(rng, sizes[0] + 1), cfg)
+        for bad in ([], igs + [other], [union, igs[0]]):
+            with pytest.raises(ShapeError, match="one size"):
+                models.InteractionGraph.union(bad)
 
 
 class TestSparseAttention:
@@ -490,6 +500,29 @@ class TestSparseAttention:
         for v in range(ig.num_nodes):
             sums = weights[ig.dst == v].sum(axis=0)
             assert np.max(np.abs(sums - 1.0)) < 1e-12
+
+    def test_capture_reads_both_layouts(self, dense_calls):
+        """Eval without a tape on a dense-eligible stack of 3 graphs: the
+        dense blocks capture the edge chain's weights, which sum to 1 over
+        each destination's in-edges, per head."""
+        rng = np.random.default_rng(4)
+        ig = models.InteractionGraph.union(
+            [_interaction_graph(random_graph(rng, 7)) for _ in range(3)])
+        _, h, params, heads = self.attention_setup(n=ig.num_nodes, seed=4)
+        dense, chain = [], []
+        out = sparse_attention(ig, h, params, heads, 0.0, 0.0, "eval", None,
+                               None, capture=dense)
+        assert len(dense_calls) == 1
+        with mock.patch.object(models, "DENSE_FILL", 0):
+            ref = sparse_attention(ig, h, params, heads, 0.0, 0.0, "eval", None,
+                                   None, capture=chain)
+        assert len(dense_calls) == 1
+        assert dense[0].shape == chain[0].shape == (ig.num_edges, heads)
+        assert np.max(np.abs(dense[0] - chain[0])) < 1e-12
+        assert np.max(np.abs(out.data - ref.data)) < 1e-12
+        sums = np.zeros((ig.num_nodes, heads))
+        np.add.at(sums, ig.dst, dense[0])
+        assert np.max(np.abs(sums - 1.0)) < 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(21)
@@ -743,21 +776,26 @@ class TestExphormerBatch:
         forwards = m.forwards(preps, list(range(len(preps))), "eval")
         order = [i for chunk, _ in forwards for i in chunk]
         assert sorted(order) == list(range(len(preps)))
-        layouts, real = [], models.sparse_attention
+        dense_calls, layouts, real = [], [], models._dense_context
 
-        def spy(ig, *args, **kwargs):
-            layouts.append(isinstance(ig, models.DenseBlocks))
-            return real(ig, *args, **kwargs)
-        with mock.patch.object(models, "sparse_attention", spy):
-            logits = np.concatenate([m.forward(x, mode="eval").data
-                                     for _, x in forwards])
+        def spy(*args):
+            dense_calls.append(1)
+            return real(*args)
+        with mock.patch.object(models, "_dense_context", spy):
+            logits = []
+            for _, x in forwards:
+                before = len(dense_calls)
+                logits.append(m.forward(x, mode="eval").data)
+                assert len(dense_calls) - before in (0, m.cfg.num_layers)
+                layouts.append(len(dense_calls) > before)
+            logits = np.concatenate(logits)
         assert logits.shape == (len(preps), 3)
         with mock.patch.object(models, "DENSE_FILL", 0):  # references on the chain
             for row, i in zip(logits, order):
                 assert np.max(np.abs(row - m.forward(preps[i]).data[0])) < 1e-12
         for chunk, x in forwards:
             assert x == [preps[i] for i in chunk]
-        return [chunk for chunk, _ in forwards], layouts[::m.cfg.num_layers], order
+        return [chunk for chunk, _ in forwards], layouts, order
 
     # sizes that repeat out of order, and n < 3 (no expander edges)
     SIZES = (9, 5, 9, 2, 12, 5, 1, 9)
@@ -826,14 +864,10 @@ class TestExphormerBatch:
         assert stack == preps[:2]
         with mock.patch.object(models, "DENSE_FILL", 0):
             singles = np.concatenate([m.forward(p).data for p in stack])
-        # dense blocks refuse a tape and train mode (below), so these forwards
-        # run on the edge chain
-        for kw in ({"mode": "train", "rng": seeded_rng(0)}, {"tape": Tape()}):
-            assert np.max(np.abs(m.forward(stack, **kw).data - singles)) < 1e-12
-        with pytest.raises(ContractError, match="eval mode only"):
-            blocks = models.DenseBlocks(1, 2, np.array([0, 3]), IndexPlan([0, 1]))
-            sparse_attention(blocks, Tensor(np.zeros((2, 8))), m._layers[0],
-                             2, 0.0, 0.0, "eval", None, Tape())
+        # train mode and a tape keep the edge chain
+        with mock.patch.object(models, "_dense_context", None):
+            for kw in ({"mode": "train", "rng": seeded_rng(0)}, {"tape": Tape()}):
+                assert np.max(np.abs(m.forward(stack, **kw).data - singles)) < 1e-12
         with pytest.raises(ShapeError):
             m.forward([])
         with pytest.raises(ShapeError, match="one size"):
@@ -850,6 +884,20 @@ def attn_calls(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
     monkeypatch.setattr(models, "sparse_attention", counting)
+    return calls
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """A list that grows by one per _dense_context call: one per attention
+    layer that runs on dense blocks."""
+    calls = []
+    real = models._dense_context
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(models, "_dense_context", counting)
     return calls
 
 
@@ -920,6 +968,24 @@ class TestAttnVariant:
         batch = plain.collate([plain.prepare(random_graph(rng, 8))
                                for _ in range(2)])
         assert plain.forward(batch, mode="train", rng=seeded_rng(2)).shape == (2, 2)
+
+    @pytest.mark.parametrize("placement", ["after_each_gcn", "after_concat"])
+    def test_eval_runs_dense_blocks_and_training_the_chain(self, placement,
+                                                           dense_calls):
+        rng = np.random.default_rng(46)
+        m = self.make(placement, 1.0)
+        prep = m.prepare(random_graph(rng, 8))
+        ig = prep.local_ig
+        assert ig.num_nodes ** 2 <= models.DENSE_FILL * ig.num_edges
+        layers = m.cfg.num_gcn_layers if placement == "after_each_gcn" else 1
+        logits = m.forward(prep, mode="eval").data
+        assert len(dense_calls) == layers
+        with mock.patch.object(models, "DENSE_FILL", 0):
+            chain = m.forward(prep, mode="eval").data
+        assert np.max(np.abs(logits - chain)) < 1e-12
+        m.forward(prep, mode="train", rng=seeded_rng(3))
+        m.forward(prep, mode="eval", tape=Tape())
+        assert len(dense_calls) == layers
 
     @pytest.mark.parametrize("placement", ["after_each_gcn", "after_concat"])
     def test_cached_blocks_are_the_params_tensors(self, placement):
