@@ -475,29 +475,19 @@ class BlockAdjacency:
     the rows of blocks 0..b-1. One block is one graph's adjacency; a batch of
     graphs is the union of their blocks, so graphs never exchange messages.
     runs holds one (k, m, stack) entry per run of k consecutive m x m blocks
-    that are all the identity (graphs with no edges), or all not. stack is
-    their (k, m, m) array, or None for an identity run: apply copies its
-    rows and makes one batched product for each other run, so a batch of
-    graphs that share a parcellation is one product. counts holds each
-    block's node rows in order, and rows their sum. Blocks are plain data:
-    sparse_aggregate differentiates only its input rows.
+    that are all the identity, or all not. stack is their (k, m, m) array,
+    or None for an identity run: apply copies its rows and makes one
+    batched product for each other run, so a batch of graphs that share a
+    parcellation is one product. counts holds each block's node rows in
+    order, and rows their sum. Blocks are plain data: sparse_aggregate
+    differentiates only its input rows.
     """
 
     __slots__ = ("runs", "rows", "counts")
 
-    def __init__(self, blocks):
-        runs = []
-        for b in blocks:
-            b = np.asarray(b, dtype=np.float64)
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ShapeError(f"adjacency blocks must be square, got {b.shape}")
-            # the identity: ones on the diagonal and no other nonzero entry
-            eye = bool(np.count_nonzero(b) == len(b) and (b.diagonal() == 1.0).all())
-            runs.append((1, len(b), None if eye else b[np.newaxis]))
-        self._set_runs(runs)
-
-    def _set_runs(self, runs) -> None:
-        """Keep runs, merging neighbours of equal m and kind."""
+    def __init__(self, runs):
+        """The (k, m, stack) runs in block order, neighbours of equal m and
+        kind merged into one run."""
         keys = [(m, s is None) for _, m, s in runs]
         self.runs = []
         for lo, hi in _equal_runs(keys):
@@ -514,24 +504,14 @@ class BlockAdjacency:
         added in edge order; a validated graph's pairs are unique, so its
         block does not depend on that order. Only numpy refuses an endpoint >= n."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        weights = np.asarray(weights, dtype=np.float64)
-        if len(edges) == n and (edges == np.arange(n)[:, None]).all() \
-                and (weights == 1.0).all():
-            # unit self-loops 0..n-1 in order, an edgeless graph's normalized
-            # adjacency: the identity run, with no block built
-            out = cls.__new__(cls)
-            out.runs, out.counts, out.rows = [(1, n, None)], [n], n
-            return out
-        block = np.zeros((n, n))
-        np.add.at(block, (edges[:, 1], edges[:, 0]), weights)
-        return cls([block])
+        block = np.zeros((1, n, n))
+        np.add.at(block[0], (edges[:, 1], edges[:, 0]), weights)
+        return cls([(1, n, block)])
 
     @classmethod
     def union(cls, ops) -> "BlockAdjacency":
         """Disjoint union: the blocks of every operator, in order."""
-        out = cls.__new__(cls)
-        out._set_runs([r for op in ops for r in op.runs])
-        return out
+        return cls([r for op in ops for r in op.runs])
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """A_b @ x_b (or A_b^T @ x_b) for every block b of the stacked rows x.

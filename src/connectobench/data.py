@@ -167,11 +167,14 @@ class SyntheticSpec:
             raise ConfigError(f"d must be in [1, n], got {self.d}")
         if self.noise_scale < 0:
             raise ConfigError("noise_scale must be >= 0")
-        # a graph's (n, 4n) time series, then every graph's (n, d) features
+        # a graph's (n, 4n) time series, every graph's (n, d) features, and
+        # the (num_classes, d) class patterns
         memory = physical_memory()
         for key, value, size in (("n", self.n, 32 * self.n ** 2),
                                  ("num_graphs", self.num_graphs,
-                                  8 * self.num_graphs * self.n * self.feature_dim)):
+                                  8 * self.num_graphs * self.n * self.feature_dim),
+                                 ("num_classes", self.num_classes,
+                                  8 * self.num_classes * self.feature_dim)):
             if size > memory:
                 raise ConfigError(f"{key} {value} needs at least {size} bytes, over "
                                   f"the {memory} bytes of physical memory")

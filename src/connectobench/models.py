@@ -488,7 +488,7 @@ def _mlp_head(params: dict[str, Tensor], prefix: str, pooled: Tensor,
 @dataclass(eq=False)
 class PreparedGCN:
     x: Tensor
-    adj: BlockAdjacency    # the normalized adjacency as one dense n x n block
+    adj: BlockAdjacency    # normalized n x n block; identity run if no edge
     adj_edges: np.ndarray  # (m, 2) directed (src, dst) pairs the block holds
     label: int
     local_ig: InteractionGraph | None = None
@@ -555,9 +555,12 @@ class ResidualGCN(_Model):
 
     def prepare(self, graph: ConnectomeGraph) -> PreparedGCN:
         edges, weights = normalized_adjacency(graph, self.cfg.use_edge_weights)
-        return PreparedGCN(x=Tensor(graph.x),
-                           adj=BlockAdjacency.from_edges(edges, weights, graph.n),
-                           adj_edges=edges, label=graph.label)
+        if graph.num_edges:
+            adj = BlockAdjacency.from_edges(edges, weights, graph.n)
+        else:  # only unit self-loops: GCN normalization gives the identity
+            adj = BlockAdjacency([(1, graph.n, None)])
+        return PreparedGCN(x=Tensor(graph.x), adj=adj, adj_edges=edges,
+                           label=graph.label)
 
     def prepare_dataset(self, graphs, run_seed: int = 0) -> list[PreparedGCN]:
         return [self.prepare(g) for g in graphs]

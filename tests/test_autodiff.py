@@ -163,6 +163,13 @@ def _loop_apply(blocks, x, transpose=False):
     return out
 
 
+def _runs(blocks):
+    """One run per block: an identity run for each np.eye block, else a
+    stack of one."""
+    return [(1, len(b), None if np.array_equal(b, np.eye(len(b))) else b[np.newaxis])
+            for b in blocks]
+
+
 class TestBlockAdjacency:
     @pytest.mark.parametrize("sizes", [[40] * 16, [1], [5, 5, 7, 5, 5],
                                        [3, 9, 9, 2, 2, 2], [6, 1, 6]])
@@ -174,8 +181,8 @@ class TestBlockAdjacency:
         for eyes in ([False] * len(sizes), [i % 4 < 2 for i in range(len(sizes))]):
             blocks = [np.eye(n) if eye else rng.standard_normal((n, n))
                       for n, eye in zip(sizes, eyes)]
-            union = BlockAdjacency.union(BlockAdjacency([b]) for b in blocks)
-            direct = BlockAdjacency(blocks)
+            union = BlockAdjacency.union(BlockAdjacency(_runs([b])) for b in blocks)
+            direct = BlockAdjacency(_runs(blocks))
             # a run is equal sizes, all identity or all not
             keys = list(zip(sizes, eyes))
             runs = [keys[0]] + [b for a, b in zip(keys, keys[1:]) if a != b]
@@ -190,8 +197,8 @@ class TestBlockAdjacency:
         rng = np.random.default_rng(4)
         blocks = [rng.standard_normal((n, n)) for n in (2, 2, 3, 3, 2)]
         x = rng.standard_normal((12, 4))
-        nested = BlockAdjacency.union([BlockAdjacency(blocks[:3]),
-                                       BlockAdjacency(blocks[3:])])
+        nested = BlockAdjacency.union([BlockAdjacency(_runs(blocks[:3])),
+                                       BlockAdjacency(_runs(blocks[3:]))])
         assert [(k, m) for k, m, _ in nested.runs] == [(2, 2), (2, 3), (1, 2)]
         assert [s.shape for _, _, s in nested.runs] == [(2, 2, 2), (2, 3, 3), (1, 2, 2)]
         assert np.array_equal(nested.apply(x), _loop_apply(blocks, x))
@@ -201,11 +208,11 @@ class TestBlockAdjacency:
         blocks = [np.eye(3), np.eye(3), rng.standard_normal((3, 3)), np.eye(2),
                   np.eye(2), rng.standard_normal((2, 2)), np.eye(2)]
         x = rng.standard_normal((17, 4))
-        nested = BlockAdjacency.union([BlockAdjacency(blocks[:4]),
+        nested = BlockAdjacency.union([BlockAdjacency(_runs(blocks[:4])),
                                        BlockAdjacency([]),
                                        BlockAdjacency.union(
-                                           [BlockAdjacency(blocks[4:6])]),
-                                       BlockAdjacency(blocks[6:])])
+                                           [BlockAdjacency(_runs(blocks[4:6]))]),
+                                       BlockAdjacency(_runs(blocks[6:]))])
         # an identity run holds no array
         assert [(k, m, s is None) for k, m, s in nested.runs] == [
             (2, 3, True), (1, 3, False), (2, 2, True), (1, 2, False), (1, 2, True)]
@@ -223,52 +230,37 @@ class TestBlockAdjacency:
         eyes = [True, True, False, False, True, False, True, True, False]
         blocks = [np.eye(n) if eye else rng.standard_normal((n, n))
                   for n, eye in zip(sizes, eyes)]
-        loops = np.stack([np.arange(3)] * 2, axis=1)
-        edgeless = BlockAdjacency.from_edges(loops, np.ones(3), 3)
+        identity = BlockAdjacency([(1, 3, None)])
         nested = BlockAdjacency.union([
-            BlockAdjacency(blocks[:3]), BlockAdjacency([]), edgeless,
-            BlockAdjacency.union([BlockAdjacency(blocks[3:6]), BlockAdjacency.union(
-                [BlockAdjacency([b]) for b in blocks[6:]])])])
-        flat = BlockAdjacency.union(BlockAdjacency([b]) for b in blocks)
+            BlockAdjacency(_runs(blocks[:3])), BlockAdjacency([]), identity,
+            BlockAdjacency.union([
+                BlockAdjacency(_runs(blocks[3:6])),
+                BlockAdjacency.union(BlockAdjacency(_runs([b])) for b in blocks[6:])])])
+        flat = BlockAdjacency.union(BlockAdjacency(_runs([b])) for b in blocks)
         for adj, expected in [(nested, sizes[:3] + [3] + sizes[3:]),
-                              (flat, sizes), (BlockAdjacency(blocks), sizes),
-                              (edgeless, [3]), (BlockAdjacency([]), [])]:
+                              (flat, sizes), (BlockAdjacency(_runs(blocks)), sizes),
+                              (identity, [3]), (BlockAdjacency([]), [])]:
             assert adj.counts == expected
             assert sum(adj.counts) == adj.rows
 
-    def test_only_the_exact_identity_is_an_identity_block(self):
-        near = [np.eye(3), np.eye(3) + 1e-300, np.eye(3)[::-1], 2 * np.eye(3),
-                np.zeros((3, 3))]
-        near[0][1, 1] = 1 + 2.0 ** -52
-        loops = BlockAdjacency.from_edges([[0, 0], [1, 1], [2, 2]], [1.0] * 3, 3)
-        zero_edge = BlockAdjacency.from_edges([[0, 1], [0, 0], [1, 1], [2, 2]],
-                                              [0.0, 1.0, 1.0, 1.0], 3)
-        assert [(k, s is None) for k, _, s in BlockAdjacency(near).runs] \
-            == [(5, False)]
-        assert loops.runs == zero_edge.runs == [(1, 3, None)]
-
-    def test_edgeless_graph_is_an_identity_run(self):
+    def test_from_edges_always_builds_a_block(self):
         loops = np.stack([np.arange(4)] * 2, axis=1)
-        x = np.arange(12.0).reshape(4, 3)
-        adj = BlockAdjacency.from_edges(loops, np.ones(4), 4)
-        assert adj.runs == [(1, 4, None)] and adj.rows == 4
-        assert adj.apply(x).tobytes() == x.tobytes()
-        # one self-loop off the unit weight, repeated or out of order: a block
-        for edges, weights in [(loops, [1.0, 1.0, 0.5, 1.0]),
-                               (loops[[0, 1, 1, 3]], np.ones(4))]:
-            runs = BlockAdjacency.from_edges(edges, weights, 4).runs
-            assert runs[0][2] is not None
-        assert BlockAdjacency.from_edges(loops[::-1], np.ones(4), 4).runs \
-            == [(1, 4, None)]  # found by the block's identity test
-
-    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
-    def test_non_square_block_raises(self, bad):
-        with pytest.raises(ShapeError, match="square"):
-            BlockAdjacency([np.eye(2), bad])
+        eye = BlockAdjacency.from_edges(loops, np.ones(4), 4)
+        assert [(k, m) for k, m, _ in eye.runs] == [(1, 4)] and eye.rows == 4
+        assert eye.runs[0][2].tobytes() == np.eye(4)[np.newaxis].tobytes()
+        # a weight off 1, a repeated loop, reversed loops, a zero-weight edge
+        for edges, weights, diagonal in [
+                (loops, [1.0, 1.0, 0.5, 1.0], [1.0, 1.0, 0.5, 1.0]),
+                (loops[[0, 1, 1, 3]], np.ones(4), [1.0, 2.0, 0.0, 1.0]),
+                (loops[::-1], np.ones(4), np.ones(4)),
+                (np.vstack([[[0, 1]], loops]), [0.0, 1.0, 1.0, 1.0, 1.0], np.ones(4))]:
+            (k, m, stack), = BlockAdjacency.from_edges(edges, weights, 4).runs
+            assert (k, m, stack.shape) == (1, 4, (1, 4, 4))
+            assert stack[0].tobytes() == np.diag(diagonal).tobytes()
 
     def test_union_row_mismatch_raises(self):
-        union = BlockAdjacency.union([BlockAdjacency([np.eye(2)]),
-                                      BlockAdjacency([np.eye(3)])])
+        union = BlockAdjacency.union([BlockAdjacency([(1, 2, None)]),
+                                      BlockAdjacency([(1, 3, None)])])
         with pytest.raises(ShapeError, match="covers 5 rows"):
             sparse_aggregate(union, Tensor(np.ones((4, 2))))
 

@@ -1,6 +1,9 @@
 """CLI subcommands: outputs, determinism, exit codes, report shapes."""
 
 import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import re
@@ -10,6 +13,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connectobench import (
     ResidualGCNConfig,
@@ -671,19 +676,22 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("graphs,nodes,key", [(1, 10 ** 12, "n"),
-                                                  (10 ** 12, 4, "num_graphs")])
+                                                  (10 ** 12, 4, "num_graphs"),
+                                                  (2, 4, "num_classes")])
     @pytest.mark.parametrize("via", ["flags", "config"])
     def test_spec_too_large_for_memory_is_config_error(self, tmp_path, graphs,
                                                        nodes, key, via):
-        # in a child process: the series would not allocate, and 10**12
-        # graphs one by one would not end
+        # in a child process: the series or the class patterns would not
+        # allocate, and 10**12 graphs one by one would not end
         out = tmp_path / "o"
+        classes = 10 ** 12 if key == "num_classes" else 2
         if via == "flags":
-            args = ["gen-data", "--graphs", str(graphs), "--nodes", str(nodes)]
+            args = ["gen-data", "--graphs", str(graphs), "--nodes", str(nodes),
+                    "--classes", str(classes)]
         else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"dataset_spec": {"num_graphs": graphs,
-                                                        "n": nodes}}))
+            cfg.write_text(json.dumps({"dataset_spec": {
+                "num_graphs": graphs, "n": nodes, "num_classes": classes}}))
             args = ["sweep-dropedge", "--config", str(cfg)]
         proc = subprocess.run(
             [sys.executable, "-m", "connectobench.cli", *args, "--out", str(out)],
@@ -1010,3 +1018,78 @@ class TestExitCodes:
                    str(tmp_path / "o")])
         assert rc == 4
         assert "line 2: not UTF-8" in capsys.readouterr().err
+
+
+# The grid keys each sweep reads from a config file.
+_SWEEP_GRIDS = {"dropedge": ("models", "drop_probabilities"),
+                "dropout": ("dropout_grid", "attention_dropout_grid"),
+                "layers": ("layer_counts",), "variants": ("variants",)}
+
+# Values a config leaf may be replaced with: every JSON type, ints out of
+# range and too large for any width, strings that name a value of another
+# field, and nested lists and objects.
+_INTS = st.one_of(st.integers(-3, 3),
+                  st.sampled_from([10 ** 9, 10 ** 18, -10 ** 18, 10 ** 300]))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_STRINGS = st.one_of(st.text(max_size=4), st.sampled_from(
+    ["exphormer", "after_concat", "exponential", "none"]))
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _STRINGS),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.text(max_size=3), children,
+                                               max_size=3)),
+    max_leaves=6)
+
+
+def _junk_for(value):
+    """Any junk, or a value of value's own JSON type, so that range checks
+    are reached as often as type checks."""
+    same = {bool: st.booleans(), int: _INTS, float: _FLOATS, str: _STRINGS}
+    return st.one_of(same.get(type(value), _JUNK), _JUNK)
+
+
+def _valid_config(sweep: str) -> dict:
+    train = dataclasses.asdict(TrainConfig(total_epochs=2, warmup_epochs=1))
+    del train["model_kind"]  # each sweep picks its models
+    config = {"train": train, **{k: cli._GRIDS[k] for k in _SWEEP_GRIDS[sweep]}}
+    return json.loads(json.dumps(config))  # tuples become lists
+
+
+def _node_paths(obj, path=()):
+    """The key path of every value in obj, containers and obj itself included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _node_paths(value, path + (key,))
+
+
+class TestConfigFuzz:
+    """Whatever a sweep's config file holds, with --dataset naming a missing
+    file the command exits 2 (the config is refused) or 4 naming that file
+    (the config was accepted), and main raises nothing."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sweep=st.sampled_from(sorted(_SWEEP_GRIDS)), data=st.data())
+    def test_mutated_config_is_refused_or_reaches_the_dataset(self, tmp_path_factory,
+                                                              sweep, data):
+        config = _valid_config(sweep)
+        for _ in range(data.draw(st.integers(0, 3))):
+            path = data.draw(st.sampled_from(list(_node_paths(config))))
+            if not path:  # the whole config
+                config = data.draw(_JUNK)
+                continue
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = data.draw(_junk_for(node[path[-1]]))
+        tmp = tmp_path_factory.getbasetemp() / "config-fuzz"
+        tmp.mkdir(exist_ok=True)
+        (tmp / "cfg.json").write_text(json.dumps(config))
+        missing, out = str(tmp / "missing.jsonl"), tmp / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([f"sweep-{sweep}", "--dataset", missing, "--config",
+                       str(tmp / "cfg.json"), "--out", str(out)])
+        assert rc == 2 or (rc == 4 and missing in err.getvalue()), (rc, err.getvalue())
+        assert not out.exists()

@@ -169,20 +169,43 @@ class TestResidualGCN:
         graphs += [drop_edges(g, 0.5, seed=i) for i, g in enumerate(graphs)]
         # not a valid graph: a repeated edge adds up, as in from_edges
         graphs.append(graph_from_edges(3, [[0, 1], [0, 1], [1, 2]], [0.5, 0.25, 1.0]))
+        assert sum(g.num_edges == 0 for g in graphs) >= 2
         for g in graphs:
             edges, weights = normalized_adjacency(g, use_edge_weights)
-            ref = BlockAdjacency.from_edges(edges, weights, g.n).runs
+            (_, _, ref), = BlockAdjacency.from_edges(edges, weights, g.n).runs
             prep = m.prepare(g)
-            assert len(prep.adj.runs) == len(ref) == 1
-            (k, size, block), (_, _, ref_block) = prep.adj.runs[0], ref[0]
-            assert (k, size) == ref[0][:2] == (1, g.n)
-            if ref_block is None:  # an identity block: the graph has no edge
-                assert block is None
+            assert ref.shape == (1, g.n, g.n)
+            if g.num_edges == 0:  # the identity run, where from_edges builds np.eye
+                assert prep.adj.runs == [(1, g.n, None)]
+                assert ref.tobytes() == np.eye(g.n)[np.newaxis].tobytes()
             else:
-                assert block.shape == ref_block.shape == (1, g.n, g.n)
-                assert block.dtype == ref_block.dtype
-                assert block.tobytes() == ref_block.tobytes()
+                (k, size, block), = prep.adj.runs
+                assert (k, size) == (1, g.n)
+                assert block.dtype == ref.dtype
+                assert block.tobytes() == ref.tobytes()
             assert np.array_equal(prep.adj_edges, edges)
+
+    @pytest.mark.parametrize("use_edge_weights", [True, False])
+    def test_only_an_edgeless_graph_is_prepared_as_the_identity_run(
+            self, use_edge_weights):
+        cfg = ResidualGCNConfig(use_edge_weights=use_edge_weights)
+        m = ResidualGCN(cfg, in_dim=4, num_classes=2)
+        x = np.random.default_rng(13).standard_normal((6, 3))
+        bare = m.prepare(graph_from_edges(6, np.zeros((0, 2))))
+        assert bare.adj.runs == [(1, 6, None)]
+        for transpose in (False, True):
+            assert bare.adj.apply(x, transpose).tobytes() == x.tobytes()
+        # edges that all weigh 0: a block, the identity's values if weights count
+        zero = m.prepare(graph_from_edges(6, [[0, 1], [2, 5], [3, 4]], [0.0] * 3))
+        (k, size, stack), = zero.adj.runs
+        assert (k, size, stack.shape) == (1, 6, (1, 6, 6))
+        if use_edge_weights:
+            assert stack.tobytes() == np.eye(6)[np.newaxis].tobytes()
+            for transpose in (False, True):
+                assert zero.adj.apply(x, transpose).tobytes() \
+                    == (np.eye(6) @ x).tobytes()
+        else:  # each edge weighs 1: nodes 0 and 1 have degree 2 with the loop
+            assert stack[0, 1, 0] == stack[0, 0, 1] == 0.5
 
     def mixed_batch(self, rng, d=10):
         """Graphs of different sizes sharing feature dim d; the last has no edges."""
@@ -239,9 +262,9 @@ class TestResidualGCN:
         return logits.data, {k: p.grad for k, p in m.params.items()}
 
     def test_identity_blocks_match_their_products(self):
-        """A graph with no edges, or whose edges all weigh 0, has the identity
-        as its block: apply copies its rows, and the logits and gradients are
-        the bits the block products give."""
+        """A graph with no edges has an identity run, whose rows apply copies,
+        and a graph whose edges all weigh 0 a block of the identity's values:
+        the logits and gradients are the bits the block products give."""
         rng = np.random.default_rng(12)
         m = self.make()
         graphs = self.mixed_batch(rng)
@@ -251,15 +274,16 @@ class TestResidualGCN:
         graphs[1:1] = [zero, bare]
         preps = [m.prepare(g) for g in graphs]
         assert [[s is None for _, _, s in p.adj.runs] for p in preps] \
-            == [[False], [True], [True], [False], [False], [True]]
+            == [[False], [False], [True], [False], [False], [True]]
         batch = m.collate(preps)
         assert [s is None for _, _, s in batch.adj.runs] \
-            == [False, True, False, False, True]
-        # the same runs with each identity block materialised as np.eye
-        products = BlockAdjacency.__new__(BlockAdjacency)
-        products._set_runs([(k, n, np.stack([np.eye(n)] * k) if s is None else s)
-                            for k, n, s in batch.adj.runs])
-        assert [s is None for _, _, s in products.runs] == [False] * 5
+            == [False, False, True, False, False, True]
+        assert batch.adj.runs[1][2].tobytes() == np.eye(6)[np.newaxis].tobytes()
+        # the same runs with each identity run materialised as np.eye
+        products = BlockAdjacency([(k, n, np.stack([np.eye(n)] * k) if s is None else s)
+                                   for k, n, s in batch.adj.runs])
+        assert [(k, s is None) for k, _, s in products.runs] \
+            == [(1, False), (2, False), (1, False), (1, False), (1, False)]
         product_batch = models.GCNBatch(x=batch.x, adj=products)
         labels = [p.label for p in preps]
         logits, grads = self.eval_and_grads(m, batch, labels)

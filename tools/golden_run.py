@@ -38,13 +38,18 @@ AttnResidualGCN batches like a plain ResidualGCN; an exphormer
 picked around the real ones; and an exphormer `sweep-dropedge` (p
 0/0.5/1) with `train.batch_size` 5, which trains each mini-batch of five
 as two pairs and a lone graph, so its forwards weigh 2/5 and 1/5 of the
-batch mean, shares that are not powers of two. Finally, it builds a sixth dataset (24
+batch mean, shares that are not powers of two. It then builds a sixth dataset (24
 feature_only graphs with n=130 and seed 9) and runs two exphormer
 `sweep-dropedge` sweeps on it (p 0/0.5/1, seed 0) with `expander_degree` 2
 and no global node, one at 4 heads and one at 1 head. Its p=1 graphs are
 sparse, so evaluation runs Exphormer's edge chain, which no other sweep's
 evaluation reaches: at 4 heads one graph a forward, at 1 head three graphs
-of one size a forward.
+of one size a forward. Finally, it builds a seventh dataset (60
+feature_only graphs with n=16 and seed 4), sets every other graph's edge
+weights to 0, and runs `sweep-dropedge` for residual-gcn and
+attn-residual-gcn on it (p 0/0.5/1, seed 0): with edge weights on, such a
+graph's normalized adjacency holds the identity's values although the
+graph has edges.
 Every sweep trains 2 epochs with 1 warmup epoch. Prints one
 `sha256  relative/path` line per file written, plus one per command's
 standard output. Run it on two checkouts and diff the printouts: equal
@@ -93,6 +98,8 @@ BATCH5_CONFIG = {"train": {"total_epochs": 2, "warmup_epochs": 1, "batch_size": 
                  "drop_probabilities": [0.0, 0.5, 1.0]}
 SPARSE_DATASET = ("feature_only", 24, 130, 9)
 SPARSE_HEADS = (4, 1)
+ZERO_WEIGHT_DATASET = ("feature_only", 60, 16, 4)
+ZERO_WEIGHT_MODELS = ("residual-gcn", "attn-residual-gcn")
 MIXED_DATASETS = (("feature_only", 40, 16, 21), ("feature_only", 40, 24, 22))
 MIXED_DIM = 12
 MIXED_MODELS = ("residual-gcn", "exphormer")
@@ -189,6 +196,18 @@ def golden(work: Path) -> list[tuple[str, str]]:
             "drop_probabilities": [0.0, 0.5, 1.0]}
         sweep("dropedge", data, f"sparse-exphormer-h{heads}", "--model", "exphormer",
               "--seeds", "0", config=write_config(f"sparse-h{heads}.json", config))
+    lines = Path(gen("zero-weight-src", *ZERO_WEIGHT_DATASET)).read_bytes() \
+        .splitlines(keepends=True)
+    lines[0] = json.dumps({"version": 1, "num_classes": 2, "spec": None}).encode() \
+        + b"\n"
+    for i in range(1, len(lines), 2):  # graphs 0, 2, 4, ...
+        graph = json.loads(lines[i])
+        graph["w"] = [0.0] * len(graph["w"])
+        lines[i] = json.dumps(graph).encode() + b"\n"
+    Path("zero-weight.jsonl").write_bytes(b"".join(lines))
+    for model in ZERO_WEIGHT_MODELS:
+        sweep("dropedge", "zero-weight.jsonl", f"zero-weight-{model}", "--model",
+              model, "--seeds", "0")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), str(path)))
     return digests
